@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import geometry, hironaka, oracle, relations
 from .geometry import SumTruncationPolicy, TruncationUnsoundError
 from .oracle import BudgetExceededError, GaloisRingParams
-from .partitions import format_partition, parse_partition, partitions_fixed_length
+from .partitions import fill_pattern, format_partition, parse_partition, partitions_fixed_length
 from .qalgebra import PoleError, ZERO
 
 
@@ -245,16 +245,9 @@ def _verify_corollary(args):
     engine = hironaka.HironakaEngine()
     cases = []
     for rule in relations.REWRITE_RULES[args.n]:
-        slots = [i for i, t in enumerate(rule.pattern) if t == "*"]
-        if slots:
-            fills = list(itertools.combinations_with_replacement(
-                sorted(values, reverse=True), len(slots)))
-        else:
-            fills = [()]
-        for fill in fills:
-            it = iter(fill)
-            xi = tuple(next(it) if t == "*" else t for t in rule.pattern)
-            cases.append((rule, fill, xi))
+        slots = sum(not isinstance(t, int) for t in rule.pattern)
+        for fill in itertools.combinations_with_replacement(sorted(values, reverse=True), slots):
+            cases.append((rule, fill, fill_pattern(rule.pattern, fill)))
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
     pairs = [(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams]
     if args.sample is not None and args.sample < len(pairs):

@@ -130,16 +130,6 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1,
 # engines
 # ---------------------------------------------------------------------------
 
-class DirectNormalized:
-    """Adapter giving the direct evaluator the reduction engine's interface."""
-
-    def __init__(self, engine=None):
-        self.engine = engine or hironaka.HironakaEngine()
-
-    def normalized_value(self, xi, lam):
-        return self.engine.normalized(xi, lam)
-
-
 _SHARED = None
 
 
@@ -154,7 +144,7 @@ def make_engine(kind="reduce"):
     if kind == "reduce":
         return ReductionEngine()
     if kind == "direct":
-        return DirectNormalized()
+        return hironaka.HironakaEngine()
     raise ValueError(f"unknown engine kind {kind!r}")
 
 
@@ -299,8 +289,11 @@ def conjecture_check(b, policy=None, engine=None):
              + (1-q^2)      sum_{l>=k>=1}      A_lk0(B3) A_1110(a,l,k,0)
              + (1+q)(1-q^2) sum_{l>=k>=m>=1}   A_lkm(B3) A_1110(a,l,k,m)
 
-    where B = (a, b1, b2, b3) with a even and strictly dominant, B3 is the
-    rank-3 tail, and D is ``derivative_0000``.  Second factors are only
+    where B = (a, b1, b2, b3) with a even and strictly dominant and the
+    weight |B| odd, B3 is the rank-3 tail, and D is ``derivative_0000``.
+    D is the central derivative of a density that vanishes at the centre,
+    which A_0000(B) does when |B| is odd (the weight-parity rule);
+    even-weight classes raise ValueError.  Second factors are only
     evaluated when the matching coefficient is nonzero, which also keeps
     every constructed 4-part label properly sorted.
     """
@@ -308,6 +301,8 @@ def conjecture_check(b, policy=None, engine=None):
     alpha_part = b[0]
     if alpha_part % 2:
         raise ValueError(f"need an even dominant part, got {b}")
+    if weight(b) % 2 == 0:
+        raise ValueError(f"need an odd weight, got {b} of weight {weight(b)}")
     tail3 = b[1:]
     policy = policy or SumTruncationPolicy.for_target(b)
     engine = engine or _default_engine()

@@ -31,6 +31,7 @@ from __future__ import annotations
 from .partitions import (
     check_partition,
     conjugate_part,
+    match_pattern,
     n_stat,
     partitions_in_box,
     tilde,
@@ -138,6 +139,9 @@ class HironakaEngine:
             return ZERO
         return self.alpha(xi, lam) / self.alpha(xi, xi)
 
+    # the interface the geometry sums call on an engine
+    normalized_value = normalized
+
 
 _DEFAULT = HironakaEngine()
 
@@ -163,8 +167,9 @@ def I_j(mu, lam, j):
 # ---------------------------------------------------------------------------
 #
 # Each row is (shape, E, units, placeholders_recurse):
-#   shape  -- tuple of slot specs; an int matches exactly, "*" matches any
-#             value >= 3 (the tables' side condition on large parts);
+#   shape  -- a label pattern (``partitions.match_pattern``): an int matches
+#             exactly, "*" matches any value >= 3 (the tables' side
+#             condition on large parts);
 #   E      -- the power of q in front;
 #   units  -- signed exponents k encoding the unit factors
 #             (1 + q^-k) for k > 0 and (1 - q^-|k|) for k < 0;
@@ -254,23 +259,6 @@ def _unit_factor(k):
     return RatFunc.from_laurent({0: 1, -abs(k): 1 if k > 0 else -1})
 
 
-def _match_shape(shape, xi):
-    holders = []
-    for spec, x in zip(shape, xi):
-        if spec == "*":
-            if x < 3:
-                return None
-            holders.append(x)
-        elif spec != x:
-            return None
-    return holders
-
-
-def self_density_table_rows(n):
-    """The tabulated rows for labels of length n (empty if none)."""
-    return tuple(_SELF_TABLE.get(n, ()))
-
-
 def self_density_closed(xi, engine=None):
     """Closed form of alpha(A_xi, A_xi) from the tables, built recursively.
 
@@ -281,10 +269,10 @@ def self_density_closed(xi, engine=None):
     xi = check_partition(xi)
     engine = engine or _DEFAULT
     for shape, e, units in _SELF_TABLE.get(len(xi), ()):
-        holders = _match_shape(shape, xi)
+        holders = match_pattern(shape, xi)
         if holders is None:
             continue
-        val = Q_POW(e)
+        val = RatFunc.from_laurent({e: 1})
         for k in units:
             val = val * _unit_factor(k)
         if holders:
@@ -295,7 +283,3 @@ def self_density_closed(xi, engine=None):
                 val = val * engine.alpha(inner, inner)
         return val
     raise NotTabulated(f"no closed self-density for {xi}")
-
-
-def Q_POW(e):
-    return RatFunc.from_laurent({e: 1})

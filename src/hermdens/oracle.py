@@ -272,18 +272,12 @@ def _count_chunk(ga, gb, ba, bb, m, n, modulus, c, lo, hi):
         return mask
 
     def rec(chosen, k):
-        if k == n - 1:
-            mask = column_mask(k, chosen)
-            if k == 0:
-                window = np.zeros_like(mask)
-                window[lo:hi] = True
-                mask &= window
-            return int(mask.sum())
         mask = column_mask(k, chosen)
         if k == 0:
-            window = np.zeros_like(mask)
-            window[lo:hi] = True
-            mask &= window
+            mask[:lo] = False
+            mask[hi:] = False
+        if k == n - 1:
+            return int(mask.sum())
         total = 0
         for ci in np.flatnonzero(mask):
             total += rec(chosen + [(a[ci].tolist(), b[ci].tolist())], k + 1)

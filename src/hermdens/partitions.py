@@ -10,6 +10,11 @@ conjugates and the conjugate inner product), this module builds the special
 constructions used by the density relations: the zero-tail promotions
 ``xi_plus``, the two-one paddings ``mu_lk``, and the coefficient family
 ``d_coefficients`` read off the product (1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
+
+It also holds the label-pattern language of the rewrite rules and the
+self-density tables: a pattern is a tuple of slots, where an int matches
+that part exactly and ``"*"`` matches any part >= 3 and binds it
+(``match_pattern``); ``fill_pattern`` substitutes bindings back.
 """
 
 from __future__ import annotations
@@ -142,6 +147,33 @@ def d_coefficients(n, s):
             nxt[i + 1] = nxt[i + 1] - t * c
         coeffs = nxt
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# label patterns
+# ---------------------------------------------------------------------------
+
+def match_pattern(pattern, parts):
+    """The parts bound by the "*" slots of pattern, in slot order, or None.
+
+    An int slot matches that part exactly and a "*" slot matches any part
+    >= 3; () means a literal match.
+    """
+    bind = []
+    for spec, x in zip(pattern, parts):
+        if spec == "*":
+            if x < 3:
+                return None
+            bind.append(x)
+        elif spec != x:
+            return None
+    return tuple(bind)
+
+
+def fill_pattern(pattern, bind):
+    """Keep the int slots of pattern and fill the others with bind, in order."""
+    it = iter(bind)
+    return tuple(spec if isinstance(spec, int) else next(it) for spec in pattern)
 
 
 # ---------------------------------------------------------------------------

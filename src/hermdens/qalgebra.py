@@ -18,10 +18,13 @@ on them:
 Values are immutable after construction and hashable, so they can be shared
 freely across threads; every operation here is a pure function.
 
-Internally, sums that are known to stay inside ZZ[q, q^-1] (for instance
-Gaussian binomials and the density formula's inner sums) are manipulated as
-plain Laurent dictionaries {exponent: coefficient} and only converted to
-``RatFunc`` at the boundary; see the ``lau_*`` helpers.
+The single polynomial representation is the sparse dictionary
+{exponent: coefficient} with no zero coefficients.  The ``lau_*`` kernel
+adds and multiplies such dictionaries (exponents may be negative there), and
+``IntPoly`` arithmetic is built on it.  Sums that are known to stay inside
+ZZ[q, q^-1] (for instance Gaussian binomials and the density formula's inner
+sums) use the kernel directly and are only converted to ``RatFunc`` at the
+boundary.
 """
 
 from __future__ import annotations
@@ -55,6 +58,30 @@ def _dense(coeffs, deg):
     for e, c in coeffs.items():
         out[e] = c
     return out
+
+
+def _long_divide(r, b):
+    """Divide the dense coefficient list r by the dense list b over ZZ, in place.
+
+    Eliminates the coefficients of r from the top down to degree deg(b) and
+    returns the dense quotient, leaving the remainder in r[:deg(b)]; returns
+    None as soon as a leading coefficient is not divisible by lc(b).
+    """
+    db = len(b) - 1
+    lc = b[db]
+    quo = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[db + k]
+        if c == 0:
+            continue
+        if c % lc:
+            return None
+        f = c // lc
+        quo[k] = f
+        for i in range(db + 1):
+            if b[i]:
+                r[i + k] -= f * b[i]
+    return quo
 
 
 class IntPoly:
@@ -131,34 +158,16 @@ class IntPoly:
         return IntPoly._raw({e: c // n for e, c in self.coeffs.items()})
 
     def __add__(self, other):
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.get(e, 0) + c
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        return IntPoly._raw(d)
+        return IntPoly._raw(lau_iadd_scaled(dict(self.coeffs), other.coeffs))
 
     def __neg__(self):
         return IntPoly._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return IntPoly._raw(lau_iadd_scaled(dict(self.coeffs), other.coeffs, scale=-1))
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPoly._raw({})
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
-        return IntPoly._raw(d)
+        return IntPoly._raw(lau_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, n):
         if n < 0:
@@ -195,21 +204,8 @@ class IntPoly:
         if da < db:
             return None
         r = _dense(self.coeffs, da)
-        b = _dense(other.coeffs, db)
-        lc = b[db]
-        quo = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            c = r[db + k]
-            if c == 0:
-                continue
-            if c % lc:
-                return None
-            f = c // lc
-            quo[k] = f
-            for i in range(db + 1):
-                if b[i]:
-                    r[i + k] -= f * b[i]
-        if any(r):
+        quo = _long_divide(r, _dense(other.coeffs, db))
+        if quo is None or any(r):
             return None
         return IntPoly({e: c for e, c in enumerate(quo) if c})
 
@@ -225,20 +221,10 @@ def _pseudo_rem(a, b):
     da, db = a.degree(), b.degree()
     if da < db:
         return a
-    lc = b.leading_coeff()
-    r = _dense(a.coeffs, da)
-    scale = lc ** (da - db + 1)
-    r = [c * scale for c in r]
-    bd = _dense(b.coeffs, db)
-    for k in range(da - db, -1, -1):
-        c = r[db + k]
-        if c == 0:
-            continue
-        assert c % lc == 0
-        f = c // lc
-        for i in range(db + 1):
-            if bd[i]:
-                r[i + k] -= f * bd[i]
+    scale = b.leading_coeff() ** (da - db + 1)
+    r = [c * scale for c in _dense(a.coeffs, da)]
+    if _long_divide(r, _dense(b.coeffs, db)) is None:
+        raise ArithmeticError(f"pseudo-division of {a} by {b} left a non-divisible coefficient")
     return IntPoly({e: c for e, c in enumerate(r[:db]) if c})
 
 
@@ -294,7 +280,9 @@ def poly_str(p):
 #
 # A Laurent polynomial is a plain dict {exponent: coefficient} with no zero
 # coefficients; exponents may be negative.  These helpers avoid RatFunc's
-# canonicalization cost in inner loops.
+# canonicalization cost in inner loops, and ``lau_mul`` and
+# ``lau_iadd_scaled`` are also all of ``IntPoly``'s addition and
+# multiplication, on its dict of non-negative exponents.
 
 def lau_mul(a, b):
     if not a or not b:
@@ -418,7 +406,8 @@ class RatFunc:
                 if g.degree() > 0 or g.leading_coeff() not in (0, 1):
                     nq = num.exact_div(g)
                     dq = den.exact_div(g)
-                    assert nq is not None and dq is not None
+                    if nq is None or dq is None:
+                        raise ArithmeticError(f"gcd {g} does not divide both {num} and {den}")
                     num, den = nq, dq
         if den.leading_coeff() < 0:
             num, den = -num, -den
@@ -511,13 +500,9 @@ class RatFunc:
         return RatFunc._coerce(other) / self
 
     def __pow__(self, n):
-        if n == 0:
-            return _ONE
-        base = self if n > 0 else _ONE / self
-        out = _ONE
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        if n < 0:
+            return (_ONE / self) ** -n
+        return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, int):

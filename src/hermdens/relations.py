@@ -23,12 +23,14 @@ A_xi(A_lam) by rewriting instead of direct summation.  The rewrite loop:
 
 Every evaluation returns an auditable ``ReductionTrace`` whose replay
 reproduces the value exactly.  Each rewrite strictly decreases the measure
-(|lam|, trailing zeros of xi, n), which is asserted per step.
+(|lam|, trailing zeros of xi, n), which is checked per step; a violation,
+like an overlapping or missing rewrite rule, raises ``RuntimeError``.
 
-``alpha_via_generic_reduction`` applies the same relation at the
-unnormalized alpha level for arbitrary n: it eliminates trailing zeros of
-xi via the relation solved for its leading term, scales both labels down
-when possible, and delegates to the normalized engine once lam ends in 0.
+``alpha_via_generic_reduction`` works at the unnormalized alpha level for
+arbitrary n: it eliminates trailing zeros of xi by solving
+``theorem_terms`` for the xi term (whose coefficient is 1), scales both
+labels down when possible, and delegates to the normalized engine once lam
+ends in 0.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from . import hironaka
 from .partitions import (
     check_partition,
     d_coefficients,
+    fill_pattern,
+    match_pattern,
     trailing_zeros,
     weight,
     xi_plus,
@@ -119,22 +123,10 @@ class RewriteRule:
 
     def match(self, xi):
         """Positional placeholder bindings, or None; () means a literal match."""
-        bind = []
-        for spec, x in zip(self.pattern, xi):
-            if spec == "*":
-                if x < 3:
-                    return None
-                bind.append(x)
-            elif spec != x:
-                return None
-        return tuple(bind)
+        return match_pattern(self.pattern, xi)
 
     def instantiate(self, bind):
-        out = []
-        for coeff, tpl in self.rhs:
-            it = iter(bind)
-            out.append((coeff, tuple(next(it) if t == "*" else t for t in tpl)))
-        return out
+        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in self.rhs]
 
 
 def _rules():
@@ -200,7 +192,7 @@ REWRITE_RULES = _rules()
 
 
 def match_rewrite(xi):
-    """Find the unique rewrite rule matching xi (asserting pattern disjointness)."""
+    """Find the unique rewrite rule matching xi; overlapping patterns raise RuntimeError."""
     hits = []
     for rule in REWRITE_RULES.get(len(xi), ()):
         bind = rule.match(xi)
@@ -208,7 +200,9 @@ def match_rewrite(xi):
             hits.append((rule, bind))
     if not hits:
         return None
-    assert len(hits) == 1, f"overlapping rewrite patterns for {xi}: {[r.rule_id for r, _ in hits]}"
+    if len(hits) > 1:
+        raise RuntimeError(
+            f"overlapping rewrite patterns for {xi}: {[r.rule_id for r, _ in hits]}")
     return hits[0]
 
 
@@ -267,13 +261,18 @@ class TraceStep:
 class ReductionTrace:
     root: tuple
     steps: list = field(default_factory=list)
+    _expanded: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._expanded.update((s.xi_before, s.lam_before) for s in self.steps)
 
     def add(self, step):
         self.steps.append(step)
+        self._expanded.add((step.xi_before, step.lam_before))
         return step
 
     def has_expanded(self, key):
-        return any((s.xi_before, s.lam_before) == key for s in self.steps)
+        return key in self._expanded
 
     def __len__(self):
         return len(self.steps)
@@ -344,7 +343,8 @@ class ReductionEngine:
             return "P2.14", [(ONE, xi[:-1], lam[:-1])]
         if xi[-1] == 0 and lam[-1] >= 1 and n <= 4:
             hit = match_rewrite(xi)
-            assert hit is not None, f"rewrite table has no rule for {xi}"
+            if hit is None:
+                raise RuntimeError(f"rewrite table has no rule for {xi}")
             rule, bind = hit
             return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate(bind)]
         return "hironaka-fallback", None
@@ -376,8 +376,9 @@ class ReductionEngine:
         here = _measure(xi, lam)
         val = ZERO
         for factor, cxi, clam in children:
-            assert _measure(cxi, clam) < here, \
-                f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}"
+            if not _measure(cxi, clam) < here:
+                raise RuntimeError(
+                    f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
             child = TraceChild(factor, cxi, clam)
             ckey = (cxi, clam)
             cleaf = self._leaf(cxi, clam)
@@ -433,9 +434,10 @@ class GenericAlphaReducer:
     """Evaluates alpha(A_xi, A_lam) for equal lengths via the vanishing relation.
 
     While lam ends in a positive part: a label xi ending in s zeros is
-    rewritten through the relation solved for its own term (the coefficient
-    of which is 1), which strictly reduces the number of trailing zeros;
-    labels with no trailing zeros scale down by q^{n^2} per unit shift.
+    rewritten through ``theorem_terms`` solved for its own term (the
+    coefficient of which is 1), which strictly reduces the number of
+    trailing zeros; labels with no trailing zeros scale down by q^{n^2} per
+    unit shift.
     Once lam ends in 0 the normalized engine times the self-density takes
     over.  Parity and support vanishing short-circuit to 0.
     """
@@ -459,22 +461,11 @@ class GenericAlphaReducer:
         elif lam[-1] == 0:
             val = self.reducer.normalized_value(xi, lam) * self.hironaka.alpha(xi, xi)
         elif xi[-1] == 0:
-            s = trailing_zeros(xi)
-            ds = d_coefficients(n, s)
-            pref = neg_q_power(-n * s)
-            if s % 2:
-                pref = -pref
-            acc = {}
-            for i in range(1, s + 1):
-                p = xi_plus(xi, 0, i)
-                acc[p] = acc.get(p, ZERO) - ds[i]
-            for i in range(s + 1):
-                p = xi_plus(xi, i, s - i)
-                acc[p] = acc.get(p, ZERO) + pref * ds[i]
+            # the relation's xi term has coefficient 1, so alpha(xi) is minus the rest
             val = ZERO
-            for p, c in acc.items():
-                if not c.is_zero:
-                    val = val + c * self.alpha_value(p, lam)
+            for c, p in theorem_terms(n, trailing_zeros(xi), xi).terms:
+                if p != xi:
+                    val = val - c * self.alpha_value(p, lam)
         else:
             t = min(xi[-1], lam[-1])
             shifted = self.alpha_value(tuple(x - t for x in xi), tuple(x - t for x in lam))

@@ -108,6 +108,12 @@ def test_verify_conjecture(capsys):
     assert "equal" in out
 
 
+def test_verify_conjecture_rejects_even_weight(capsys):
+    code, out, err = _capture(capsys, ["verify", "conjecture", "8,6,4,2"])
+    assert code == 2
+    assert out == "" and "odd weight" in err
+
+
 def test_oracle_json(capsys):
     code, out, _ = _capture(capsys, ["oracle", "0", "0", "--p", "3", "--d", "1"])
     assert code == 0

@@ -139,6 +139,8 @@ def test_conjecture_validation():
         conjecture_check((5, 1, 0, 0))  # odd dominant part
     with pytest.raises(ValueError):
         conjecture_check((4, 4, 0, 0))  # not strictly dominant
+    with pytest.raises(ValueError):
+        conjecture_check((4, 2, 1, 1))  # even weight
 
 
 def test_conjecture_report_json():

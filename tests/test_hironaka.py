@@ -17,7 +17,7 @@ from hermdens.hironaka import (
     self_density_closed,
     _SELF_TABLE,
 )
-from hermdens.partitions import weight
+from hermdens.partitions import fill_pattern, match_pattern, weight
 from hermdens.qalgebra import ONE, Q, ZERO
 
 
@@ -164,6 +164,10 @@ def test_table_shapes_are_disjoint():
             hits = 0
             for shape, _e, _units in rows:
                 ok = all((s == "*" and x >= 3) or s == x for s, x in zip(shape, xi))
+                bind = match_pattern(shape, xi)
+                assert (bind is not None) == ok, (shape, xi)
+                if ok:
+                    assert fill_pattern(shape, bind) == xi
                 hits += ok
             assert hits == 1, xi
 

@@ -94,6 +94,20 @@ def test_field_axioms_randomized():
         assert a + ZERO == a and a * ONE == a
 
 
+def test_ratfunc_power_matches_repeated_multiplication():
+    rng = random.Random(9017)
+    for _ in range(12):
+        f = _random_ratfunc(rng, max_deg=4, max_coeff=50)
+        if f.is_zero:
+            continue
+        for n in range(-4, 10):
+            base = f if n >= 0 else ONE / f
+            want = ONE
+            for _ in range(abs(n)):
+                want = want * base
+            assert f ** n == want, (str(f), n)
+
+
 def test_gauss_symmetry():
     for u in range(13):
         for v in range(u + 1):
@@ -141,6 +155,18 @@ def test_canonical_form():
     assert f.den == IntPoly({0: 2})
     assert f.num == IntPoly({1: -1, 0: -1})
     assert RatFunc(IntPoly({3: 1, 2: 1}), IntPoly({2: 1, 1: 1})) == Q
+    # exact division over ZZ[q]: exact, inexact, and divisor of higher degree
+    q2_1, q_1 = IntPoly({2: 1, 0: -1}), IntPoly({1: 1, 0: -1})
+    assert q2_1.exact_div(q_1) == IntPoly({1: 1, 0: 1})
+    assert IntPoly({2: 2, 0: -2}).exact_div(IntPoly({1: 2, 0: -2})) == IntPoly({1: 1, 0: 1})
+    assert IntPoly({2: 1, 0: 1}).exact_div(q_1) is None  # nonzero remainder
+    assert IntPoly({1: 1, 0: -1}).exact_div(IntPoly({1: 2, 0: -2})) is None  # 1/2 not in ZZ
+    assert IntPoly({3: 3, 0: 1}).exact_div(IntPoly({1: 2})) is None
+    assert q_1.exact_div(q2_1) is None  # degree too low
+    assert IntPoly({0: 5}).exact_div(IntPoly({1: 1})) is None
+    assert IntPoly({}).exact_div(q_1) == IntPoly({})
+    with pytest.raises(ZeroDivisionError):
+        q_1.exact_div(IntPoly({}))
 
 
 def test_json_roundtrip():

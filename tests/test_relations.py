@@ -7,12 +7,19 @@ import time
 import pytest
 
 from hermdens.hironaka import HironakaEngine
-from hermdens.partitions import lambda_ns_elements, partitions_fixed_length, trailing_zeros, weight
+from hermdens.partitions import (
+    fill_pattern,
+    lambda_ns_elements,
+    partitions_fixed_length,
+    trailing_zeros,
+    weight,
+)
 from hermdens.qalgebra import ONE, Q, RatFunc, ZERO, neg_q_power
 from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
     ReductionEngine,
+    RewriteRule,
     match_rewrite,
     reduce_normalized,
     theorem_terms,
@@ -114,14 +121,26 @@ def test_rewrite_rules_cover_all_zero_tailed_shapes():
     for n in (2, 3, 4):
         for head in partitions_fixed_length(n - 1, 0, 6):
             xi = head + (0,)
-            assert match_rewrite(xi) is not None, xi
+            hit = match_rewrite(xi)
+            assert hit is not None, xi
+            rule, bind = hit
+            assert fill_pattern(rule.pattern, bind) == xi
 
 
 def test_rewrite_rules_are_disjoint():
-    # match_rewrite asserts uniqueness internally; sweep a grid through it
+    # match_rewrite checks uniqueness internally; sweep a grid through it
     for n in (2, 3, 4):
         for head in partitions_fixed_length(n - 1, 0, 5):
             match_rewrite(head + (0,))
+
+
+def test_overlapping_rewrite_rules_raise(monkeypatch):
+    clash = RewriteRule("overlap", ("*", 0), ((ONE, ("*", 2)),))
+    monkeypatch.setitem(REWRITE_RULES, 2, REWRITE_RULES[2] + (clash,))
+    with pytest.raises(RuntimeError, match="overlapping"):
+        match_rewrite((5, 0))
+    with pytest.raises(RuntimeError, match="overlapping"):
+        ReductionEngine().normalized_value((5, 0), (6, 1))
 
 
 def test_rewrite_rule_instantiation_two_placeholders():
