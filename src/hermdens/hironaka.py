@@ -12,6 +12,15 @@ Gaussian binomials, and depends only on the conjugate values of mu and of
 lam+1 at j and j+1.  The product over j is finite: every factor with
 j > max(mu_1, lam_1 + 1) equals 1.
 
+The sum is not taken partition by partition.  Written in the column heights
+c_j = mu'_j (n >= c_1 >= c_2 >= ... >= 0, c_j <= (lam+1)'_j), every factor
+of the summand depends on one column or on two adjacent ones: n(mu), |mu|
+and <xi', mu'> are sums over j of terms in c_j, and I_j depends on
+(c_j, c_{j+1}).  ``HironakaEngine.alpha`` therefore sums column by column
+from j = lam_1 + 1 down to 1, keeping one partial sum per height, which
+takes O(lam_1 * n^2) Laurent products where the box of mu has up to
+prod_i (lam_i + 2) members.
+
 The engine memoizes alpha on (xi, lam) keys and the inner factors on their
 four conjugate values, and works in Laurent form internally (densities lie
 in ZZ[q, q^-1]); results are returned as reduced ``RatFunc`` values.
@@ -32,8 +41,6 @@ from .partitions import (
     check_partition,
     conjugate_part,
     match_pattern,
-    n_stat,
-    partitions_in_box,
     tilde,
     weight,
 )
@@ -66,9 +73,8 @@ class HironakaEngine:
             return cached
         acc = {}
         for i in range(m2, min(l2, m1) + 1):
-            prod = i * (2 * l2 + 1 - i)
-            assert prod % 2 == 0
-            e = prod // 2
+            # i and 2*l2 + 1 - i have opposite parity, so the product is even
+            e = i * (2 * l2 + 1 - i) // 2
             term = lau_mul(dict(gauss_laurent(l2 - m2, l2 - i)),
                            dict(gauss_laurent(l1 - i, l1 - m1)))
             lau_iadd_scaled(acc, term, shift=e, scale=1 if e % 2 == 0 else -1)
@@ -101,30 +107,31 @@ class HironakaEngine:
         if m < n:
             raise ValueError(f"need len(xi) >= len(lam), got {m} < {n}")
         lt = tilde(lam)
-        # every mu in the sum satisfies mu <= lt, so the product cutoff is
-        # uniformly lam_1 + 1
-        jmax = lam[0] + 1
-        lt_conj = [0] + [conjugate_part(lt, j) for j in range(1, jmax + 3)]
-        xi_conj = [0] + [conjugate_part(xi, i) for i in range(1, jmax + 2)]
+        # mu <= lt exactly when c_j = mu'_j <= lt'_j for j = 1..lam_1 + 1, and
+        # c_{lam_1+2} = 0.  The summand is a product over j of
+        # (-1)^(c_j + e_j) q^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
+        # I_j(c_j, c_{j+1}), so it is summed from the last column down: after
+        # column j, chain[c] sums the factors of columns >= j over all
+        # c_j = c >= c_{j+1} >= ...
+        chain = {0: {0: 1}}
+        for j in range(lam[0] + 1, 0, -1):
+            l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
+            x = n - m - 1 + conjugate_part(xi, j)
+            step = {}
+            for c in range(l1 + 1):
+                e = x * c - c * (c - 1) // 2
+                sign = -1 if (c + e) % 2 else 1
+                acc = {}
+                for c2, tail in chain.items():
+                    if c2 <= c:
+                        lau_iadd_scaled(acc, lau_mul(self._inner_items(l1, l2, c, c2), tail),
+                                        shift=e, scale=sign)
+                if acc:
+                    step[c] = acc
+            chain = step
         acc = {}
-        for mu in partitions_in_box(lt):
-            w = weight(mu)
-            mu_conj = [0] * (jmax + 2)
-            for j in range(1, jmax + 2):
-                mu_conj[j] = sum(1 for x in mu if x >= j)
-            prod = {0: 1}
-            for j in range(1, jmax + 1):
-                prod = lau_mul(prod, self._inner_items(
-                    lt_conj[j], lt_conj[j + 1], mu_conj[j], mu_conj[j + 1]))
-                if not prod:
-                    break
-            if not prod:
-                continue
-            ip = sum(xi_conj[i] * mu_conj[i]
-                     for i in range(1, (mu[0] if mu else 0) + 1))
-            e = -n_stat(mu) + (n - m - 1) * w + ip
-            sign = -1 if (w + e) % 2 else 1
-            lau_iadd_scaled(acc, prod, shift=e, scale=sign)
+        for tail in chain.values():
+            lau_iadd_scaled(acc, tail)
         val = RatFunc.from_laurent(acc)
         self._alpha[key] = val
         return val

@@ -164,7 +164,8 @@ def diagonal_gram(parts, params):
 
 def mat_mul(x, y):
     rows, inner, cols = len(x), len(y), len(y[0])
-    assert len(x[0]) == inner
+    if len(x[0]) != inner:
+        raise ValueError(f"cannot multiply {rows}x{len(x[0])} by {inner}x{cols}")
     out = []
     for i in range(rows):
         row = []
@@ -192,7 +193,8 @@ def hermitian_apply(gram, x):
     if any(len(row) != m for row in gram) or len(x) != m:
         raise ValueError("dimension mismatch")
     out = mat_mul(conj_transpose(x), mat_mul(gram, x))
-    assert is_hermitian(out)
+    if not is_hermitian(out):
+        raise ArithmeticError("conj(X)^T A X is not hermitian; is A hermitian?")
     return out
 
 

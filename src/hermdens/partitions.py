@@ -181,7 +181,11 @@ def fill_pattern(pattern, bind):
 # ---------------------------------------------------------------------------
 
 def partitions_in_box(bounds):
-    """All non-increasing tuples t with 0 <= t[i] <= bounds[i], by odometer."""
+    """All non-increasing tuples t with 0 <= t[i] <= bounds[i], by odometer.
+
+    This enumerates the box of Hironaka's formula for the reference sum in the
+    tests; ``HironakaEngine.alpha`` sums over column heights instead.
+    """
     for t in itertools.product(*(range(b + 1) for b in bounds)):
         if all(t[i] >= t[i + 1] for i in range(len(t) - 1)):
             yield t

@@ -439,13 +439,15 @@ class GenericAlphaReducer:
     trailing zeros; labels with no trailing zeros scale down by q^{n^2} per
     unit shift.
     Once lam ends in 0 the normalized engine times the self-density takes
-    over.  Parity and support vanishing short-circuit to 0.
+    over.  Parity and support vanishing short-circuit to 0.  The relation
+    depends only on xi, so it is built once per xi and kept.
     """
 
     def __init__(self, hironaka_engine=None, reduction_engine=None):
         self.hironaka = hironaka_engine or hironaka.HironakaEngine()
         self.reducer = reduction_engine or ReductionEngine(self.hironaka)
         self._memo = {}
+        self._relations = {}
 
     def alpha_value(self, xi, lam):
         xi = check_partition(xi)
@@ -462,8 +464,11 @@ class GenericAlphaReducer:
             val = self.reducer.normalized_value(xi, lam) * self.hironaka.alpha(xi, xi)
         elif xi[-1] == 0:
             # the relation's xi term has coefficient 1, so alpha(xi) is minus the rest
+            rel = self._relations.get(xi)
+            if rel is None:
+                rel = self._relations[xi] = theorem_terms(n, trailing_zeros(xi), xi)
             val = ZERO
-            for c, p in theorem_terms(n, trailing_zeros(xi), xi).terms:
+            for c, p in rel.terms:
                 if p != xi:
                     val = val - c * self.alpha_value(p, lam)
         else:

@@ -5,6 +5,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermdens.hironaka import (
     HironakaEngine,
@@ -17,8 +18,17 @@ from hermdens.hironaka import (
     self_density_closed,
     _SELF_TABLE,
 )
-from hermdens.partitions import fill_pattern, match_pattern, weight
-from hermdens.qalgebra import ONE, Q, ZERO
+from hermdens.partitions import (
+    conjugate_part,
+    fill_pattern,
+    match_pattern,
+    n_stat,
+    partitions_in_box,
+    tilde,
+    weight,
+)
+from hermdens.qalgebra import ONE, Q, ZERO, RatFunc, lau_iadd_scaled, lau_mul
+from hermdens.relations import theorem_terms, verify_relation
 
 
 def _unit(k):
@@ -42,6 +52,61 @@ def test_alpha_rank2_self_fixtures():
     assert alpha((1, 1), (1, 1)) == Q ** 4 * _unit(1) * _unit(-2)
     assert alpha((2, 1), (2, 1)) == Q ** 5 * _unit(1) ** 2
     assert alpha((2, 2), (2, 2)) == Q ** 8 * _unit(1) * _unit(-2)
+
+
+def _alpha_box_reference(engine, xi, lam):
+    """Hironaka's formula summed once per mu in the box tilde(lam): the reference for alpha."""
+    m, n = len(xi), len(lam)
+    lt = tilde(lam)
+    # every mu in the sum satisfies mu <= lt, so the product cutoff is
+    # uniformly lam_1 + 1
+    jmax = lam[0] + 1
+    lt_conj = [0] + [conjugate_part(lt, j) for j in range(1, jmax + 3)]
+    xi_conj = [0] + [conjugate_part(xi, i) for i in range(1, jmax + 2)]
+    acc = {}
+    for mu in partitions_in_box(lt):
+        w = weight(mu)
+        mu_conj = [0] + [conjugate_part(mu, j) for j in range(1, jmax + 2)]
+        prod = {0: 1}
+        for j in range(1, jmax + 1):
+            prod = lau_mul(prod, engine._inner_items(
+                lt_conj[j], lt_conj[j + 1], mu_conj[j], mu_conj[j + 1]))
+            if not prod:
+                break
+        if not prod:
+            continue
+        ip = sum(xi_conj[i] * mu_conj[i] for i in range(1, (mu[0] if mu else 0) + 1))
+        e = -n_stat(mu) + (n - m - 1) * w + ip
+        lau_iadd_scaled(acc, prod, shift=e, scale=-1 if (w + e) % 2 else 1)
+    return RatFunc.from_laurent(acc)
+
+
+def _labels(draw, length):
+    return tuple(sorted(draw(st.lists(st.integers(0, 6), min_size=length, max_size=length)),
+                        reverse=True))
+
+
+@st.composite
+def _label_pairs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 2))
+    return _labels(draw, m), _labels(draw, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_label_pairs())
+def test_alpha_chain_sum_matches_box_reference(pair):
+    xi, lam = pair
+    eng = HironakaEngine()
+    assert eng.alpha(xi, lam).to_json() == _alpha_box_reference(eng, xi, lam).to_json()
+
+
+def test_vanishing_relation_at_large_rank():
+    # the box tilde(lam) holds 6324 partitions, each costing up to 11 Laurent
+    # products in the box sum; the chain sum takes a few hundred per alpha
+    ok, residual = verify_relation(theorem_terms(6, 2, (3, 2, 2, 1, 0, 0)),
+                                   (10, 9, 7, 5, 3, 1), HironakaEngine())
+    assert ok, residual
 
 
 def test_alpha_rejects_short_xi():

@@ -107,6 +107,21 @@ def test_hermitian_apply_examples():
         hermitian_apply(A, [[one]])
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    params = GaloisRingParams(3, 1)
+    one = params.element(1)
+    with pytest.raises(ValueError):
+        mat_mul([[one, one, one]], [[one], [one]])
+
+
+def test_hermitian_apply_rejects_non_hermitian_gram():
+    params = GaloisRingParams(3, 1)
+    one, zero, w = params.element(1), params.element(0), params.element(0, 1)
+    gram = [[one, w], [w, one]]     # hermitian would need conj(w) = -w below the diagonal
+    with pytest.raises(ArithmeticError):
+        hermitian_apply(gram, [[one, zero], [zero, one]])
+
+
 def test_count_examples_against_independent_enumeration():
     p31 = GaloisRingParams(3, 1)
     assert count_representations((0,), (0,), p31) == 4 == brute_count((0,), (0,), p31)

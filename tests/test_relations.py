@@ -287,6 +287,23 @@ def test_generic_reduction_randomized():
         assert red.alpha_value(xi, lam) == heng.alpha(xi, lam), (xi, lam)
 
 
+def test_generic_reduction_builds_each_relation_once(monkeypatch):
+    import hermdens.relations as relations
+    built = []
+    original = relations.theorem_terms
+
+    def counting(n, s, xi):
+        built.append(xi)
+        return original(n, s, xi)
+
+    monkeypatch.setattr(relations, "theorem_terms", counting)
+    heng = HironakaEngine()
+    red = GenericAlphaReducer(heng)
+    for lam in partitions_fixed_length(4, 1, 4):
+        assert red.alpha_value((2, 1, 0, 0), lam) == heng.alpha((2, 1, 0, 0), lam), lam
+    assert sorted(built) == [(1, 0, 0, 0), (1, 1, 1, 0), (2, 1, 0, 0)]
+
+
 def test_reduce_normalized_function_wrapper():
     val, trace = reduce_normalized((3, 0, 0), (8, 3, 2))
     assert val == Q ** 6 + Q ** 5 + Q ** 4 and len(trace) >= 1
