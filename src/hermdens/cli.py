@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -41,13 +40,6 @@ def _rational(text):
     if val <= 0:
         raise argparse.ArgumentTypeError("q must be a positive rational")
     return val
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("HERMDENS_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser():
@@ -130,7 +122,8 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--nonresidue", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1,
+                   help="no effect; kept so that existing scripts still run")
 
     p = sub.add_parser("crosscheck", help="symbolic density vs counting oracle at q = p")
     p.add_argument("xi", type=_partition)
@@ -139,7 +132,8 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--nonresidue", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1,
+                   help="no effect; kept so that existing scripts still run")
 
     return top
 

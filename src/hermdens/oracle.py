@@ -1,9 +1,10 @@
-"""Brute-force counting oracle over finite quotient rings.
+"""Counting oracle over finite quotient rings.
 
 The ground truth for every symbolic density is a count: over the ring
 R = (Z/p^d)[w]/(w^2 - c) with p an odd prime and c a non-residue mod p
 (the level-d quotient of the ring of integers of the unramified quadratic
-extension, with residue field of size q = p), count the matrices X with
+extension, with residue field of size q = p), count the m x n matrices X
+with
 
     conj(X)^T A X == B   (both components, all entries, mod p^d)
 
@@ -14,18 +15,28 @@ at q = p.
 Conjugation is w -> -w: since w^2 = c is a unit, the two square roots of c
 are swapped by the unique nontrivial ring automorphism fixing Z/p^d.
 
-The counter enumerates matrices column by column, vectorizing the last
-column with numpy; work is split into prefix ranges of the first column's
-candidate index space, so totals are deterministic sums of per-range counts
-regardless of chunking or worker scheduling.
+For a diagonal A = diag(v_1, ..., v_m) the left side is a sum over the rows
+x_i of X, the classical row decomposition of representation numbers
+(Siegel; Kitaoka, *Arithmetic of Quadratic Forms*):
+
+    conj(X)^T A X = sum_i v_i conj(x_i)^T x_i   in Herm_n(Z/M), M = p^d,
+
+the additive group of n x n hermitian matrices (n^2 coordinates in Z/M).
+So the count is the value at B of the convolution of the m row histograms
+H_v(g) = #{x in R^n : v conj(x)^T x = g}.  Each distinct v's histogram is
+counted over all M^(2n) rows; the first m - 1 are convolved over their
+supports and the last is read as sum_g acc(g) H_last(B - g).  That is
+O(m M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2), M^(2n)) a support size,
+where enumeration takes M^(2mn).  Temporaries are streamed in fixed-size
+blocks, so memory is the O(M^(n^2)) histograms, at most the square root of
+the nominal work M^(2mn), which the budget gate bounds.  Counts are exact:
+int64 below 2^63, Python ints beyond.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -199,122 +210,108 @@ def hermitian_apply(gram, x):
 
 
 # ---------------------------------------------------------------------------
-# vectorized counting
+# row-convolution counting
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _column_space(modulus, m):
-    """Component arrays (K, m) for all K = modulus^(2m) candidate columns."""
-    count = modulus ** (2 * m)
-    idx = np.arange(count, dtype=np.int64)
-    comps = []
-    for _ in range(2 * m):
-        comps.append(idx % modulus)
-        idx = idx // modulus
-    a = np.stack(comps[:m], axis=1)
-    b = np.stack(comps[m:], axis=1)
-    return a, b
+# Rows, support pairs or support points handled per numpy step, so that the
+# temporaries of a step hold O(_BLOCK * n^2) integers whatever the modulus.
+_BLOCK = 2 ** 16
 
 
-def _column_values(a, b, ga, gb, c, modulus):
-    """v^bar^T A v for every candidate column (component arrays of shape (K,))."""
-    m = a.shape[1]
-    ra = np.zeros(a.shape[0], dtype=np.int64)
-    rb = np.zeros(a.shape[0], dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            if ga[i][j] == 0 and gb[i][j] == 0:
-                continue
-            pa = a[:, i] * a[:, j] - c * b[:, i] * b[:, j]
-            pb = a[:, i] * b[:, j] - b[:, i] * a[:, j]
-            ra += pa * ga[i][j] + c * pb * gb[i][j]
-            rb += pa * gb[i][j] + pb * ga[i][j]
-    return ra % modulus, rb % modulus
+def _blocks(total):
+    """The indices 0 .. total-1 as consecutive int64 arrays of at most _BLOCK."""
+    for lo in range(0, total, _BLOCK):
+        yield np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
 
 
-def _cross_row(ua, ub, ga, gb, c, modulus):
-    """The row r = conj(u)^T A as component lists, for a fixed column u."""
-    m = len(ua)
-    ra, rb = [0] * m, [0] * m
-    for j in range(m):
-        acc_a = acc_b = 0
-        for i in range(m):
-            # conj(u_i) = (ua_i, -ub_i) times A_ij = (ga_ij, gb_ij)
-            acc_a += ua[i] * ga[i][j] - c * ub[i] * gb[i][j]
-            acc_b += ua[i] * gb[i][j] - ub[i] * ga[i][j]
-        ra[j] = acc_a % modulus
-        rb[j] = acc_b % modulus
-    return ra, rb
+def _hermitian_coords(ba, bb, n, modulus):
+    """B in the coordinates of _row_histogram, or None if B is not hermitian mod modulus."""
+    if any((ba[s][r] - ba[r][s]) % modulus or (bb[s][r] + bb[r][s]) % modulus
+           for r in range(n) for s in range(r, n)):
+        return None
+    upper = [x for r in range(n) for s in range(r + 1, n) for x in (ba[r][s], bb[r][s])]
+    return [x % modulus for x in [ba[r][r] for r in range(n)] + upper]
 
 
-def _cross_values(ra, rb, a, b, c, modulus):
-    """r . v over all candidate columns v, components of shape (K,)."""
-    m = a.shape[1]
-    wa = np.zeros(a.shape[0], dtype=np.int64)
-    wb = np.zeros(a.shape[0], dtype=np.int64)
-    for j in range(m):
-        if ra[j] == 0 and rb[j] == 0:
-            continue
-        wa += ra[j] * a[:, j] + c * rb[j] * b[:, j]
-        wb += ra[j] * b[:, j] + rb[j] * a[:, j]
-    return wa % modulus, wb % modulus
+def _diagonal_of(ga, gb, m, modulus):
+    """The diagonal of A mod modulus; ValueError unless A is diagonal and hermitian."""
+    if any(gb[i][j] % modulus or (i != j and ga[i][j] % modulus)
+           for i in range(m) for j in range(m)):
+        raise ValueError("the counting oracle needs a diagonal hermitian A")
+    return [ga[i][i] % modulus for i in range(m)]
 
 
-def _count_chunk(ga, gb, ba, bb, m, n, modulus, c, lo, hi):
-    """Count solutions with the first column's candidate index in [lo, hi)."""
-    a, b = _column_space(modulus, m)
-    va, vb = _column_values(a, b, ga, gb, c, modulus)
+def _row_histogram(v, n, params, dtype):
+    """H[g] = #{x in R^n : v conj(x)^T x has index g}, over all modulus^(2n) rows x.
 
-    def column_mask(k, chosen):
-        mask = (va == ba[k][k]) & (vb == bb[k][k])
-        for t, (ua, ub) in enumerate(chosen):
-            ra, rb = _cross_row(ua, ub, ga, gb, c, modulus)
-            wa, wb = _cross_values(ra, rb, a, b, c, modulus)
-            mask &= (wa == ba[t][k]) & (wb == bb[t][k])
-        return mask
+    The coordinates of Herm_n are the n real diagonal entries, then the two
+    components of each entry above the diagonal, row by row.
+    """
+    modulus, c = params.modulus, params.c
+    hist = np.zeros(modulus ** (n * n), dtype=dtype)
+    for block in _blocks(modulus ** (2 * n)):
+        x = np.unravel_index(block, (modulus,) * (2 * n))
+        xa, xb = x[:n], x[n:]
+        coords = [xa[r] * xa[r] - c * xb[r] * xb[r] for r in range(n)]
+        for r in range(n):
+            for s in range(r + 1, n):
+                coords += [xa[r] * xa[s] - c * xb[r] * xb[s], xa[r] * xb[s] - xb[r] * xa[s]]
+        g = np.ravel_multi_index([v * (y % modulus) for y in coords], (modulus,) * (n * n),
+                                 mode="wrap")
+        hist += np.bincount(g, minlength=hist.size)
+    return hist
 
-    def rec(chosen, k):
-        mask = column_mask(k, chosen)
-        if k == 0:
-            mask[:lo] = False
-            mask[hi:] = False
-        if k == n - 1:
-            return int(mask.sum())
-        total = 0
-        for ci in np.flatnonzero(mask):
-            total += rec(chosen + [(a[ci].tolist(), b[ci].tolist())], k + 1)
-        return total
 
-    return rec([], 0)
+def _convolve(f, g, dims):
+    """(f * g)[u + v] = sum f[u] g[v] over the supports, adding mod each dimension."""
+    fs, gs = np.flatnonzero(f), np.flatnonzero(g)
+    fd, gd = np.unravel_index(fs, dims), np.unravel_index(gs, dims)
+    out = np.zeros_like(f)
+    for pair in _blocks(fs.size * gs.size):
+        i, j = np.divmod(pair, gs.size)
+        idx = np.ravel_multi_index([a[i] + b[j] for a, b in zip(fd, gd)], dims, mode="wrap")
+        np.add.at(out, idx, f[fs[i]] * g[gs[j]])
+    return out
+
+
+def _read(f, g, target, dims):
+    """(f * g)[target]: the sum over the support of f of f[u] g[target - u]."""
+    support = np.flatnonzero(f)
+    total = 0
+    for block in _blocks(support.size):
+        u = support[block]
+        rest = [t - x for t, x in zip(target, np.unravel_index(u, dims))]
+        total += int((f[u] * g[np.ravel_multi_index(rest, dims, mode="wrap")]).sum())
+    return total
 
 
 def count_solutions_matrix(ga, gb, ba, bb, m, n, params,
                            budget=DEFAULT_BUDGET, workers=1, chunks=None):
     """Exact solution count for conj(X)^T A X == B with component matrices given.
 
-    ``ga``/``gb`` are m x m integer component matrices of a hermitian A,
-    ``ba``/``bb`` the n x n components of a hermitian B.  Chunking over
-    first-column prefixes keeps the total independent of the split.
+    ``ga``/``gb`` are the m x m integer component matrices of A, which must
+    be diagonal and hermitian (ValueError otherwise); ``ba``/``bb`` are the
+    n x n components of B, and a B that is not hermitian mod p^d has no
+    solutions.  ``workers`` and ``chunks`` are accepted so that existing
+    callers keep working; they change nothing.
     """
     modulus = params.modulus
     estimate = modulus ** (2 * m * n)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    space = modulus ** (2 * m)
-    if chunks is None:
-        chunks = 1 if workers <= 1 else 4 * workers
-    chunks = max(1, min(chunks, space))
-    bounds = [space * i // chunks for i in range(chunks + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(chunks)]
-    args = [(ga, gb, ba, bb, m, n, modulus, params.c, lo, hi) for lo, hi in ranges]
-    if workers <= 1 or chunks == 1:
-        return sum(_count_chunk(*a) for a in args)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_chunk_star, args))
-
-
-def _count_chunk_star(args):
-    return _count_chunk(*args)
+    diag = _diagonal_of(ga, gb, m, modulus)
+    target = _hermitian_coords(ba, bb, n, modulus)
+    if target is None:
+        return 0
+    # every partial count is at most the nominal work, so int64 is exact below 2^63
+    dtype = np.int64 if estimate < 2 ** 63 else object
+    dims = (modulus,) * (n * n)
+    hists = {v: _row_histogram(v, n, params, dtype) for v in set(diag)}
+    acc = np.zeros(modulus ** (n * n), dtype=dtype)
+    acc[0] = 1
+    for v in diag[:-1]:
+        acc = _convolve(acc, hists[v], dims)
+    return _read(acc, hists[diag[-1]], target, dims)
 
 
 def _diagonal_components(parts, params):
@@ -333,7 +330,7 @@ def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET,
 
     Requires m >= n and d greater than the largest part of lam_b (below that
     level the congruence has not stabilized and the count is meaningless as
-    a density numerator).
+    a density numerator).  ``workers`` and ``chunks`` change nothing.
     """
     lam_a = check_partition(lam_a)
     lam_b = check_partition(lam_b)
@@ -352,7 +349,7 @@ def denominator_exponent(m, n, d):
 
 
 def density_oracle(lam_a, lam_b, params, budget=DEFAULT_BUDGET, workers=1, chunks=None):
-    """count / p^(d n (2m - n)) as an exact Fraction."""
+    """count / p^(d n (2m - n)) as an exact Fraction; ``workers``/``chunks`` change nothing."""
     cnt = count_representations(lam_a, lam_b, params, budget=budget,
                                 workers=workers, chunks=chunks)
     m, n = len(lam_a), len(lam_b)
@@ -361,7 +358,7 @@ def density_oracle(lam_a, lam_b, params, budget=DEFAULT_BUDGET, workers=1, chunk
 
 def stabilization_check(lam_a, lam_b, params, d_list, budget=DEFAULT_BUDGET,
                         workers=1):
-    """Densities at each depth in d_list; callers assert the tail is constant."""
+    """Densities at each depth in d_list (callers assert the tail is constant)."""
     out = []
     for d in d_list:
         pd = GaloisRingParams(params.p, d, params.c)

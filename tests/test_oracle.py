@@ -2,12 +2,16 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hermdens.hironaka import alpha
 from hermdens.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     GaloisRingParams,
     conj,
@@ -51,6 +55,54 @@ def brute_count(lam_a, lam_b, params):
                     break
         total += ok
     return total
+
+
+def _column_count_reference(ga, gb, ba, bb, m, n, params):
+    """Reference count by column enumeration, for any hermitian A.
+
+    It enumerates all modulus^(2m) candidate columns and fixes X one column
+    at a time, keeping the columns whose value and cross values with the
+    columns already chosen match B, read from its diagonal and upper
+    triangle.  Each partial solution costs a pass over every column.
+    """
+    M, c = params.modulus, params.c
+    idx = np.arange(M ** (2 * m), dtype=np.int64)
+    comps = []
+    for _ in range(2 * m):
+        idx, r = np.divmod(idx, M)
+        comps.append(r)
+    a, b = np.stack(comps[:m], axis=1), np.stack(comps[m:], axis=1)
+
+    def value(ra, rb):
+        # r . v over all candidate columns v, for a row r = conj(u)^T A
+        wa = sum(ra[j] * a[:, j] + c * rb[j] * b[:, j] for j in range(m))
+        wb = sum(ra[j] * b[:, j] + rb[j] * a[:, j] for j in range(m))
+        return wa % M, wb % M
+
+    # conj(v)^T A v for every candidate column v
+    va = vb = 0
+    for i in range(m):
+        for j in range(m):
+            pa = a[:, i] * a[:, j] - c * b[:, i] * b[:, j]
+            pb = a[:, i] * b[:, j] - b[:, i] * a[:, j]
+            va = va + pa * ga[i][j] + c * pb * gb[i][j]
+            vb = vb + pa * gb[i][j] + pb * ga[i][j]
+    va, vb = va % M, vb % M
+
+    def rec(chosen, k):
+        mask = (va == ba[k][k] % M) & (vb == bb[k][k] % M)
+        for t, (ua, ub) in enumerate(chosen):
+            # conj(u_i) = (ua_i, -ub_i) times A_ij = (ga_ij, gb_ij)
+            ra = [sum(ua[i] * ga[i][j] - c * ub[i] * gb[i][j] for i in range(m)) for j in range(m)]
+            rb = [sum(ua[i] * gb[i][j] - ub[i] * ga[i][j] for i in range(m)) for j in range(m)]
+            wa, wb = value(ra, rb)
+            mask &= (wa == ba[t][k] % M) & (wb == bb[t][k] % M)
+        if k == n - 1:
+            return int(mask.sum())
+        return sum(rec(chosen + [(a[i].tolist(), b[i].tolist())], k + 1)
+                   for i in np.flatnonzero(mask))
+
+    return rec([], 0)
 
 
 def test_params_validation():
@@ -212,3 +264,86 @@ def test_unit_change_invariance():
             bb = [[e.b for e in row] for row in bmat]
             ga, gb = _diagonal_components(lam, params)
             assert count_solutions_matrix(ga, gb, ba, bb, 2, 2, params) == want
+
+
+def test_count_rejects_non_diagonal_a():
+    params = GaloisRingParams(3, 1)
+    ba, bb = _diagonal_components((0,), params)
+    with pytest.raises(ValueError):
+        count_solutions_matrix([[1, 1], [1, 1]], [[0, 0], [0, 0]], ba, bb, 2, 1, params)
+    with pytest.raises(ValueError):
+        count_solutions_matrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], ba, bb, 2, 1, params)
+
+
+def test_count_is_exact_past_int64():
+    params = GaloisRingParams(3, 6)
+    count = count_representations((0, 0, 0, 0), (0,), params, budget=3 ** 48)
+    assert count == 108068137413839367120 > 2 ** 63
+    assert density_oracle((0, 0, 0, 0), (0,), params, budget=3 ** 48) == \
+        alpha((0, 0, 0, 0), (0,)).evaluate_at(3)
+
+
+def test_count_memory_is_bounded():
+    # column enumeration of (0,0) -> (0,) at d = 5 would hold 243^4 columns, 112 GB
+    for lam_a, lam_b, d in (((0, 0), (0,), 5), ((0,), (0,), 7)):
+        tracemalloc.start()
+        try:
+            got = density_oracle(lam_a, lam_b, GaloisRingParams(3, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (lam_a, lam_b, d, peak)
+        assert got == alpha(lam_a, lam_b).evaluate_at(3)
+
+
+# the reference's work, candidate columns visited: about 2^22, enough for the
+# rank-3 unimodular count at p = 3 (4.6M columns)
+_REFERENCE_COLUMNS = 5 * 2 ** 20
+
+# (p, d, m, n) inside the default budget, whose column space fits _REFERENCE_COLUMNS
+_SHAPES = {n: [(p, d, m) for p in (3, 5, 7) for d in (1, 2, 3) for m in range(n, 5)
+               if (p ** d) ** (2 * m * n) <= DEFAULT_BUDGET
+               and (p ** d) ** (2 * m) <= _REFERENCE_COLUMNS]
+           for n in (1, 2, 3)}
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.sampled_from((1, 1, 2, 2, 3)))
+    p, d, m = draw(st.sampled_from(_SHAPES[n]))
+    lam_a = sorted(draw(st.lists(st.integers(0, d), min_size=m, max_size=m)), reverse=True)
+    lam_b = sorted(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)), reverse=True)
+    unit = draw(st.lists(st.tuples(st.integers(0, p ** d - 1), st.integers(0, p ** d - 1)),
+                         min_size=n * n, max_size=n * n))
+    return GaloisRingParams(p, d), tuple(lam_a), tuple(lam_b), unit
+
+
+def _unit_change(lam_b, unit, params):
+    """conj(g)^T diag(p^lam_b) g for g = L U, L and U unitriangular with entries from unit."""
+    n = len(lam_b)
+
+    def triangle(keep):
+        return [[params.element(*unit[i * n + j]) if keep(i, j) else params.element(int(i == j))
+                 for j in range(n)] for i in range(n)]
+
+    g = mat_mul(triangle(lambda i, j: i > j), triangle(lambda i, j: i < j))
+    bmat = mat_mul(conj_transpose(g), mat_mul(diagonal_gram(lam_b, params), g))
+    return [[e.a for e in row] for row in bmat], [[e.b for e in row] for row in bmat]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_oracle_cases())
+@example((GaloisRingParams(3, 1), (0, 0, 0), (0, 0, 0), [(1, 2), (2, 0), (0, 1)] * 3))
+def test_row_convolution_matches_column_reference(case):
+    params, lam_a, lam_b, unit = case
+    m, n = len(lam_a), len(lam_b)
+    ga, gb = _diagonal_components(lam_a, params)
+    ba, bb = _unit_change(lam_b, unit, params)
+    # the reference visits modulus^(2m) columns per solution of each leading block of B
+    prefixes = 1 + sum(
+        count_solutions_matrix(ga, gb, [r[:k] for r in ba[:k]], [r[:k] for r in bb[:k]],
+                               m, k, params) for k in range(1, n))
+    assume(prefixes * params.modulus ** (2 * m) <= _REFERENCE_COLUMNS)
+    got = count_solutions_matrix(ga, gb, ba, bb, m, n, params)
+    assert got == _column_count_reference(ga, gb, ba, bb, m, n, params)
+    assert got == count_representations(lam_a, lam_b, params)

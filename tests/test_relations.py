@@ -2,7 +2,9 @@
 
 import json
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -204,6 +206,28 @@ def test_reduce_matches_direct_randomized():
         xi = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
         lam = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
         assert red.normalized_value(xi, lam) == heng.normalized(xi, lam), (xi, lam)
+
+
+def test_shared_reduction_engine_across_threads():
+    rng = random.Random(4)
+    cases = []
+    for _ in range(24):
+        n = rng.randint(2, 4)
+        cases.append((tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True)),
+                      tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))))
+    expected = {c: ReductionEngine().normalized_value(*c) for c in cases}
+    shared = ReductionEngine()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, so that cache writes interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda c: (c, shared.normalized_value(*c)), cases * 4,
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * len(cases)
+    for case, val in results:
+        assert val == expected[case], case
 
 
 def test_trace_replay_randomized():
