@@ -1,4 +1,4 @@
-"""Direct density evaluation and the closed self-density tables.
+"""Direct density evaluation and the closed self-density formula.
 
 The density alpha(A_xi, A_lambda) counts representations of the hermitian
 form labelled lambda by the form labelled xi, normalized so the count
@@ -26,8 +26,8 @@ print("A_200(A_332) =", normalized((2, 0, 0), (3, 3, 2)))
 print(" factored:   (q+1)(q^6+q^4-q^3+q^2):",
       normalized((2, 0, 0), (3, 3, 2)) == (Q + 1) * (Q ** 6 + Q ** 4 - Q ** 3 + Q ** 2))
 
-print("\n== closed self-density table vs direct evaluation ==")
-for xi in ((2, 1), (3, 2, 1), (2, 2, 2, 2), (4, 3, 1, 0)):
+print("\n== closed self-density formula vs direct evaluation ==")
+for xi in ((2, 1), (3, 2, 1), (2, 2, 2, 2), (4, 3, 1, 0), (3, 3, 1, 0, 0)):
     closed = self_density_closed(xi)
     direct = alpha(xi, xi)
     print(f"xi={xi}: closed == direct: {closed == direct}   value {closed}")

@@ -27,8 +27,9 @@ in ZZ[q, q^-1]); results are returned as reduced ``RatFunc`` values.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 vanish whenever |xi| and |lam| have different parities (the determinant
-valuations differ mod 2).  ``self_density_closed`` provides the tabulated
-closed forms of self-densities for lengths up to 4.
+valuations differ mod 2).  ``self_density_closed`` gives the self-density
+alpha(A_xi, A_xi) in closed form for every label; ``normalized`` still
+divides by the direct alpha(A_xi, A_xi), so the two stay independent.
 
 Concurrency: all values are immutable and computations are pure; the memo
 caches may be shared across threads (concurrent calls return identical
@@ -37,18 +38,13 @@ values) or confined to one engine instance per thread.
 
 from __future__ import annotations
 
-from .partitions import (
-    check_partition,
-    conjugate_part,
-    match_pattern,
-    tilde,
-    weight,
-)
+from .partitions import check_partition, conjugate_part, tilde, weight
 from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_iadd_scaled, lau_mul
 
 
 class NotTabulated(LookupError):
-    """Raised by ``self_density_closed`` for shapes outside the closed-form tables."""
+    """Kept for compatibility: ``self_density_closed`` covers every label and
+    no longer raises it."""
 
 
 def product_cutoff(mu, lam):
@@ -169,124 +165,19 @@ def I_j(mu, lam, j):
     return _DEFAULT.I_j(mu, lam, j)
 
 
-# ---------------------------------------------------------------------------
-# closed self-density tables
-# ---------------------------------------------------------------------------
-#
-# Each row is (shape, E, units, placeholders_recurse):
-#   shape  -- a label pattern (``partitions.match_pattern``): an int matches
-#             exactly, "*" matches any value >= 3 (the tables' side
-#             condition on large parts);
-#   E      -- the power of q in front;
-#   units  -- signed exponents k encoding the unit factors
-#             (1 + q^-k) for k > 0 and (1 - q^-|k|) for k < 0;
-#   if the shape has placeholders, the row refers recursively to the
-#   self-density of the placeholder values each reduced by 2.
-#
-# Rows outside these shapes are not tabulated; callers fall back to the
-# direct alpha(xi, xi) evaluation, which is the ground truth in all cases.
-
-_SELF_TABLE = {
-    1: [
-        ((0,), 0, (1,)),
-        ((2,), 2, (1,)),
-    ],
-    2: [
-        ((0, 0), 0, (1, -2)),
-        ((1, 0), 1, (1, 1)),
-        ((1, 1), 4, (1, -2)),
-        ((2, 0), 2, (1, 1)),
-        ((2, 1), 5, (1, 1)),
-        ((2, 2), 8, (1, -2)),
-        (("*", 0), 2, (1,)),
-        (("*", 2), 8, (1,)),
-    ],
-    3: [
-        (("*", "*", 0), 8, (1,)),
-        (("*", "*", 1), 13, (1,)),
-        (("*", "*", 2), 18, (1,)),
-        (("*", 2, 0), 8, (1, 1)),
-        (("*", 2, 1), 13, (1, 1)),
-        (("*", 2, 2), 18, (1, -2)),
-        ((2, 2, 0), 8, (1, 1, -2)),
-        ((2, 2, 1), 13, (1, 1, -2)),
-        ((2, 2, 2), 18, (1, -2, 3)),
-        (("*", 0, 0), 2, (1, -2)),
-        (("*", 1, 0), 5, (1, 1)),
-        (("*", 1, 1), 10, (1, -2)),
-        ((2, 0, 0), 2, (1, 1, -2)),
-        ((2, 1, 0), 5, (1, 1, 1)),
-        ((2, 1, 1), 10, (1, 1, -2)),
-        ((0, 0, 0), 0, (1, -2, 3)),
-        ((1, 0, 0), 1, (1, 1, -2)),
-        ((1, 1, 0), 4, (1, 1, -2)),
-        ((1, 1, 1), 9, (1, -2, 3)),
-    ],
-    4: [
-        (("*", "*", "*", 0), 18, (1,)),
-        (("*", "*", "*", 1), 25, (1,)),
-        (("*", "*", "*", 2), 32, (1,)),
-        (("*", "*", 2, 0), 18, (1, 1)),
-        (("*", "*", 2, 1), 25, (1, 1)),
-        (("*", "*", 2, 2), 32, (1, -2)),
-        (("*", 2, 2, 0), 18, (1, 1, -2)),
-        (("*", 2, 2, 1), 25, (1, 1, -2)),
-        (("*", 2, 2, 2), 32, (1, -2, 3)),
-        ((2, 2, 2, 0), 18, (1, 1, -2, 3)),
-        ((2, 2, 2, 1), 25, (1, 1, -2, 3)),
-        ((2, 2, 2, 2), 32, (1, -2, 3, -4)),
-        (("*", "*", 0, 0), 8, (1, -2)),
-        (("*", "*", 1, 0), 13, (1, 1)),
-        (("*", "*", 1, 1), 20, (1, -2)),
-        (("*", 2, 0, 0), 8, (1, 1, -2)),
-        (("*", 2, 1, 0), 13, (1, 1, 1)),
-        (("*", 2, 1, 1), 20, (1, 1, -2)),
-        ((2, 2, 0, 0), 8, (1, 1, -2, -2)),
-        ((2, 2, 1, 0), 13, (1, 1, 1, -2)),
-        ((2, 2, 1, 1), 20, (1, 1, -2, -2)),
-        (("*", 0, 0, 0), 2, (1, -2, 3)),
-        (("*", 1, 0, 0), 5, (1, 1, -2)),
-        (("*", 1, 1, 0), 10, (1, 1, -2)),
-        (("*", 1, 1, 1), 17, (1, -2, 3)),
-        ((2, 0, 0, 0), 2, (1, 1, -2, 3)),
-        ((2, 1, 0, 0), 5, (1, 1, 1, -2)),
-        ((2, 1, 1, 0), 10, (1, 1, 1, -2)),
-        ((2, 1, 1, 1), 17, (1, 1, -2, 3)),
-        ((0, 0, 0, 0), 0, (1, -2, 3, -4)),
-        ((1, 0, 0, 0), 1, (1, 1, -2, 3)),
-        ((1, 1, 0, 0), 4, (1, 1, -2, -2)),
-        ((1, 1, 1, 0), 9, (1, 1, -2, 3)),
-        ((1, 1, 1, 1), 16, (1, -2, 3, -4)),
-    ],
-}
-
-
-def _unit_factor(k):
-    # (1 + q^-k) for k > 0, (1 - q^-|k|) for k < 0
-    return RatFunc.from_laurent({0: 1, -abs(k): 1 if k > 0 else -1})
-
-
 def self_density_closed(xi, engine=None):
-    """Closed form of alpha(A_xi, A_xi) from the tables, built recursively.
+    """alpha(A_xi, A_xi) in closed form, for every label.
 
-    Rows that refer to smaller self-densities resolve them from the tables
-    when possible and by direct evaluation otherwise.  Raises
-    ``NotTabulated`` for shapes outside the tables.
+        q^(sum_{i,j} min(xi_i, xi_j)) * prod_v prod_{k=1..mult_v(xi)} (1 - (-q)^-k),
+
+    v running over the distinct parts of xi: each block of equal parts
+    contributes |U_m(F_q)| / q^(m^2) for its multiplicity m.  ``engine`` is
+    accepted for compatibility and not used.
     """
     xi = check_partition(xi)
-    engine = engine or _DEFAULT
-    for shape, e, units in _SELF_TABLE.get(len(xi), ()):
-        holders = match_pattern(shape, xi)
-        if holders is None:
-            continue
-        val = RatFunc.from_laurent({e: 1})
-        for k in units:
-            val = val * _unit_factor(k)
-        if holders:
-            inner = tuple(v - 2 for v in holders)
-            try:
-                val = val * self_density_closed(inner, engine)
-            except NotTabulated:
-                val = val * engine.alpha(inner, inner)
-        return val
-    raise NotTabulated(f"no closed self-density for {xi}")
+    # for non-increasing xi, min(xi_i, xi_j) = xi_max(i,j)
+    val = {sum(x * (2 * i + 1) for i, x in enumerate(xi)): 1}
+    for v in set(xi):
+        for k in range(1, xi.count(v) + 1):
+            val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
+    return RatFunc.from_laurent(val)

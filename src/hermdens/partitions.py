@@ -171,7 +171,13 @@ def match_pattern(pattern, parts):
 
 
 def fill_pattern(pattern, bind):
-    """Keep the int slots of pattern and fill the others with bind, in order."""
+    """Keep the int slots of pattern and fill the others with bind, in order.
+
+    A "*" slot stands for a part >= 3, so a smaller bound value raises
+    ``ValueError``.
+    """
+    if any(v < 3 for v in bind):
+        raise ValueError(f"a '*' slot takes a part >= 3, got {tuple(bind)}")
     it = iter(bind)
     return tuple(spec if isinstance(spec, int) else next(it) for spec in pattern)
 

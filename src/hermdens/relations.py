@@ -17,20 +17,22 @@ A_xi(A_lam) by rewriting instead of direct summation.  The rewrite loop:
   (b) shift both labels down by one when both end in positive parts
       (rule id "P2.15");
   (c) drop a common trailing zero (rule id "P2.14");
-  (d) for n <= 4, apply the tabulated rewrite keyed on the xi pattern
-      (rule ids "C2.17.*", "C2.19.*", "C2.20.*"), valid while lam_n >= 1;
-  (e) otherwise fall back to the direct evaluator ("hironaka-fallback").
+  (d) otherwise xi ends in 0 and lam_n >= 1: apply the rewrite rule of xi's
+      signature (parts >= 3 written "*").  Each rule is ``theorem_terms``
+      for xi solved for its xi term (coefficient 1), with the terms of the
+      other weight parity dropped, every coefficient scaled by the ratio of
+      closed self-densities, and children still ending in 0 rewritten in
+      turn.  Rules are derived on first use and kept for the process; ranks
+      2-4 carry the ids "C2.17.*", "C2.19.*", "C2.20.*" of
+      ``REWRITE_RULES``, larger ranks ids "derived:<signature>".
 
 Every evaluation returns an auditable ``ReductionTrace`` whose replay
 reproduces the value exactly.  Each rewrite strictly decreases the measure
-(|lam|, trailing zeros of xi, n), which is checked per step; a violation,
-like an overlapping or missing rewrite rule, raises ``RuntimeError``.
+(|lam|, trailing zeros of xi, n), which is checked per step; a violation
+raises ``RuntimeError``.
 
 ``alpha_via_generic_reduction`` works at the unnormalized alpha level for
-arbitrary n: it eliminates trailing zeros of xi by solving
-``theorem_terms`` for the xi term (whose coefficient is 1), scales both
-labels down when possible, and delegates to the normalized engine once lam
-ends in 0.
+arbitrary n: the reduced normalized density times the closed self-density.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .partitions import (
     weight,
     xi_plus,
 )
-from .qalgebra import ONE, Q, RatFunc, ZERO, neg_q_power
+from .qalgebra import ONE, RatFunc, ZERO, neg_q_power
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +114,26 @@ def verify_relation(rel, lam, engine=None):
 
 
 # ---------------------------------------------------------------------------
-# normalized rewrite rules for n <= 4
+# normalized rewrite rules, derived from theorem_terms
 # ---------------------------------------------------------------------------
+
+def _signature(xi):
+    """The rewrite-rule key of a label: every part >= 3 becomes "*"."""
+    return tuple("*" if x >= 3 else x for x in xi)
+
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """A_xi(B) = sum_p c_p A_p(B) for every xi matching pattern and every B
+    with all parts >= 1."""
+
     rule_id: str
-    pattern: tuple       # ints match exactly, "*" matches any value >= 3
-    rhs: tuple           # tuple of (RatFunc coefficient, target template)
+    pattern: tuple       # a signature: ints match exactly, "*" matches any value >= 3
+
+    @property
+    def rhs(self):
+        """Tuple of (RatFunc coefficient, target template), derived on first use."""
+        return _derived_rhs(self.pattern)
 
     def match(self, xi):
         """Positional placeholder bindings, or None; () means a literal match."""
@@ -129,81 +143,73 @@ class RewriteRule:
         return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in self.rhs]
 
 
-def _rules():
-    q = Q
-    table = {
-        2: [
-            ("C2.17.1", (0, 0), [(q + 1, (1, 1)), (-q, (2, 2))]),
-            ("C2.17.2", (1, 0), [(ONE, (2, 1))]),
-            ("C2.17.3", (2, 0), [(q * (q - 1), (2, 2))]),
-            ("C2.17.4", ("*", 0), [(q ** 2, ("*", 2))]),
-        ],
-        3: [
-            ("C2.19.1", (0, 0, 0), [(q + 1, (2, 1, 1)), (-q ** 3, (2, 2, 2))]),
-            ("C2.19.2", (1, 0, 0), [(q ** 3 + 1, (1, 1, 1)), (-q, (2, 2, 1))]),
-            ("C2.19.3", (1, 1, 0), [(ONE, (2, 1, 1))]),
-            ("C2.19.4", ("*", "*", 0), [(q ** 4, ("*", "*", 2))]),
-            ("C2.19.5", ("*", 2, 0), [(q ** 3 * (q - 1), ("*", 2, 2))]),
-            ("C2.19.6", (2, 2, 0), [(q ** 2 * (q ** 2 - q + 1), (2, 2, 2))]),
-            ("C2.19.7", ("*", 0, 0), [(q ** 2 * (q + 1), ("*", 1, 1)), (-q ** 5, ("*", 2, 2))]),
-            ("C2.19.8", (2, 0, 0), [(q ** 2 * (q + 1), (2, 1, 1)),
-                                    (-q ** 3 * (q ** 2 - q + 1), (2, 2, 2))]),
-            ("C2.19.9", (2, 1, 0), [(q * (q - 1), (2, 2, 1))]),
-            ("C2.19.10", ("*", 1, 0), [(q ** 2, ("*", 2, 1))]),
-        ],
-        4: [
-            ("C2.20.1", ("*", "*", "*", 0), [(q ** 6, ("*", "*", "*", 2))]),
-            ("C2.20.2", ("*", "*", 2, 0), [(q ** 5 * (q - 1), ("*", "*", 2, 2))]),
-            ("C2.20.3", ("*", "*", 1, 0), [(q ** 4, ("*", "*", 2, 1))]),
-            ("C2.20.4", ("*", 2, 2, 0), [(q ** 4 * (q ** 2 - q + 1), ("*", 2, 2, 2))]),
-            ("C2.20.5", ("*", 2, 1, 0), [(q ** 3 * (q - 1), ("*", 2, 2, 1))]),
-            ("C2.20.6", ("*", 1, 1, 0), [(q ** 2, ("*", 2, 1, 1))]),
-            ("C2.20.7", (2, 2, 2, 0), [(q ** 3 * (q ** 3 - q ** 2 + q - 1), (2, 2, 2, 2))]),
-            ("C2.20.8", (2, 2, 1, 0), [(q ** 2 * (q ** 2 - q + 1), (2, 2, 2, 1))]),
-            ("C2.20.9", (2, 1, 1, 0), [(q * (q - 1), (2, 2, 1, 1))]),
-            ("C2.20.10", (1, 1, 1, 0), [(ONE, (2, 1, 1, 1))]),
-            ("C2.20.11", ("*", "*", 0, 0), [(q ** 4 * (q + 1), ("*", "*", 1, 1)),
-                                            (-q ** 9, ("*", "*", 2, 2))]),
-            ("C2.20.12", ("*", 2, 0, 0), [(q ** 4 * (q + 1), ("*", 2, 1, 1)),
-                                          (-q ** 7 * (q ** 2 - q + 1), ("*", 2, 2, 2))]),
-            ("C2.20.13", ("*", 1, 0, 0), [(q ** 2 * (q ** 3 + 1), ("*", 1, 1, 1)),
-                                          (-q ** 5, ("*", 2, 2, 1))]),
-            ("C2.20.14", (2, 2, 0, 0), [(q ** 4 * (q + 1), (2, 2, 1, 1)),
-                                        (-q ** 5 * (q ** 2 - q + 1) * (q ** 2 + 1), (2, 2, 2, 2))]),
-            ("C2.20.15", (2, 1, 0, 0), [(q ** 2 * (q ** 3 + 1), (2, 1, 1, 1)),
-                                        (-q ** 3 * (q ** 2 - q + 1), (2, 2, 2, 1))]),
-            ("C2.20.16", (1, 1, 0, 0), [((q ** 3 + 1) * (q ** 2 + 1), (1, 1, 1, 1)),
-                                        (-q, (2, 2, 1, 1))]),
-            ("C2.20.17", ("*", 0, 0, 0), [(q ** 4 * (q + 1), ("*", 2, 1, 1)),
-                                          (-q ** 9, ("*", 2, 2, 2))]),
-            ("C2.20.18", (2, 0, 0, 0), [(q ** 3 * (q ** 2 - 1), (2, 2, 1, 1)),
-                                        (-q ** 6 * (q ** 3 - q ** 2 + q - 1), (2, 2, 2, 2))]),
-            ("C2.20.19", (1, 0, 0, 0), [(q ** 3 + 1, (2, 1, 1, 1)), (-q ** 3, (2, 2, 2, 1))]),
-            ("C2.20.20", (0, 0, 0, 0), [((q + 1) * (q ** 3 + 1), (1, 1, 1, 1)),
-                                        (-q * (q + 1), (2, 2, 1, 1)),
-                                        (q ** 6, (2, 2, 2, 2))]),
-        ],
-    }
-    return {n: tuple(RewriteRule(rid, pat, tuple(rhs)) for rid, pat, rhs in rows)
-            for n, rows in table.items()}
+# The named rules of ranks 2-4 (ids from the source's corollaries 2.17, 2.19
+# and 2.20), in table order; every zero-tailed signature of these ranks has one.
+_NAMED_RULES = {
+    2: (("C2.17.1", (0, 0)), ("C2.17.2", (1, 0)), ("C2.17.3", (2, 0)), ("C2.17.4", ("*", 0))),
+    3: (("C2.19.1", (0, 0, 0)), ("C2.19.2", (1, 0, 0)), ("C2.19.3", (1, 1, 0)),
+        ("C2.19.4", ("*", "*", 0)), ("C2.19.5", ("*", 2, 0)), ("C2.19.6", (2, 2, 0)),
+        ("C2.19.7", ("*", 0, 0)), ("C2.19.8", (2, 0, 0)), ("C2.19.9", (2, 1, 0)),
+        ("C2.19.10", ("*", 1, 0))),
+    4: (("C2.20.1", ("*", "*", "*", 0)), ("C2.20.2", ("*", "*", 2, 0)),
+        ("C2.20.3", ("*", "*", 1, 0)), ("C2.20.4", ("*", 2, 2, 0)),
+        ("C2.20.5", ("*", 2, 1, 0)), ("C2.20.6", ("*", 1, 1, 0)),
+        ("C2.20.7", (2, 2, 2, 0)), ("C2.20.8", (2, 2, 1, 0)), ("C2.20.9", (2, 1, 1, 0)),
+        ("C2.20.10", (1, 1, 1, 0)), ("C2.20.11", ("*", "*", 0, 0)),
+        ("C2.20.12", ("*", 2, 0, 0)), ("C2.20.13", ("*", 1, 0, 0)),
+        ("C2.20.14", (2, 2, 0, 0)), ("C2.20.15", (2, 1, 0, 0)), ("C2.20.16", (1, 1, 0, 0)),
+        ("C2.20.17", ("*", 0, 0, 0)), ("C2.20.18", (2, 0, 0, 0)),
+        ("C2.20.19", (1, 0, 0, 0)), ("C2.20.20", (0, 0, 0, 0))),
+}
+
+REWRITE_RULES = {n: tuple(RewriteRule(rid, pat) for rid, pat in rows)
+                 for n, rows in _NAMED_RULES.items()}
+
+# Process-wide, because callers build a fresh ReductionEngine per computation:
+# rules by signature (named ones first, derived ids added on demand) and
+# right-hand sides by signature, each derived once.
+_RULES = {rule.pattern: rule for rules in REWRITE_RULES.values() for rule in rules}
+_RHS = {}
 
 
-REWRITE_RULES = _rules()
+def _derived_rhs(sig):
+    rhs = _RHS.get(sig)
+    if rhs is None:
+        rhs = _RHS[sig] = _derive_rhs(sig)
+    return rhs
+
+
+def _derive_rhs(sig):
+    """Solve theorem_terms for the xi term, normalized, with zero-tailed children
+    rewritten in turn; children in ascending label order."""
+    # The "*" parts lead, no promotion changes them, and they cancel in every
+    # self-density ratio below, so 3 stands for all of them.
+    stars = (3,) * sig.count("*")
+    xi = fill_pattern(sig, stars)
+    own = hironaka.self_density_closed(xi)
+    acc = {}
+    for c, p in theorem_terms(len(xi), trailing_zeros(xi), xi).terms:
+        # terms of the other weight parity vanish wherever A_xi(B) can be nonzero
+        if p == xi or (weight(p) - weight(xi)) % 2:
+            continue
+        c = -c * hironaka.self_density_closed(p) / own
+        # p has fewer trailing zeros than xi, so this recursion ends
+        subs = _derived_rhs(_signature(p)) if p[-1] == 0 else ((ONE, _signature(p)),)
+        for c2, tpl in subs:
+            child = fill_pattern(tpl, stars)
+            acc[child] = acc.get(child, ZERO) + c * c2
+    return tuple((c, _signature(p)) for p, c in sorted(acc.items()) if not c.is_zero)
 
 
 def match_rewrite(xi):
-    """Find the unique rewrite rule matching xi; overlapping patterns raise RuntimeError."""
-    hits = []
-    for rule in REWRITE_RULES.get(len(xi), ()):
-        bind = rule.match(xi)
-        if bind is not None:
-            hits.append((rule, bind))
-    if not hits:
+    """The rewrite rule for a label ending in 0 and its "*" bindings, or None."""
+    if not xi or xi[-1] != 0:
         return None
-    if len(hits) > 1:
-        raise RuntimeError(
-            f"overlapping rewrite patterns for {xi}: {[r.rule_id for r, _ in hits]}")
-    return hits[0]
+    sig = _signature(xi)
+    rule = _RULES.get(sig)
+    if rule is None:
+        rule = _RULES.setdefault(sig, RewriteRule("derived:" + ",".join(map(str, sig)), sig))
+    return rule, rule.match(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +341,21 @@ class ReductionEngine:
         return None
 
     def _expansion(self, xi, lam):
-        """One rewrite: (rule_id, [(factor, child_xi, child_lam)]) or a terminal value."""
-        n = len(xi)
+        """One rewrite: (rule_id, [(factor, child_xi, child_lam)])."""
         if xi[-1] >= 1 and lam[-1] >= 1:
             return "P2.15", [(ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
-        if xi[-1] == 0 and lam[-1] == 0:
+        if lam[-1] == 0:
             return "P2.14", [(ONE, xi[:-1], lam[:-1])]
-        if xi[-1] == 0 and lam[-1] >= 1 and n <= 4:
-            hit = match_rewrite(xi)
-            if hit is None:
-                raise RuntimeError(f"rewrite table has no rule for {xi}")
-            rule, bind = hit
-            return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate(bind)]
-        return "hironaka-fallback", None
+        # past the leaves (xi_n <= lam_n): xi_n = 0 < lam_n
+        rule, bind = match_rewrite(xi)
+        return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate(bind)]
 
     def _eval(self, xi, lam, trace):
         key = (xi, lam)
-        if key in self._memo and trace is None:
-            return self._memo[key]
+        # read once: another thread may fill the key between two reads
+        cached = self._memo.get(key)
+        if cached is not None and trace is None:
+            return cached
         leaf = self._leaf(xi, lam)
         if leaf is not None:
             val, rule = leaf
@@ -360,18 +363,11 @@ class ReductionEngine:
                 trace.add(TraceStep(rule, xi, lam, value=val))
             self._memo[key] = val
             return val
-        if key in self._memo:
+        if cached is not None:
             # warm cache at the trace root: record a terminal step with the value
-            val = self._memo[key]
-            trace.add(TraceStep("memo", xi, lam, value=val))
-            return val
+            trace.add(TraceStep("memo", xi, lam, value=cached))
+            return cached
         rule_id, children = self._expansion(xi, lam)
-        if children is None:
-            val = self.hironaka.normalized(xi, lam)
-            if trace is not None:
-                trace.add(TraceStep(rule_id, xi, lam, value=val))
-            self._memo[key] = val
-            return val
         step = trace.add(TraceStep(rule_id, xi, lam)) if trace is not None else None
         here = _measure(xi, lam)
         val = ZERO
@@ -431,52 +427,16 @@ def reduce_normalized(xi, lam, engine=None):
 # ---------------------------------------------------------------------------
 
 class GenericAlphaReducer:
-    """Evaluates alpha(A_xi, A_lam) for equal lengths via the vanishing relation.
-
-    While lam ends in a positive part: a label xi ending in s zeros is
-    rewritten through ``theorem_terms`` solved for its own term (the
-    coefficient of which is 1), which strictly reduces the number of
-    trailing zeros; labels with no trailing zeros scale down by q^{n^2} per
-    unit shift.
-    Once lam ends in 0 the normalized engine times the self-density takes
-    over.  Parity and support vanishing short-circuit to 0.  The relation
-    depends only on xi, so it is built once per xi and kept.
-    """
+    """Evaluates alpha(A_xi, A_lam) for equal lengths through the relations:
+    the normalized density from the reduction engine times the closed
+    self-density."""
 
     def __init__(self, hironaka_engine=None, reduction_engine=None):
         self.hironaka = hironaka_engine or hironaka.HironakaEngine()
         self.reducer = reduction_engine or ReductionEngine(self.hironaka)
-        self._memo = {}
-        self._relations = {}
 
     def alpha_value(self, xi, lam):
-        xi = check_partition(xi)
-        lam = check_partition(lam)
-        n = len(xi)
-        if n != len(lam):
-            raise ValueError("generic reduction needs labels of equal length")
-        key = (xi, lam)
-        if key in self._memo:
-            return self._memo[key]
-        if (weight(xi) - weight(lam)) % 2 or xi[-1] > lam[-1]:
-            val = ZERO
-        elif lam[-1] == 0:
-            val = self.reducer.normalized_value(xi, lam) * self.hironaka.alpha(xi, xi)
-        elif xi[-1] == 0:
-            # the relation's xi term has coefficient 1, so alpha(xi) is minus the rest
-            rel = self._relations.get(xi)
-            if rel is None:
-                rel = self._relations[xi] = theorem_terms(n, trailing_zeros(xi), xi)
-            val = ZERO
-            for c, p in rel.terms:
-                if p != xi:
-                    val = val - c * self.alpha_value(p, lam)
-        else:
-            t = min(xi[-1], lam[-1])
-            shifted = self.alpha_value(tuple(x - t for x in xi), tuple(x - t for x in lam))
-            val = RatFunc.from_laurent({t * n * n: 1}) * shifted
-        self._memo[key] = val
-        return val
+        return self.reducer.normalized_value(xi, lam) * hironaka.self_density_closed(xi)
 
 
 def alpha_via_generic_reduction(xi, lam, reducer=None):

@@ -19,7 +19,7 @@ from hermdens.geometry import (
     make_engine,
     sankaran_intersection_report,
 )
-from hermdens.hironaka import HironakaEngine, _SELF_TABLE, self_density_closed
+from hermdens.hironaka import HironakaEngine, self_density_closed
 from hermdens.oracle import DEFAULT_BUDGET, GaloisRingParams, density_oracle
 from hermdens.partitions import lambda_ns_elements, partitions_fixed_length
 from hermdens.qalgebra import ONE, Q, ZERO, gauss_binomial, neg_q_power
@@ -47,7 +47,7 @@ def _unit(k):
     return ONE + (1 if k > 0 else -1) * ONE / Q ** abs(k)
 
 
-def test_criterion_01_paper_fixture_values(hiro):
+def test_criterion_01_paper_fixture_values(hiro, self_table):
     """Direct evaluation reproduces the tabulated closed forms."""
     t0 = time.perf_counter()
     assert hiro.alpha((4, 0), (4, 2)) == Q ** 6 * _unit(1) ** 2
@@ -63,7 +63,7 @@ def test_criterion_01_paper_fixture_values(hiro):
         assert hiro.alpha(xi, xi) == want, xi
     counts = {3: 0, 4: 0}
     for n, values in ((3, (3, 4, 5)), (4, (3, 4))):
-        for shape, _e, _units in _SELF_TABLE[n]:
+        for shape, _e, _units in self_table[n]:
             slots = sum(1 for s in shape if s == "*")
             fills = [()] if slots == 0 else [
                 f for f in itertools.product(values, repeat=slots)

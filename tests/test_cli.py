@@ -96,6 +96,13 @@ def test_verify_corollary_sampled(capsys):
     assert "identities verified" in out
 
 
+def test_verify_corollary_rejects_small_placeholder(capsys):
+    # a "*" slot stands for parts >= 3; filling it with 2 is a usage error
+    code, out, err = _capture(capsys, ["verify", "corollary", "--n", "2", "--params", "2"])
+    assert code == 2
+    assert out == "" and "'*' slot" in err
+
+
 def test_verify_identity_322(capsys):
     code, out, _ = _capture(capsys, ["verify", "identity-322", "--max", "3"])
     assert code == 0

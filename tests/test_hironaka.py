@@ -1,4 +1,4 @@
-"""Direct density evaluation: fixtures, inner factors, normalization, tables."""
+"""Direct density evaluation: fixtures, inner factors, normalization, self-densities."""
 
 import itertools
 import random
@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from hermdens.hironaka import (
     HironakaEngine,
-    NotTabulated,
     alpha,
     default_engine,
     I_j,
     normalized,
     product_cutoff,
     self_density_closed,
-    _SELF_TABLE,
 )
 from hermdens.partitions import (
     conjugate_part,
@@ -204,11 +202,22 @@ def _table_instantiations(n, rows, values):
                 yield xi
 
 
-def test_self_density_tables_match_direct_evaluation():
+def test_self_density_tables_match_direct_evaluation(self_table, table_self_density):
     eng = HironakaEngine()
-    for n, values in ((2, (3, 4, 5)), (3, (3, 4, 5)), (4, (3, 4))):
-        for xi in _table_instantiations(n, _SELF_TABLE[n], values):
-            assert self_density_closed(xi, eng) == eng.alpha(xi, xi), xi
+    for n, values in ((1, ()), (2, (3, 4, 5)), (3, (3, 4, 5)), (4, (3, 4))):
+        for xi in _table_instantiations(n, self_table[n], values):
+            want = eng.alpha(xi, xi)
+            assert self_density_closed(xi, eng) == want, xi
+            assert table_self_density(xi, eng) == want, xi
+
+
+def test_self_density_formula_matches_direct_sweep():
+    rng = random.Random(2718)
+    eng = HironakaEngine()
+    for n, top in ((1, 9), (2, 8), (3, 7), (4, 6), (5, 4), (6, 3), (7, 3)):
+        for _ in range(12):
+            xi = tuple(sorted((rng.randint(0, top) for _ in range(n)), reverse=True))
+            assert self_density_closed(xi) == eng.alpha(xi, xi), xi
 
 
 def test_self_density_examples():
@@ -217,14 +226,12 @@ def test_self_density_examples():
     assert self_density_closed((3, 2, 1)) == Q ** 13 * _unit(1) ** 2 * (Q * _unit(1))
     assert self_density_closed((2, 2, 2, 2)) == \
         Q ** 32 * _unit(1) * _unit(-2) * _unit(3) * _unit(-4)
-    with pytest.raises(NotTabulated):
-        self_density_closed((5,))
-    with pytest.raises(NotTabulated):
-        self_density_closed((5, 4, 3, 2, 1))
+    # beyond the old rank-4 tables: q^(5+12+15+14+9) (1+1/q)^5
+    assert self_density_closed((5, 4, 3, 2, 1)) == Q ** 55 * _unit(1) ** 5
 
 
-def test_table_shapes_are_disjoint():
-    for n, rows in _SELF_TABLE.items():
+def test_table_shapes_are_disjoint(self_table):
+    for n, rows in self_table.items():
         for xi in _table_instantiations(n, rows, (3, 4)):
             hits = 0
             for shape, _e, _units in rows:

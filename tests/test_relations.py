@@ -21,7 +21,6 @@ from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
     ReductionEngine,
-    RewriteRule,
     match_rewrite,
     reduce_normalized,
     theorem_terms,
@@ -119,7 +118,90 @@ def test_theorem_sweep_small():
 # rewrite rules
 # ---------------------------------------------------------------------------
 
+def _hand_rules():
+    """The rank 2-4 rewrite rules as tabulated by hand: the reference for the derived ones."""
+    q = Q
+    table = {
+        2: [
+            ("C2.17.1", (0, 0), [(q + 1, (1, 1)), (-q, (2, 2))]),
+            ("C2.17.2", (1, 0), [(ONE, (2, 1))]),
+            ("C2.17.3", (2, 0), [(q * (q - 1), (2, 2))]),
+            ("C2.17.4", ("*", 0), [(q ** 2, ("*", 2))]),
+        ],
+        3: [
+            ("C2.19.1", (0, 0, 0), [(q + 1, (2, 1, 1)), (-q ** 3, (2, 2, 2))]),
+            ("C2.19.2", (1, 0, 0), [(q ** 3 + 1, (1, 1, 1)), (-q, (2, 2, 1))]),
+            ("C2.19.3", (1, 1, 0), [(ONE, (2, 1, 1))]),
+            ("C2.19.4", ("*", "*", 0), [(q ** 4, ("*", "*", 2))]),
+            ("C2.19.5", ("*", 2, 0), [(q ** 3 * (q - 1), ("*", 2, 2))]),
+            ("C2.19.6", (2, 2, 0), [(q ** 2 * (q ** 2 - q + 1), (2, 2, 2))]),
+            ("C2.19.7", ("*", 0, 0), [(q ** 2 * (q + 1), ("*", 1, 1)), (-q ** 5, ("*", 2, 2))]),
+            ("C2.19.8", (2, 0, 0), [(q ** 2 * (q + 1), (2, 1, 1)),
+                                    (-q ** 3 * (q ** 2 - q + 1), (2, 2, 2))]),
+            ("C2.19.9", (2, 1, 0), [(q * (q - 1), (2, 2, 1))]),
+            ("C2.19.10", ("*", 1, 0), [(q ** 2, ("*", 2, 1))]),
+        ],
+        4: [
+            ("C2.20.1", ("*", "*", "*", 0), [(q ** 6, ("*", "*", "*", 2))]),
+            ("C2.20.2", ("*", "*", 2, 0), [(q ** 5 * (q - 1), ("*", "*", 2, 2))]),
+            ("C2.20.3", ("*", "*", 1, 0), [(q ** 4, ("*", "*", 2, 1))]),
+            ("C2.20.4", ("*", 2, 2, 0), [(q ** 4 * (q ** 2 - q + 1), ("*", 2, 2, 2))]),
+            ("C2.20.5", ("*", 2, 1, 0), [(q ** 3 * (q - 1), ("*", 2, 2, 1))]),
+            ("C2.20.6", ("*", 1, 1, 0), [(q ** 2, ("*", 2, 1, 1))]),
+            ("C2.20.7", (2, 2, 2, 0), [(q ** 3 * (q ** 3 - q ** 2 + q - 1), (2, 2, 2, 2))]),
+            ("C2.20.8", (2, 2, 1, 0), [(q ** 2 * (q ** 2 - q + 1), (2, 2, 2, 1))]),
+            ("C2.20.9", (2, 1, 1, 0), [(q * (q - 1), (2, 2, 1, 1))]),
+            ("C2.20.10", (1, 1, 1, 0), [(ONE, (2, 1, 1, 1))]),
+            ("C2.20.11", ("*", "*", 0, 0), [(q ** 4 * (q + 1), ("*", "*", 1, 1)),
+                                            (-q ** 9, ("*", "*", 2, 2))]),
+            ("C2.20.12", ("*", 2, 0, 0), [(q ** 4 * (q + 1), ("*", 2, 1, 1)),
+                                          (-q ** 7 * (q ** 2 - q + 1), ("*", 2, 2, 2))]),
+            ("C2.20.13", ("*", 1, 0, 0), [(q ** 2 * (q ** 3 + 1), ("*", 1, 1, 1)),
+                                          (-q ** 5, ("*", 2, 2, 1))]),
+            ("C2.20.14", (2, 2, 0, 0), [(q ** 4 * (q + 1), (2, 2, 1, 1)),
+                                        (-q ** 5 * (q ** 2 - q + 1) * (q ** 2 + 1), (2, 2, 2, 2))]),
+            ("C2.20.15", (2, 1, 0, 0), [(q ** 2 * (q ** 3 + 1), (2, 1, 1, 1)),
+                                        (-q ** 3 * (q ** 2 - q + 1), (2, 2, 2, 1))]),
+            ("C2.20.16", (1, 1, 0, 0), [((q ** 3 + 1) * (q ** 2 + 1), (1, 1, 1, 1)),
+                                        (-q, (2, 2, 1, 1))]),
+            ("C2.20.17", ("*", 0, 0, 0), [(q ** 4 * (q + 1), ("*", 2, 1, 1)),
+                                          (-q ** 9, ("*", 2, 2, 2))]),
+            ("C2.20.18", (2, 0, 0, 0), [(q ** 3 * (q ** 2 - 1), (2, 2, 1, 1)),
+                                        (-q ** 6 * (q ** 3 - q ** 2 + q - 1), (2, 2, 2, 2))]),
+            ("C2.20.19", (1, 0, 0, 0), [(q ** 3 + 1, (2, 1, 1, 1)), (-q ** 3, (2, 2, 2, 1))]),
+            ("C2.20.20", (0, 0, 0, 0), [((q + 1) * (q ** 3 + 1), (1, 1, 1, 1)),
+                                        (-q * (q + 1), (2, 2, 1, 1)),
+                                        (q ** 6, (2, 2, 2, 2))]),
+        ],
+    }
+    return {n: [(rid, pat, tuple(rhs)) for rid, pat, rhs in rows] for n, rows in table.items()}
+
+
+HAND_RULES = _hand_rules()
+
+
+def _hand_match(xi):
+    """The hand rule whose pattern matches xi, by a linear scan; exactly one must."""
+    hits = [(rid, pat, rhs) for rid, pat, rhs in HAND_RULES[len(xi)]
+            if all((t == "*" and x >= 3) or t == x for t, x in zip(pat, xi))]
+    assert len(hits) == 1, (xi, hits)
+    return hits[0]
+
+
+def test_derived_rules_match_hand_tables():
+    for n in (2, 3, 4):
+        assert [(r.rule_id, r.pattern) for r in REWRITE_RULES[n]] == \
+            [(rid, pat) for rid, pat, _ in HAND_RULES[n]]
+        for rule, (_, _, rhs) in zip(REWRITE_RULES[n], HAND_RULES[n]):
+            assert [t for _, t in rule.rhs] == [t for _, t in rhs], rule.rule_id
+            assert [c for c, _ in rule.rhs] == [c for c, _ in rhs], rule.rule_id
+    assert sum(len(rules) for rules in REWRITE_RULES.values()) == 34
+
+
 def test_rewrite_rules_cover_all_zero_tailed_shapes():
+    # all 119 zero-tailed labels of ranks 2-4 with parts <= 6: the derived
+    # rule is the hand rule, in value and in child order
+    labels = 0
     for n in (2, 3, 4):
         for head in partitions_fixed_length(n - 1, 0, 6):
             xi = head + (0,)
@@ -127,22 +209,38 @@ def test_rewrite_rules_cover_all_zero_tailed_shapes():
             assert hit is not None, xi
             rule, bind = hit
             assert fill_pattern(rule.pattern, bind) == xi
+            rid, pat, rhs = _hand_match(xi)
+            assert (rule.rule_id, rule.pattern) == (rid, pat)
+            assert rule.instantiate(bind) == [(c, fill_pattern(t, bind)) for c, t in rhs], xi
+            labels += 1
+    assert labels == 119
 
 
 def test_rewrite_rules_are_disjoint():
-    # match_rewrite checks uniqueness internally; sweep a grid through it
+    # each zero-tailed label of ranks 2-4 matches exactly one rule pattern
     for n in (2, 3, 4):
         for head in partitions_fixed_length(n - 1, 0, 5):
-            match_rewrite(head + (0,))
+            xi = head + (0,)
+            hits = [r for r in REWRITE_RULES[n] if r.match(xi) is not None]
+            assert [r.rule_id for r in hits] == [match_rewrite(xi)[0].rule_id], xi
 
 
-def test_overlapping_rewrite_rules_raise(monkeypatch):
-    clash = RewriteRule("overlap", ("*", 0), ((ONE, ("*", 2)),))
-    monkeypatch.setitem(REWRITE_RULES, 2, REWRITE_RULES[2] + (clash,))
-    with pytest.raises(RuntimeError, match="overlapping"):
-        match_rewrite((5, 0))
-    with pytest.raises(RuntimeError, match="overlapping"):
-        ReductionEngine().normalized_value((5, 0), (6, 1))
+def test_derived_rules_beyond_rank4_match_direct_evaluation():
+    rng = random.Random(5150)
+    eng = HironakaEngine()
+    for _ in range(24):
+        n = rng.randint(5, 6)
+        s = rng.randint(1, n)
+        xi = tuple(sorted((rng.randint(1, 4) for _ in range(n - s)), reverse=True)) + (0,) * s
+        lam = tuple(sorted((rng.randint(1, 3) for _ in range(n)), reverse=True))
+        rule, bind = match_rewrite(xi)
+        assert rule.rule_id == "derived:" + ",".join("*" if x >= 3 else str(x) for x in xi)
+        children = rule.instantiate(bind)
+        assert [p for _, p in children] == sorted(p for _, p in children)
+        rhs = ZERO
+        for coeff, part in children:
+            rhs = rhs + coeff * eng.normalized(part, lam)
+        assert eng.normalized(xi, lam) == rhs, (xi, lam)
 
 
 def test_rewrite_rule_instantiation_two_placeholders():
@@ -272,10 +370,12 @@ def test_trace_on_warm_cache_stays_valid():
 
 
 def test_reduce_handles_fallback_for_rank5():
+    # rank 5 has no named rules: the derived rule of the signature applies
     eng = ReductionEngine()
     xi, lam = (1, 1, 0, 0, 0), (2, 1, 1, 1, 1)
     val, trace = eng.reduce_normalized(xi, lam)
-    assert "hironaka-fallback" in trace.rule_ids()
+    assert trace.rule_ids()[0] == "derived:1,1,0,0,0"
+    assert trace.replay() == val
     assert val == HironakaEngine().normalized(xi, lam)
 
 
@@ -321,11 +421,37 @@ def test_generic_reduction_builds_each_relation_once(monkeypatch):
         return original(n, s, xi)
 
     monkeypatch.setattr(relations, "theorem_terms", counting)
+    monkeypatch.setattr(relations, "_RHS", {})      # derive the rules afresh
     heng = HironakaEngine()
     red = GenericAlphaReducer(heng)
-    for lam in partitions_fixed_length(4, 1, 4):
-        assert red.alpha_value((2, 1, 0, 0), lam) == heng.alpha((2, 1, 0, 0), lam), lam
-    assert sorted(built) == [(1, 0, 0, 0), (1, 1, 1, 0), (2, 1, 0, 0)]
+    for xi in ((2, 1, 0, 0), (1, 0, 0, 0), (3, 0, 0, 0)):
+        for lam in partitions_fixed_length(4, 1, 4):
+            assert red.alpha_value(xi, lam) == heng.alpha(xi, lam), (xi, lam)
+    assert built and len(built) == len(set(built)), built
+
+
+def test_shared_generic_reducer_across_threads(monkeypatch):
+    import hermdens.relations as relations
+    rng = random.Random(6)
+    cases = []
+    for _ in range(24):
+        n = rng.randint(1, 5)
+        cases.append((tuple(sorted((rng.randint(0, 5) for _ in range(n)), reverse=True)),
+                      tuple(sorted((rng.randint(0, 5) for _ in range(n)), reverse=True))))
+    expected = {c: GenericAlphaReducer().alpha_value(*c) for c in cases}
+    monkeypatch.setattr(relations, "_RHS", {})      # the threads also derive the rules
+    shared = GenericAlphaReducer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, so that cache writes interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda c: (c, shared.alpha_value(*c)), cases * 4,
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * len(cases)
+    for case, val in results:
+        assert val == expected[case], case
 
 
 def test_reduce_normalized_function_wrapper():
