@@ -29,8 +29,9 @@ supports and the last is read as sum_g acc(g) H_last(B - g).  That is
 O(m M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2), M^(2n)) a support size,
 where enumeration takes M^(2mn).  Temporaries are streamed in fixed-size
 blocks, so memory is the O(M^(n^2)) histograms, at most the square root of
-the nominal work M^(2mn), which the budget gate bounds.  Counts are exact:
-int64 below 2^63, Python ints beyond.
+the nominal work M^(2mn), which the budget gate bounds; a second gate refuses
+any count whose histograms would exceed ``HISTOGRAM_BYTES_CEILING`` bytes,
+whatever the budget.  Counts are exact: int64 below 2^63, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -44,14 +45,22 @@ from .partitions import check_partition
 
 DEFAULT_BUDGET = 2 ** 36
 
+# Bytes the dense histograms of one count may take: one M^(n^2)-entry array per
+# distinct diagonal value of A, the accumulator and the convolution's output,
+# at 8 bytes an entry (an object array's entries also point to Python ints, so
+# it takes more).  Whatever the budget, a count above it is refused before
+# anything is allocated; counts the default budget admits need at most a few MB.
+HISTOGRAM_BYTES_CEILING = 2 ** 30
+
 
 class BudgetExceededError(RuntimeError):
-    """The nominal enumeration size p^(2dmn) exceeds the configured budget."""
+    """The nominal enumeration size p^(2dmn) exceeds the configured budget, or
+    the histograms would exceed ``HISTOGRAM_BYTES_CEILING`` (``unit`` says which)."""
 
-    def __init__(self, estimate, budget):
+    def __init__(self, estimate, budget, unit="matrix enumerations"):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(f"estimated {estimate} matrix enumerations exceeds budget {budget}")
+        super().__init__(f"estimated {estimate} {unit} exceeds budget {budget}")
 
 
 def _is_prime(n):
@@ -300,6 +309,10 @@ def count_solutions_matrix(ga, gb, ba, bb, m, n, params,
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
     diag = _diagonal_of(ga, gb, m, modulus)
+    histogram_bytes = (len(set(diag)) + 2) * modulus ** (n * n) * 8
+    if histogram_bytes > HISTOGRAM_BYTES_CEILING:
+        raise BudgetExceededError(histogram_bytes, HISTOGRAM_BYTES_CEILING,
+                                  unit="bytes of row histograms")
     target = _hermitian_coords(ba, bb, n, modulus)
     if target is None:
         return 0

@@ -9,11 +9,14 @@ d_{n,s,i}, and the whole combination annihilates alpha(., B).
 ``verify_relation`` checks such a relation by direct evaluation.
 
 ``ReductionEngine.reduce_normalized`` evaluates normalized densities
-A_xi(A_lam) by rewriting instead of direct summation.  The rewrite loop:
+A_xi(A_lam) by rewriting instead of direct summation, in Laurent form
+internally (every rule coefficient lies in ZZ[q, q^-1]).  The rewrite loop:
 
-  (a) 0 when the weights have different parity, and 0 when xi_n > lam_n
-      (the form's values all have valuation >= xi_n, so nothing of smaller
-      valuation is represented);
+  (a) 0 when the weights have different parity ("parity-zero"), and 0 when
+      xi_i > lam_i for some i ("support-zero"): the i-th invariant factor of
+      A divides the i-th invariant factor of conj(X)^T A X (Newman,
+      *Integral Matrices*, Thm II.15), so A_xi represents A_lam only if lam
+      dominates xi componentwise;
   (b) shift both labels down by one when both end in positive parts
       (rule id "P2.15");
   (c) drop a common trailing zero (rule id "P2.14");
@@ -50,7 +53,7 @@ from .partitions import (
     weight,
     xi_plus,
 )
-from .qalgebra import ONE, RatFunc, ZERO, neg_q_power
+from .qalgebra import ONE, RatFunc, ZERO, lau_iadd_scaled, lau_mul, neg_q_power
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,7 @@ class RewriteRule:
     @property
     def rhs(self):
         """Tuple of (RatFunc coefficient, target template), derived on first use."""
-        return _derived_rhs(self.pattern)
+        return _derived_rhs(self.pattern)[0]
 
     def match(self, xi):
         """Positional placeholder bindings, or None; () means a literal match."""
@@ -141,6 +144,10 @@ class RewriteRule:
 
     def instantiate(self, bind):
         return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in self.rhs]
+
+    def instantiate_laurent(self, bind):
+        """``instantiate`` with each coefficient as a shared Laurent dict (never mutate it)."""
+        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in _derived_rhs(self.pattern)[1]]
 
 
 # The named rules of ranks 2-4 (ids from the source's corollaries 2.17, 2.19
@@ -173,10 +180,13 @@ _RHS = {}
 
 
 def _derived_rhs(sig):
-    rhs = _RHS.get(sig)
-    if rhs is None:
-        rhs = _RHS[sig] = _derive_rhs(sig)
-    return rhs
+    """(rhs, laurent rhs) of a signature: the same right-hand side with RatFunc
+    and with Laurent-dict coefficients; ``NotLaurentError`` if one is not Laurent."""
+    entry = _RHS.get(sig)
+    if entry is None:
+        rhs = _derive_rhs(sig)
+        entry = _RHS[sig] = (rhs, tuple((c.as_laurent(), tpl) for c, tpl in rhs))
+    return entry
 
 
 def _derive_rhs(sig):
@@ -194,7 +204,7 @@ def _derive_rhs(sig):
             continue
         c = -c * hironaka.self_density_closed(p) / own
         # p has fewer trailing zeros than xi, so this recursion ends
-        subs = _derived_rhs(_signature(p)) if p[-1] == 0 else ((ONE, _signature(p)),)
+        subs = _derived_rhs(_signature(p))[0] if p[-1] == 0 else ((ONE, _signature(p)),)
         for c2, tpl in subs:
             child = fill_pattern(tpl, stars)
             acc[child] = acc.get(child, ZERO) + c * c2
@@ -323,8 +333,23 @@ def _measure(xi, lam):
     return (weight(lam), trailing_zeros(xi), len(xi))
 
 
+# Laurent constants shared by many memo entries; like every stored value they
+# are never mutated.
+_LAU_ZERO = {}
+_LAU_ONE = {0: 1}
+
+
 class ReductionEngine:
-    """Rewrites normalized densities with memoization and auditable traces."""
+    """Rewrites normalized densities with memoization and auditable traces.
+
+    Internally every value is a Laurent dict {exponent: coefficient} in
+    ZZ[q, q^-1]: the memo holds them, children are combined with ``lau_mul``
+    and ``lau_iadd_scaled``, and each rule's coefficients are converted once,
+    next to the rule itself.  A ``RatFunc`` is built only at the boundary, by
+    ``normalized_value``, ``reduce_normalized`` and the recorded trace.  A
+    coefficient or leaf outside ZZ[q, q^-1] raises ``NotLaurentError``.
+    Stored values are never mutated, so one engine may be shared by threads.
+    """
 
     def __init__(self, hironaka_engine=None):
         self.hironaka = hironaka_engine or hironaka.HironakaEngine()
@@ -333,22 +358,23 @@ class ReductionEngine:
     # leaf evaluation shared by the tracing and non-tracing paths
     def _leaf(self, xi, lam):
         if (weight(xi) - weight(lam)) % 2:
-            return ZERO, "parity-zero"
-        if xi[-1] > lam[-1]:
-            return ZERO, "support-zero"
+            return _LAU_ZERO, "parity-zero"
+        for x, l in zip(xi, lam):
+            if x > l:
+                return _LAU_ZERO, "support-zero"
         if len(xi) == 1:
-            return self.hironaka.normalized(xi, lam), "base-n1"
+            return self.hironaka.normalized(xi, lam).as_laurent(), "base-n1"
         return None
 
     def _expansion(self, xi, lam):
-        """One rewrite: (rule_id, [(factor, child_xi, child_lam)])."""
+        """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)])."""
         if xi[-1] >= 1 and lam[-1] >= 1:
-            return "P2.15", [(ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
+            return "P2.15", [(_LAU_ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
         if lam[-1] == 0:
-            return "P2.14", [(ONE, xi[:-1], lam[:-1])]
-        # past the leaves (xi_n <= lam_n): xi_n = 0 < lam_n
+            return "P2.14", [(_LAU_ONE, xi[:-1], lam[:-1])]
+        # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
         rule, bind = match_rewrite(xi)
-        return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate(bind)]
+        return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate_laurent(bind)]
 
     def _eval(self, xi, lam, trace):
         key = (xi, lam)
@@ -360,41 +386,44 @@ class ReductionEngine:
         if leaf is not None:
             val, rule = leaf
             if trace is not None:
-                trace.add(TraceStep(rule, xi, lam, value=val))
+                trace.add(TraceStep(rule, xi, lam, value=RatFunc.from_laurent(val)))
             self._memo[key] = val
             return val
         if cached is not None:
             # warm cache at the trace root: record a terminal step with the value
-            trace.add(TraceStep("memo", xi, lam, value=cached))
+            trace.add(TraceStep("memo", xi, lam, value=RatFunc.from_laurent(cached)))
             return cached
         rule_id, children = self._expansion(xi, lam)
         step = trace.add(TraceStep(rule_id, xi, lam)) if trace is not None else None
         here = _measure(xi, lam)
-        val = ZERO
+        val = {}
         for factor, cxi, clam in children:
             if not _measure(cxi, clam) < here:
                 raise RuntimeError(
                     f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
-            child = TraceChild(factor, cxi, clam)
             ckey = (cxi, clam)
+            note = None
             cleaf = self._leaf(cxi, clam)
             if cleaf is not None:
-                sub, child.note = cleaf
-                child.value = sub
+                sub, note = cleaf
                 self._memo.setdefault(ckey, sub)
-            elif ckey in self._memo:
-                sub = self._memo[ckey]
-                if trace is None or not trace.has_expanded(ckey):
-                    # value computed before this trace began: inline it
-                    child.value = sub
-                    child.note = "memo"
             else:
-                sub = self._eval(cxi, clam, trace)
-            val = val + factor * sub
+                sub = self._memo.get(ckey)
+                if sub is None:
+                    sub = self._eval(cxi, clam, trace)
+                elif trace is None or not trace.has_expanded(ckey):
+                    # value computed before this trace began: inline it
+                    note = "memo"
+            if len(children) == 1 and factor is _LAU_ONE:
+                val = sub           # shared with the child, as both are never mutated
+            else:
+                lau_iadd_scaled(val, lau_mul(factor, sub))
             if step is not None:
-                step.children.append(child)
+                step.children.append(TraceChild(
+                    RatFunc.from_laurent(factor), cxi, clam,
+                    value=None if note is None else RatFunc.from_laurent(sub), note=note))
         if step is not None:
-            step.value = val
+            step.value = RatFunc.from_laurent(val)
         self._memo[key] = val
         return val
 
@@ -404,7 +433,7 @@ class ReductionEngine:
         lam = check_partition(lam)
         if len(xi) != len(lam):
             raise ValueError("normalized density needs labels of equal length")
-        return self._eval(xi, lam, None)
+        return RatFunc.from_laurent(self._eval(xi, lam, None))
 
     def reduce_normalized(self, xi, lam):
         """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace)."""
@@ -414,7 +443,7 @@ class ReductionEngine:
             raise ValueError("normalized density needs labels of equal length")
         trace = ReductionTrace(root=(xi, lam))
         val = self._eval(xi, lam, trace)
-        return val, trace
+        return RatFunc.from_laurent(val), trace
 
 
 def reduce_normalized(xi, lam, engine=None):

@@ -29,6 +29,14 @@ def test_normalized_trace(capsys):
     assert "C2.19.7" in steps[0]
 
 
+def test_normalized_trace_support_zero(capsys):
+    # xi_2 = 3 > lam_2 = 2: one support step, where the last parts alone lead
+    # through a four-step chain to the same 0
+    code, out, _ = _capture(capsys, ["normalized", "3,3,0", "4,2,2", "--trace"])
+    assert code == 0
+    assert out.splitlines() == ["0", "step 1: support-zero A_3,3,0(A_4,2,2) = 0"]
+
+
 def test_engines_agree_bytewise(capsys):
     cases = [("3,0,0", "8,3,2"), ("6,0", "8,6"), ("2,0,0", "3,3,2"), ("1,0", "1,1")]
     for xi, lam in cases:
@@ -144,6 +152,13 @@ def test_exit_code_budget(capsys):
     code, _, err = _capture(capsys, ["oracle", "4,0", "4,2", "--p", "3", "--d", "5"])
     assert code == 3
     assert "budget" in err
+
+
+def test_exit_code_histogram_bytes(capsys):
+    code, _, err = _capture(capsys, ["oracle", "1,1,0,0", "1,0,0", "--p", "3", "--d", "2",
+                                     "--budget", str(3 ** 48)])
+    assert code == 3
+    assert "bytes" in err and "budget" in err
 
 
 def test_exit_code_truncation(capsys):

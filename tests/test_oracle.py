@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hermdens.hironaka import alpha
 from hermdens.oracle import (
     DEFAULT_BUDGET,
+    HISTOGRAM_BYTES_CEILING,
     BudgetExceededError,
     GaloisRingParams,
     conj,
@@ -294,6 +296,47 @@ def test_count_memory_is_bounded():
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, (lam_a, lam_b, d, peak)
         assert got == alpha(lam_a, lam_b).evaluate_at(3)
+
+
+def test_histogram_bytes_gate_refuses_before_allocating():
+    # a raised budget admits (1,1,0,0) -> (1,0,0) at p = 3, d = 2, whose
+    # histograms hold 9^9 entries, 3 GB each: refused at once, nothing allocated
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            count_representations((1, 1, 0, 0), (1, 0, 0), GaloisRingParams(3, 2),
+                                  budget=3 ** 48)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 ** 20, peak
+    # distinct diagonal values 1 and p, the accumulator and the convolution's output
+    assert info.value.estimate == 4 * 9 ** 9 * 8 > HISTOGRAM_BYTES_CEILING
+    assert info.value.budget == HISTOGRAM_BYTES_CEILING
+    assert "bytes" in str(info.value)
+
+
+def test_histogram_bytes_gate_admits_default_budget_counts():
+    # m >= n gives M^(n^2) <= M^(mn) = sqrt(M^(2mn)) <= 2^18 entries under the
+    # default budget; with at most m distinct diagonal values, plus the
+    # accumulator and the output, every admitted count stays far below the ceiling
+    worst = 0
+    for p in (3, 5, 7, 11, 13):
+        for d in itertools.count(1):
+            modulus = p ** d
+            if modulus ** 2 > DEFAULT_BUDGET:
+                break
+            for n in range(1, 6):
+                for m in range(n, 20):
+                    if modulus ** (2 * m * n) <= DEFAULT_BUDGET:
+                        worst = max(worst, (m + 2) * modulus ** (n * n) * 8)
+    assert 0 < worst <= 2 ** 23 < HISTOGRAM_BYTES_CEILING
+    # and a count of that kind runs
+    assert density_oracle((0, 0), (0, 0), GaloisRingParams(3, 2)) == \
+        alpha((0, 0), (0, 0)).evaluate_at(3)
 
 
 # the reference's work, candidate columns visited: about 2^22, enough for the

@@ -1,7 +1,10 @@
 """Vanishing relations, the normalized reduction engine, and the generic reducer."""
 
+import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +19,7 @@ from hermdens.partitions import (
     trailing_zeros,
     weight,
 )
-from hermdens.qalgebra import ONE, Q, RatFunc, ZERO, neg_q_power
+from hermdens.qalgebra import NotLaurentError, ONE, Q, RatFunc, ZERO, neg_q_power
 from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
@@ -385,6 +388,131 @@ def test_reduce_zero_shortcuts():
     assert val == ZERO and trace.rule_ids() == ["parity-zero"]
     val, trace = eng.reduce_normalized((2, 2), (3, 1))
     assert val == ZERO and trace.rule_ids() == ["support-zero"]
+
+
+def test_support_leaf_is_sound():
+    # the i-th invariant factor of A divides the i-th one of conj(X)^T A X
+    # (Newman, Integral Matrices, Thm II.15), so alpha(A_xi, A_lam) = 0 when
+    # some xi_i > lam_i: every equal-parity pair with n <= 4 and parts <= 4
+    heng = HironakaEngine()
+    eng = ReductionEngine(heng)
+    pairs = beyond_last_part = 0
+    for n in range(1, 5):
+        labels = list(partitions_fixed_length(n, 0, 4))
+        for xi, lam in itertools.product(labels, labels):
+            if (weight(xi) - weight(lam)) % 2 or all(x <= l for x, l in zip(xi, lam)):
+                continue
+            assert heng.alpha(xi, lam) == ZERO, (xi, lam)
+            val, trace = eng.reduce_normalized(xi, lam)
+            assert val == ZERO and trace.rule_ids() == ["support-zero"], (xi, lam)
+            pairs += 1
+            beyond_last_part += xi[-1] <= lam[-1]
+    assert (pairs, beyond_last_part) == (1995, 941)
+
+
+# ---------------------------------------------------------------------------
+# Laurent values inside the engine
+# ---------------------------------------------------------------------------
+
+def test_derived_rule_coefficients_are_laurent():
+    # every zero-tailed signature of ranks 2-6; "*" slots filled with 3
+    for n in range(2, 7):
+        for head in itertools.combinations_with_replacement(("*", 2, 1, 0), n - 1):
+            xi = fill_pattern(head + (0,), (3,) * head.count("*"))
+            rule, bind = match_rewrite(xi)
+            rhs = rule.instantiate(bind)
+            laurent = rule.instantiate_laurent(bind)
+            assert [p for _, p in laurent] == [p for _, p in rhs], xi
+            for (coeff, _), (lau, _) in zip(rhs, laurent):
+                assert coeff.as_laurent() == lau and RatFunc.from_laurent(lau) == coeff, xi
+
+
+_POISON_C2_17_3 = """
+import hermdens.relations as relations
+from hermdens.qalgebra import ONE, Q
+
+def _poisoned(derive):
+    # rule C2.17.3, (2, 0), gets the coefficient 1/(1+q), outside ZZ[q, q^-1]
+    def inner(sig):
+        rhs = derive(sig)
+        if sig == (2, 0):
+            rhs = ((ONE / (ONE + Q), rhs[0][1]),) + rhs[1:]
+        return rhs
+    return inner
+"""
+
+
+def test_non_laurent_coefficient_raises(monkeypatch):
+    import hermdens.relations as relations
+    scope = {}
+    exec(_POISON_C2_17_3, scope)
+    monkeypatch.setattr(relations, "_RHS", {})
+    monkeypatch.setattr(relations, "_derive_rhs", scope["_poisoned"](relations._derive_rhs))
+    with pytest.raises(NotLaurentError):
+        ReductionEngine().normalized_value((2, 0), (3, 1))
+
+
+def test_non_laurent_leaf_raises(monkeypatch):
+    heng = HironakaEngine()
+    monkeypatch.setattr(heng, "normalized", lambda xi, lam: ONE / (ONE + Q))
+    with pytest.raises(NotLaurentError):
+        ReductionEngine(heng).normalized_value((1, 1), (3, 1))
+
+
+def test_non_laurent_coefficient_raises_without_asserts():
+    # the same check in an interpreter that strips assert statements
+    script = _POISON_C2_17_3 + "\n".join((
+        "import sys",
+        "from hermdens.qalgebra import NotLaurentError",
+        "assert False, 'assert statements are on'",
+        "relations._derive_rhs = _poisoned(relations._derive_rhs)",
+        "try:",
+        "    relations.ReductionEngine().normalized_value((2, 0), (3, 1))",
+        "except NotLaurentError:",
+        "    sys.exit(0)",
+        "sys.exit(1)",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_engine_memo_is_never_mutated():
+    rng = random.Random(909)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        cases.append((tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True)),
+                      tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))))
+    eng = ReductionEngine()
+    first = [eng.normalized_value(*c) for c in cases[:30]]
+    stored = {key: (val, dict(val)) for key, val in eng._memo.items()}
+    for xi, lam in cases[30:] + cases[:30]:
+        val, trace = eng.reduce_normalized(xi, lam)
+        assert trace.replay() == val
+    assert [eng.normalized_value(*c) for c in cases[:30]] == first
+    for key, (val, copy) in stored.items():
+        assert eng._memo[key] is val and val == copy, key
+
+
+def test_reduce_matches_direct_seeded_up_to_rank5():
+    rng = random.Random(20261018)
+    heng = HironakaEngine()
+    red = ReductionEngine(HironakaEngine())
+    nonzero = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        lam = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        # half the time xi is drawn below lam's parts, so that many values are not 0
+        if rng.random() < 0.5:
+            xi = tuple(sorted((rng.randint(0, l) for l in lam), reverse=True))
+        else:
+            xi = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        val = red.normalized_value(xi, lam)
+        assert val == heng.normalized(xi, lam), (xi, lam)
+        nonzero += not val.is_zero
+    assert nonzero >= 40
 
 
 # ---------------------------------------------------------------------------
