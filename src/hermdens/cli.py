@@ -299,8 +299,7 @@ def _oracle_params(args):
 
 def _cmd_oracle(args):
     params = _oracle_params(args)
-    count = oracle.count_representations(args.xi, args.lam, params,
-                                         budget=args.budget, workers=args.workers)
+    count = oracle.count_representations(args.xi, args.lam, params, budget=args.budget)
     m, n = len(args.xi), len(args.lam)
     exp = oracle.denominator_exponent(m, n, args.d)
     density = Fraction(count, args.p ** exp)
@@ -313,13 +312,11 @@ def _cmd_crosscheck(args):
     if args.d <= max(args.lam):
         raise UsageError(f"need d > max part of lambda = {max(args.lam)}")
     symbolic = hironaka.alpha(args.xi, args.lam).evaluate_at(args.p)
-    empirical = oracle.density_oracle(args.xi, args.lam, params,
-                                      budget=args.budget, workers=args.workers)
+    empirical = oracle.density_oracle(args.xi, args.lam, params, budget=args.budget)
     confirmed = None
     try:
         nxt = GaloisRingParams(args.p, args.d + 1, args.nonresidue)
-        confirmed = oracle.density_oracle(args.xi, args.lam, nxt,
-                                          budget=args.budget, workers=args.workers) == empirical
+        confirmed = oracle.density_oracle(args.xi, args.lam, nxt, budget=args.budget) == empirical
     except BudgetExceededError:
         confirmed = None
     ok = symbolic == empirical and confirmed is not False

@@ -86,8 +86,7 @@ class SumReport:
         }
 
 
-def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1,
-                            probe=True):
+def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
     """Sum term_fn over partitions of the given length with parts >= min_part,
     grouped by first part from ``start`` upward, under the truncation policy.
 
@@ -117,12 +116,11 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1,
             f"{name}: no zero tail of length {policy.zero_tail_window} "
             f"within hard cap {policy.hard_cap}")
     report.stopped_at = stopped
-    if probe:
-        probe_level = policy.hard_cap + 1
-        probe_part = next(partitions_first_part(probe_level, length, min_part))
-        if not term_fn(probe_part).is_zero:
-            raise TruncationUnsoundError(f"{name}: nonzero probe term at level {probe_level}")
-        report.probe_level = probe_level
+    probe_level = policy.hard_cap + 1
+    probe_part = next(partitions_first_part(probe_level, length, min_part))
+    if not term_fn(probe_part).is_zero:
+        raise TruncationUnsoundError(f"{name}: nonzero probe term at level {probe_level}")
+    report.probe_level = probe_level
     return total, report
 
 

@@ -32,6 +32,7 @@ blocks, so memory is the O(M^(n^2)) histograms, at most the square root of
 the nominal work M^(2mn), which the budget gate bounds; a second gate refuses
 any count whose histograms would exceed ``HISTOGRAM_BYTES_CEILING`` bytes,
 whatever the budget.  Counts are exact: int64 below 2^63, Python ints beyond.
+The count runs in the calling process, in a single pass.
 """
 
 from __future__ import annotations
@@ -294,15 +295,13 @@ def _read(f, g, target, dims):
     return total
 
 
-def count_solutions_matrix(ga, gb, ba, bb, m, n, params,
-                           budget=DEFAULT_BUDGET, workers=1, chunks=None):
+def count_solutions_matrix(ga, gb, ba, bb, m, n, params, budget=DEFAULT_BUDGET):
     """Exact solution count for conj(X)^T A X == B with component matrices given.
 
     ``ga``/``gb`` are the m x m integer component matrices of A, which must
     be diagonal and hermitian (ValueError otherwise); ``ba``/``bb`` are the
     n x n components of B, and a B that is not hermitian mod p^d has no
-    solutions.  ``workers`` and ``chunks`` are accepted so that existing
-    callers keep working; they change nothing.
+    solutions.
     """
     modulus = params.modulus
     estimate = modulus ** (2 * m * n)
@@ -337,13 +336,12 @@ def _diagonal_components(parts, params):
     return ga, gb
 
 
-def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET,
-                          workers=1, chunks=None):
+def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET):
     """Count X in M_{m,n}(R) with conj(X)^T diag(p^lam_a) X == diag(p^lam_b).
 
     Requires m >= n and d greater than the largest part of lam_b (below that
     level the congruence has not stabilized and the count is meaningless as
-    a density numerator).  ``workers`` and ``chunks`` change nothing.
+    a density numerator).
     """
     lam_a = check_partition(lam_a)
     lam_b = check_partition(lam_b)
@@ -354,26 +352,24 @@ def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET,
     ga, gb = _diagonal_components(lam_a, params)
     ba, bb = _diagonal_components(lam_b, params)
     return count_solutions_matrix(ga, gb, ba, bb, len(lam_a), len(lam_b), params,
-                                  budget=budget, workers=workers, chunks=chunks)
+                                  budget=budget)
 
 
 def denominator_exponent(m, n, d):
     return d * n * (2 * m - n)
 
 
-def density_oracle(lam_a, lam_b, params, budget=DEFAULT_BUDGET, workers=1, chunks=None):
-    """count / p^(d n (2m - n)) as an exact Fraction; ``workers``/``chunks`` change nothing."""
-    cnt = count_representations(lam_a, lam_b, params, budget=budget,
-                                workers=workers, chunks=chunks)
+def density_oracle(lam_a, lam_b, params, budget=DEFAULT_BUDGET):
+    """count / p^(d n (2m - n)) as an exact Fraction."""
+    cnt = count_representations(lam_a, lam_b, params, budget=budget)
     m, n = len(lam_a), len(lam_b)
     return Fraction(cnt, params.p ** denominator_exponent(m, n, params.d))
 
 
-def stabilization_check(lam_a, lam_b, params, d_list, budget=DEFAULT_BUDGET,
-                        workers=1):
+def stabilization_check(lam_a, lam_b, params, d_list, budget=DEFAULT_BUDGET):
     """Densities at each depth in d_list (callers assert the tail is constant)."""
     out = []
     for d in d_list:
         pd = GaloisRingParams(params.p, d, params.c)
-        out.append(density_oracle(lam_a, lam_b, pd, budget=budget, workers=workers))
+        out.append(density_oracle(lam_a, lam_b, pd, budget=budget))
     return out

@@ -8,10 +8,13 @@ on them:
 * ``IntPoly``   -- integer polynomial in q, stored as a sparse map from
                    non-negative exponent to nonzero coefficient;
 * ``RatFunc``   -- quotient of two ``IntPoly`` in canonical reduced form
-                   (the universal value type of the package);
+                   (the universal value type of the package); the
+                   polynomial gcd is taken only when the denominator is not
+                   a monomial c*q^k, so Laurent values never reach it;
 * ``neg_q_power(e)``      -- the exact power (-q)^e for any integer e;
-* ``gauss_binomial(u,v)`` -- the q-binomial built from the descending
-                   products prod_{i=1..k} (1 - (-q)^{-i});
+* ``gauss_binomial(u,v)`` -- the q-binomial, the quotient of the descending
+                   products prod_{i=1..k} (1 - (-q)^{-i}), built by the
+                   q-Pascal rule without any division;
 * ``evaluate_at`` / ``as_laurent`` -- exact numeric specialization and the
                    membership check for ZZ[q, q^-1].
 
@@ -316,52 +319,29 @@ def lau_neg_q(e):
     return {e: 1 if e % 2 == 0 else -1}
 
 
-def lau_div_exact(a, b):
-    """Exact Laurent quotient a/b; raises ArithmeticError if not exact."""
-    if not b:
-        raise ZeroDivisionError("Laurent division by zero")
-    if not a:
-        return {}
-    sa, sb = min(a), min(b)
-    pa = IntPoly({e - sa: c for e, c in a.items()})
-    pb = IntPoly({e - sb: c for e, c in b.items()})
-    quo = pa.exact_div(pb)
-    if quo is None:
-        raise ArithmeticError("inexact Laurent division")
-    return {e + sa - sb: c for e, c in quo.coeffs.items()}
-
-
-@lru_cache(maxsize=None)
-def _descending_factor_product(k):
-    """prod_{i=1..k} (1 - (-q)^{-i}) as a tuple of Laurent items."""
-    acc = {0: 1}
-    for i in range(1, k + 1):
-        acc = lau_mul(acc, {0: 1, -i: -(1 if i % 2 == 0 else -1)})
-    return tuple(sorted(acc.items()))
-
-
 @lru_cache(maxsize=None)
 def gauss_laurent(u, v):
     """Gaussian binomial [u; v] as a tuple of Laurent items.
 
-    Defined as prod_{i=1..u}(1-(-q)^{-i}) divided by the corresponding
-    products for v and u-v; the quotient is always a polynomial in (-q)^{-1}.
+    [u; v] is prod_{i=1..u}(1-(-q)^{-i}) divided by the corresponding
+    products for v and u-v, a polynomial in (-q)^{-1}.  It is built row by
+    row with the q-Pascal rule [k; j] = [k-1; j-1] + (-q)^{-j} [k-1; j], so
+    only additions are needed.
     """
     if v < 0 or u < v:
         raise ValueError(f"gauss_binomial requires u >= v >= 0, got ({u}, {v})")
-    num = dict(_descending_factor_product(u))
-    den = lau_mul(dict(_descending_factor_product(v)),
-                  dict(_descending_factor_product(u - v)))
-    return tuple(sorted(lau_div_exact(num, den).items()))
+    row = [{0: 1}]      # [k; 0], ..., [k; min(k, v)], from k = 0
+    for k in range(1, u + 1):
+        row = [{0: 1}] + [
+            lau_iadd_scaled(dict(row[j - 1]), row[j] if j < k else {},
+                            shift=-j, scale=-1 if j % 2 else 1)
+            for j in range(1, min(k, v) + 1)]
+    return tuple(sorted(row[v].items()))
 
 
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
-
-# exact-division fast path is attempted before a full gcd beyond this size
-_GCD_FAST_PATH_DEGREE = 16
-
 
 class RatFunc:
     """Reduced fraction of integer polynomials in q.
@@ -395,20 +375,17 @@ class RatFunc:
         if cg > 1:
             num = num.div_int(cg)
             den = den.div_int(cg)
-        if den.degree() > 0:
-            quo = None
-            if min(num.degree(), den.degree()) > _GCD_FAST_PATH_DEGREE:
-                quo = num.exact_div(den)
-            if quo is not None:
-                num, den = quo, _POLY_ONE
-            else:
-                g = poly_gcd(num, den)
-                if g.degree() > 0 or g.leading_coeff() not in (0, 1):
-                    nq = num.exact_div(g)
-                    dq = den.exact_div(g)
-                    if nq is None or dq is None:
-                        raise ArithmeticError(f"gcd {g} does not divide both {num} and {den}")
-                    num, den = nq, dq
+        # After the shift a monomial denominator is a constant or faces a
+        # numerator with a nonzero constant term, and the contents are now
+        # coprime, so its gcd with the numerator is 1.
+        if len(den.coeffs) > 1:
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                nq = num.exact_div(g)
+                dq = den.exact_div(g)
+                if nq is None or dq is None:
+                    raise ArithmeticError(f"gcd {g} does not divide both {num} and {den}")
+                num, den = nq, dq
         if den.leading_coeff() < 0:
             num, den = -num, -den
         self.num = num

@@ -10,13 +10,17 @@ d_{n,s,i}, and the whole combination annihilates alpha(., B).
 
 ``ReductionEngine.reduce_normalized`` evaluates normalized densities
 A_xi(A_lam) by rewriting instead of direct summation, in Laurent form
-internally (every rule coefficient lies in ZZ[q, q^-1]).  The rewrite loop:
+internally (every rule coefficient lies in ZZ[q, q^-1]), and never calls
+the direct formula.  The rewrite loop:
 
   (a) 0 when the weights have different parity ("parity-zero"), and 0 when
       xi_i > lam_i for some i ("support-zero"): the i-th invariant factor of
       A divides the i-th invariant factor of conj(X)^T A X (Newman,
       *Integral Matrices*, Thm II.15), so A_xi represents A_lam only if lam
-      dominates xi componentwise;
+      dominates xi componentwise; past these, 1 at rank 1 ("base-n1"):
+      alpha(A_x, A_l) = (q+1) q^(x-1) whenever l >= x and l = x mod 2,
+      because the norm map is onto the units of an unramified extension
+      (Serre, *Local Fields*, V section 2), so A_x(A_l) = 1;
   (b) shift both labels down by one when both end in positive parts
       (rule id "P2.15");
   (c) drop a common trailing zero (rule id "P2.14");
@@ -346,24 +350,26 @@ class ReductionEngine:
     ZZ[q, q^-1]: the memo holds them, children are combined with ``lau_mul``
     and ``lau_iadd_scaled``, and each rule's coefficients are converted once,
     next to the rule itself.  A ``RatFunc`` is built only at the boundary, by
-    ``normalized_value``, ``reduce_normalized`` and the recorded trace.  A
-    coefficient or leaf outside ZZ[q, q^-1] raises ``NotLaurentError``.
+    ``normalized_value``, ``reduce_normalized`` and the recorded trace.  The
+    leaves are constants ("parity-zero" and "support-zero" are 0, "base-n1"
+    is 1) and cost O(n) to recompute, so only rewritten values are memoized.
+    A rule coefficient outside ZZ[q, q^-1] raises ``NotLaurentError``.
     Stored values are never mutated, so one engine may be shared by threads.
     """
 
-    def __init__(self, hironaka_engine=None):
-        self.hironaka = hironaka_engine or hironaka.HironakaEngine()
+    def __init__(self):
         self._memo = {}
 
     # leaf evaluation shared by the tracing and non-tracing paths
-    def _leaf(self, xi, lam):
+    @staticmethod
+    def _leaf(xi, lam):
         if (weight(xi) - weight(lam)) % 2:
             return _LAU_ZERO, "parity-zero"
         for x, l in zip(xi, lam):
             if x > l:
                 return _LAU_ZERO, "support-zero"
         if len(xi) == 1:
-            return self.hironaka.normalized(xi, lam).as_laurent(), "base-n1"
+            return _LAU_ONE, "base-n1"
         return None
 
     def _expansion(self, xi, lam):
@@ -387,7 +393,6 @@ class ReductionEngine:
             val, rule = leaf
             if trace is not None:
                 trace.add(TraceStep(rule, xi, lam, value=RatFunc.from_laurent(val)))
-            self._memo[key] = val
             return val
         if cached is not None:
             # warm cache at the trace root: record a terminal step with the value
@@ -406,7 +411,6 @@ class ReductionEngine:
             cleaf = self._leaf(cxi, clam)
             if cleaf is not None:
                 sub, note = cleaf
-                self._memo.setdefault(ckey, sub)
             else:
                 sub = self._memo.get(ckey)
                 if sub is None:
@@ -458,11 +462,11 @@ def reduce_normalized(xi, lam, engine=None):
 class GenericAlphaReducer:
     """Evaluates alpha(A_xi, A_lam) for equal lengths through the relations:
     the normalized density from the reduction engine times the closed
-    self-density."""
+    self-density.  ``hironaka_engine`` is accepted for compatibility and not
+    used: no value comes from the direct formula."""
 
     def __init__(self, hironaka_engine=None, reduction_engine=None):
-        self.hironaka = hironaka_engine or hironaka.HironakaEngine()
-        self.reducer = reduction_engine or ReductionEngine(self.hironaka)
+        self.reducer = reduction_engine or ReductionEngine()
 
     def alpha_value(self, xi, lam):
         return self.reducer.normalized_value(xi, lam) * hironaka.self_density_closed(xi)

@@ -147,7 +147,7 @@ def test_criterion_05_reduction_engine(hiro):
     """Engine equals direct on 200 random cases and the worked values."""
     t0 = time.perf_counter()
     rng = random.Random(SEED)
-    red = ReductionEngine(HironakaEngine())
+    red = ReductionEngine()
     for _ in range(200):
         n = rng.randint(1, 4)
         xi = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))

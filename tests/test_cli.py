@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from hermdens.cli import run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def _capture(capsys, argv):
@@ -171,3 +174,11 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "q^6+2q^5+q^4"
+
+
+def test_cli_golden(capsys):
+    # the README examples and a few edge cases, in text and JSON, byte for byte;
+    # tests/data/make_cli_golden.py rewrites the file when the contract changes
+    for case in json.loads(GOLDEN.read_text()):
+        code, out, _ = _capture(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -138,6 +138,17 @@ def test_normalized_examples():
     assert normalized((1, 0), (1, 1)) == ZERO
 
 
+def test_rank1_density_is_constant_on_the_support():
+    # the norm map is onto the units of an unramified extension, so
+    # alpha(A_x, A_l) = (q+1) q^(x-1) for l >= x, l = x mod 2: the direct
+    # formula is the reference for the reduction engine's "base-n1" leaf, 1
+    eng = HironakaEngine()
+    for l in range(31):
+        for x in range(l % 2, l + 1, 2):
+            assert eng.alpha((x,), (l,)) == (Q + 1) * Q ** (x - 1), (x, l)
+            assert eng.normalized((x,), (l,)) == ONE, (x, l)
+
+
 def test_normalized_parity_shortcut_agrees_with_full_evaluation():
     rng = random.Random(6)
     eng = HironakaEngine()

@@ -229,14 +229,6 @@ def test_oracle_matches_symbolic_on_sampled_grid():
         assert density_oracle(la, lb, params) == alpha(la, lb).evaluate_at(p), (p, d, la, lb)
 
 
-def test_chunking_and_workers_are_deterministic():
-    params = GaloisRingParams(3, 2)
-    base = count_representations((0, 0), (0, 0), params)
-    assert base == count_representations((0, 0), (0, 0), params, chunks=7)
-    assert base == count_representations((0, 0), (0, 0), params, chunks=13)
-    assert base == count_representations((0, 0), (0, 0), params, workers=2)
-
-
 def test_nonresidue_independence():
     for la, lb, d in (((1,), (1,), 2), ((0, 0), (0, 0), 1)):
         a = density_oracle(la, lb, GaloisRingParams(5, d, 2))

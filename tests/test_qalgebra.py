@@ -18,6 +18,7 @@ from hermdens.qalgebra import (
     evaluate_at,
     gauss_binomial,
     neg_q_power,
+    poly_gcd,
 )
 
 
@@ -114,6 +115,20 @@ def test_gauss_symmetry():
             assert gauss_binomial(u, v) == gauss_binomial(u, u - v)
 
 
+def test_gauss_binomial_is_the_product_quotient():
+    # [u; v] = P(u) / (P(v) P(u-v)) with P(k) = prod_{i=1..k} (1 - (-q)^-i), by
+    # RatFunc division; P(k) = N(k) (-q)^(-k(k+1)/2) with N(k) = prod ((-q)^i - 1),
+    # and dividing the polynomials N keeps the gcd to one pseudo-division
+    tri = [k * (k + 1) // 2 for k in range(31)]
+    polys = [ONE]
+    for i in range(1, 31):
+        polys.append(polys[-1] * (neg_q_power(i) - 1))
+    for u in range(31):
+        for v in range(u // 2 + 1):
+            want = polys[u] / (polys[v] * polys[u - v]) * neg_q_power(tri[v] + tri[u - v] - tri[u])
+            assert gauss_binomial(u, v) == want == gauss_binomial(u, u - v), (u, v)
+
+
 def test_pascal_type_step():
     # [k+1; j] - [k; j] = (-q)^(-k-1+j) [k; j-1]
     for k in range(1, 11):
@@ -167,6 +182,32 @@ def test_canonical_form():
     assert IntPoly({}).exact_div(q_1) == IntPoly({})
     with pytest.raises(ZeroDivisionError):
         q_1.exact_div(IntPoly({}))
+
+
+def _gcd_reduced(num, den):
+    # the canonical form written out with the full gcd: divide both by
+    # poly_gcd (content included), then make the leading coefficient of the
+    # denominator positive
+    if num.is_zero:
+        return IntPoly({}), IntPoly({0: 1})
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return (-num, -den) if den.leading_coeff() < 0 else (num, den)
+
+
+def test_monomial_denominator_matches_gcd_reduction():
+    # a denominator c*q^k skips the polynomial gcd; the result must not change
+    rng = random.Random(20261018)
+    for k in range(9):
+        for _ in range(30):
+            c = rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 9, 12, 35))
+            content = rng.choice((1, 2, 3, 5, 6, 12))
+            low = rng.randint(0, 10)
+            num = IntPoly({e: content * rng.randint(-9, 9)
+                           for e in range(low, low + rng.randint(0, 8))})
+            for n in (num, IntPoly({})):
+                f = RatFunc(n, IntPoly({k: c}))
+                assert (f.num, f.den) == _gcd_reduced(n, IntPoly({k: c})), (n, c, k)
 
 
 def test_json_roundtrip():

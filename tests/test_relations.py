@@ -301,7 +301,7 @@ def test_reduce_worked_values():
 def test_reduce_matches_direct_randomized():
     rng = random.Random(20260809)
     heng = HironakaEngine()
-    red = ReductionEngine(HironakaEngine())
+    red = ReductionEngine()
     for _ in range(60):
         n = rng.randint(1, 4)
         xi = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
@@ -395,7 +395,7 @@ def test_support_leaf_is_sound():
     # (Newman, Integral Matrices, Thm II.15), so alpha(A_xi, A_lam) = 0 when
     # some xi_i > lam_i: every equal-parity pair with n <= 4 and parts <= 4
     heng = HironakaEngine()
-    eng = ReductionEngine(heng)
+    eng = ReductionEngine()
     pairs = beyond_last_part = 0
     for n in range(1, 5):
         labels = list(partitions_fixed_length(n, 0, 4))
@@ -452,13 +452,6 @@ def test_non_laurent_coefficient_raises(monkeypatch):
         ReductionEngine().normalized_value((2, 0), (3, 1))
 
 
-def test_non_laurent_leaf_raises(monkeypatch):
-    heng = HironakaEngine()
-    monkeypatch.setattr(heng, "normalized", lambda xi, lam: ONE / (ONE + Q))
-    with pytest.raises(NotLaurentError):
-        ReductionEngine(heng).normalized_value((1, 1), (3, 1))
-
-
 def test_non_laurent_coefficient_raises_without_asserts():
     # the same check in an interpreter that strips assert statements
     script = _POISON_C2_17_3 + "\n".join((
@@ -499,7 +492,7 @@ def test_engine_memo_is_never_mutated():
 def test_reduce_matches_direct_seeded_up_to_rank5():
     rng = random.Random(20261018)
     heng = HironakaEngine()
-    red = ReductionEngine(HironakaEngine())
+    red = ReductionEngine()
     nonzero = 0
     for _ in range(200):
         n = rng.randint(1, 5)
