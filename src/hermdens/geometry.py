@@ -22,8 +22,15 @@ Operations:
 * ``conjecture_check``      -- the proposed expansion of the rank-4 derived
   density into horizontal terms and vertex-lattice counts of type (1,1,1,0).
 
-All values are exact ``RatFunc``; inner normalized densities come from the
-reduction engine by default, or from direct evaluation for cross-checking.
+Inner normalized densities come from the reduction engine by default, or
+from direct evaluation for cross-checking; either way through the engine's
+``laurent_value``, which returns a Laurent dict {exponent: coefficient}
+(every density here lies in ZZ[q, q^-1]).  Before an engine is asked, a
+screen answers 0 for labels that ``relations.provable_zero`` rules out
+(weight parity and componentwise support), as most labels in these sums
+are; a screened term still counts in its level's report.  The sums, their
+weights and the term functions stay in Laurent form, and each public
+function builds one exact ``RatFunc`` per value it returns.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from dataclasses import dataclass, field
 
 from . import hironaka
 from .partitions import check_partition, partitions_first_part, weight
-from .qalgebra import ONE, Q, RatFunc, ZERO
-from .relations import ReductionEngine
+from .qalgebra import RatFunc, lau_iadd_scaled, lau_mul
+from .relations import ReductionEngine, provable_zero
 
 
 class TruncationUnsoundError(RuntimeError):
@@ -90,10 +97,11 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
     """Sum term_fn over partitions of the given length with parts >= min_part,
     grouped by first part from ``start`` upward, under the truncation policy.
 
-    Returns (value, SumReport).  A level counts as zero only when every term
-    at that level is exactly zero (cancellation does not stop the scan).
+    Terms and the sum are Laurent dicts; returns (value, SumReport).  A level
+    counts as zero only when every term at that level is exactly zero
+    (cancellation does not stop the scan).
     """
-    total = ZERO
+    total = {}
     report = SumReport(name=name)
     zero_run = 0
     stopped = None
@@ -103,9 +111,9 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
         for part in partitions_first_part(level, length, min_part):
             val = term_fn(part)
             n_terms += 1
-            if not val.is_zero:
+            if val:
                 all_zero = False
-                total = total + val
+                lau_iadd_scaled(total, val)
         report.levels.append(LevelRecord(level, n_terms, all_zero))
         zero_run = zero_run + 1 if all_zero else 0
         if zero_run >= policy.zero_tail_window:
@@ -118,7 +126,7 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
     report.stopped_at = stopped
     probe_level = policy.hard_cap + 1
     probe_part = next(partitions_first_part(probe_level, length, min_part))
-    if not term_fn(probe_part).is_zero:
+    if term_fn(probe_part):
         raise TruncationUnsoundError(f"{name}: nonzero probe term at level {probe_level}")
     report.probe_level = probe_level
     return total, report
@@ -146,14 +154,42 @@ def make_engine(kind="reduce"):
     raise ValueError(f"unknown engine kind {kind!r}")
 
 
+def _screened(engine):
+    """A_xi(A_lam) as a Laurent dict for labels built here: {} where
+    ``provable_zero`` applies, else the engine's ``laurent_value``.  The
+    returned dicts may be shared and are never mutated."""
+    value = engine.laurent_value
+
+    def screened(xi, lam):
+        return {} if provable_zero(xi, lam) else value(xi, lam)
+    return screened
+
+
+def _combine(pairs):
+    """sum of coeff * value over (Laurent coeff, Laurent value) pairs, as a new dict."""
+    acc = {}
+    for coeff, val in pairs:
+        lau_iadd_scaled(acc, lau_mul(coeff, val))
+    return acc
+
+
+# Laurent constants of the sums below
+_LAU_ONE = {0: 1}
+_ONE_MINUS_Q = {0: 1, 1: -1}
+_ONE_MINUS_Q2 = {0: 1, 2: -1}
+_MINUS_Q = {1: -1}
+_MINUS_Q2 = {2: -1}
+_Q_MINUS_Q2 = {1: 1, 2: -1}
+
+
 # ---------------------------------------------------------------------------
 # the rank-4 derived density
 # ---------------------------------------------------------------------------
 
-_W1 = ONE
-_W2 = ONE + Q
-_W3 = (ONE + Q) * (ONE - Q ** 2)
-_W4 = (ONE + Q) * (ONE - Q ** 2) * (ONE + Q ** 3)
+_W1 = _LAU_ONE
+_W2 = {0: 1, 1: 1}
+_W3 = lau_mul(_W2, _ONE_MINUS_Q2)                   # (1+q)(1-q^2)
+_W4 = lau_mul(_W3, {0: 1, 3: 1})                    # (1+q)(1-q^2)(1+q^3)
 
 
 def _validate_rank4(b):
@@ -165,23 +201,27 @@ def _validate_rank4(b):
     return b
 
 
-def derivative_0000_report(b, policy=None, engine=None):
-    """Derived density of the rank-4 unimodular class against B, with reports."""
-    b = _validate_rank4(b)
-    policy = policy or SumTruncationPolicy.for_target(b)
-    engine = engine or _default_engine()
-    nv = engine.normalized_value
-
+def _derivative_laurent(b, policy, engine):
+    """``derivative_0000_report`` of a validated class, as a Laurent dict."""
+    nv = _screened(engine)
     sums = []
-    total = ZERO
+    total = {}
     for k, coeff in ((1, _W1), (2, _W2), (3, _W3), (4, _W4)):
         def term(part, _k=k):
             return nv(part + (0,) * (4 - _k), b)
         val, rep = truncated_partition_sum(
             f"tail{4 - k}-zeros", k, 1, term, policy)
         sums.append(rep)
-        total = total + coeff * val
+        lau_iadd_scaled(total, lau_mul(coeff, val))
     return total, sums
+
+
+def derivative_0000_report(b, policy=None, engine=None):
+    """Derived density of the rank-4 unimodular class against B, with reports."""
+    b = _validate_rank4(b)
+    policy = policy or SumTruncationPolicy.for_target(b)
+    total, sums = _derivative_laurent(b, policy, engine or _default_engine())
+    return RatFunc.from_laurent(total), sums
 
 
 def derivative_0000(b, policy=None, engine=None):
@@ -202,21 +242,20 @@ def sankaran_intersection_report(b, policy=None, engine=None):
     if len(b) != 2:
         raise ValueError(f"need a length-2 class, got {b}")
     policy = policy or SumTruncationPolicy.for_target(b)
-    engine = engine or _default_engine()
-    nv = engine.normalized_value
+    nv = _screened(engine or _default_engine())
 
-    total = -(Q - 1) * nv((1, 1), b)
+    total = lau_mul(_ONE_MINUS_Q, nv((1, 1), b))
     reports = []
     val, rep = truncated_partition_sum(
         "pairs-ge-2", 2, 2, lambda part: nv(part, b), policy, min_part=2)
     reports.append(rep)
-    total = total - (Q ** 2 - 1) * val
+    lau_iadd_scaled(total, lau_mul(_ONE_MINUS_Q2, val))
     for tail in (1, 0):
         val, rep = truncated_partition_sum(
             f"column-{tail}", 1, 2, lambda part, _t=tail: nv(part + (_t,), b), policy)
         reports.append(rep)
-        total = total + val
-    return total, reports
+        lau_iadd_scaled(total, val)
+    return RatFunc.from_laurent(total), reports
 
 
 def sankaran_intersection(b, policy=None, engine=None):
@@ -233,25 +272,24 @@ def difference_identity_check(b, policy=None, engine=None):
     if len(b) != 2 or b[1] < 2:
         raise ValueError(f"need a length-2 class with both parts >= 2, got {b}")
     policy = policy or SumTruncationPolicy.for_target(b, min_cap=6)
-    engine = engine or _default_engine()
-    nv = engine.normalized_value
+    nv = _screened(engine or _default_engine())
     b_mixed = (b[0], b[1] - 2)
 
-    lhs = (-Q * nv((1, 1), b) + nv((0, 0), b_mixed)
-           - Q * nv((1, 1), b_mixed) + nv((2, 2), b))
+    lhs = _combine(((_MINUS_Q, nv((1, 1), b)), (_LAU_ONE, nv((0, 0), b_mixed)),
+                    (_MINUS_Q, nv((1, 1), b_mixed)), (_LAU_ONE, nv((2, 2), b))))
 
-    rhs = (-(Q - 1) * nv((1, 1), b) - (Q ** 2 - 1) * nv((2, 2), b)
-           - (Q ** 2 - Q) * nv((3, 3), b) + nv((2, 0), b) + nv((3, 1), b))
-    q2 = Q ** 2
+    rhs = _combine(((_ONE_MINUS_Q, nv((1, 1), b)), (_ONE_MINUS_Q2, nv((2, 2), b)),
+                    (_Q_MINUS_Q2, nv((3, 3), b)), (_LAU_ONE, nv((2, 0), b)),
+                    (_LAU_ONE, nv((3, 1), b))))
     for tail, scaled_tail in ((0, 2), (1, 3)):
         def term(part, _t=tail, _s=scaled_tail):
             lead = part[0]
-            return nv((lead, _t), b) - q2 * nv((lead, _s), b)
+            return _combine(((_LAU_ONE, nv((lead, _t), b)), (_MINUS_Q2, nv((lead, _s), b))))
         val, _ = truncated_partition_sum(
             f"tail-{tail}-minus-{scaled_tail}", 1, 4, term, policy)
-        rhs = rhs + val
-    residual = lhs - rhs
-    return residual.is_zero, residual
+        lau_iadd_scaled(rhs, val)
+    residual = lau_iadd_scaled(lhs, rhs, scale=-1)
+    return not residual, RatFunc.from_laurent(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -304,66 +342,70 @@ def conjecture_check(b, policy=None, engine=None):
     tail3 = b[1:]
     policy = policy or SumTruncationPolicy.for_target(b)
     engine = engine or _default_engine()
-    nv = engine.normalized_value
+    nv = _screened(engine)
 
     reports = []
     terms = []
 
-    lhs, lhs_reports = derivative_0000_report(b, policy, engine)
+    lhs, lhs_reports = _derivative_laurent(b, policy, engine)
     reports.extend(lhs_reports)
 
     deriv_cache = {}
 
     def deriv(cls4):
         if cls4 not in deriv_cache:
-            val, reps = derivative_0000_report(cls4, policy, engine)
+            val, reps = _derivative_laurent(cls4, policy, engine)
             reports.extend(reps)
             deriv_cache[cls4] = val
         return deriv_cache[cls4]
 
-    rhs = nv((1, 0, 0), tail3) * deriv((alpha_part, 1, 0, 0))
-    terms.append({"term": "horizontal-base", "value": str(rhs)})
+    def term_record(name, val):
+        terms.append({"term": name, "value": str(RatFunc.from_laurent(val))})
+
+    rhs = lau_mul(nv((1, 0, 0), tail3), deriv((alpha_part, 1, 0, 0)))
+    term_record("horizontal-base", rhs)
 
     def horizontal_step(part):
         lead = part[0]
         coeff = nv((lead, 0, 0), tail3)
-        if coeff.is_zero:
-            return ZERO
+        if not coeff:
+            return {}
         if lead >= alpha_part:
             raise TruncationUnsoundError(
                 f"nonzero horizontal coefficient at {lead} >= dominant part {alpha_part}")
-        return coeff * (deriv((alpha_part, lead, 0, 0))
-                        - deriv(_sorted4(alpha_part, lead - 2, 0, 0)))
+        step = lau_iadd_scaled(dict(deriv((alpha_part, lead, 0, 0))),
+                               deriv(_sorted4(alpha_part, lead - 2, 0, 0)), scale=-1)
+        return lau_mul(coeff, step)
 
     val, rep = truncated_partition_sum("horizontal-steps", 1, 3, horizontal_step, policy)
     reports.append(rep)
-    rhs = rhs + val
-    terms.append({"term": "horizontal-steps", "value": str(val)})
+    lau_iadd_scaled(rhs, val)
+    term_record("horizontal-steps", val)
 
     def vertex_term(part, tail_zero):
         coeff = nv(part + ((0,) if tail_zero else ()), tail3)
-        if coeff.is_zero:
-            return ZERO
+        if not coeff:
+            return {}
         if part[0] > alpha_part:
             raise TruncationUnsoundError(
                 f"nonzero vertex coefficient at {part} above dominant part {alpha_part}")
         cls4 = (alpha_part,) + part + ((0,) if tail_zero else ())
-        return coeff * nv((1, 1, 1, 0), cls4)
+        return lau_mul(coeff, nv((1, 1, 1, 0), cls4))
 
     val, rep = truncated_partition_sum(
         "vertex-pairs", 2, 1, lambda p: vertex_term(p, True), policy)
     reports.append(rep)
-    rhs = rhs + (ONE - Q ** 2) * val
-    terms.append({"term": "vertex-pairs", "value": str(val)})
+    lau_iadd_scaled(rhs, lau_mul(_ONE_MINUS_Q2, val))
+    term_record("vertex-pairs", val)
 
     val, rep = truncated_partition_sum(
         "vertex-triples", 3, 1, lambda p: vertex_term(p, False), policy)
     reports.append(rep)
-    rhs = rhs + (ONE + Q) * (ONE - Q ** 2) * val
-    terms.append({"term": "vertex-triples", "value": str(val)})
+    lau_iadd_scaled(rhs, lau_mul(_W3, val))
+    term_record("vertex-triples", val)
 
-    return ConjectureReport(b=b, lhs=lhs, rhs=rhs, equal=lhs == rhs,
-                            truncation=reports, terms=terms)
+    return ConjectureReport(b=b, lhs=RatFunc.from_laurent(lhs), rhs=RatFunc.from_laurent(rhs),
+                            equal=lhs == rhs, truncation=reports, terms=terms)
 
 
 def _sorted4(*parts):

@@ -142,8 +142,9 @@ class HironakaEngine:
             return ZERO
         return self.alpha(xi, lam) / self.alpha(xi, xi)
 
-    # the interface the geometry sums call on an engine
-    normalized_value = normalized
+    def laurent_value(self, xi, lam):
+        """``normalized`` as a Laurent dict, the form the geometry sums add."""
+        return self.normalized(xi, lam).as_laurent()
 
 
 _DEFAULT = HironakaEngine()

@@ -235,7 +235,10 @@ def poly_gcd(a, b):
     """GCD in ZZ[q] via a primitive pseudo-remainder sequence.
 
     The result has positive leading coefficient and includes the integer
-    content gcd, so a/gcd and b/gcd are exactly divisible.
+    content gcd, so a/gcd and b/gcd are exactly divisible.  Powers of q are
+    split off first: q divides neither a/q^va nor b/q^vb (va, vb the lowest
+    exponents), so the gcd is q^min(va, vb) times theirs, and the sequence
+    never has to work a power of q out.
     """
     if a.is_zero and b.is_zero:
         return IntPoly._raw({})
@@ -244,6 +247,8 @@ def poly_gcd(a, b):
     if b.is_zero:
         g, p = a.primitive()
         return IntPoly.const(g) * (p if p.leading_coeff() > 0 else -p)
+    va, vb = a.min_exp(), b.min_exp()
+    a, b = a.shift(-va), b.shift(-vb)
     ca, pa = a.primitive()
     cb, pb = b.primitive()
     c = gcd(ca, cb)
@@ -254,7 +259,7 @@ def poly_gcd(a, b):
         pa, pb = pb, r.primitive()[1]
     if pa.leading_coeff() < 0:
         pa = -pa
-    return IntPoly.const(c) * pa
+    return (IntPoly.const(c) * pa).shift(min(va, vb))
 
 
 def poly_str(p):

@@ -343,6 +343,21 @@ _LAU_ZERO = {}
 _LAU_ONE = {0: 1}
 
 
+def provable_zero(xi, lam):
+    """The rule that makes A_xi(A_lam) zero for labels of equal length, or None.
+
+    "parity-zero" when the weights differ in parity, "support-zero" when
+    xi_i > lam_i for some i (Newman, Thm II.15).  The labels are not
+    validated.
+    """
+    if (weight(xi) - weight(lam)) % 2:
+        return "parity-zero"
+    for x, l in zip(xi, lam):
+        if x > l:
+            return "support-zero"
+    return None
+
+
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
@@ -350,9 +365,12 @@ class ReductionEngine:
     ZZ[q, q^-1]: the memo holds them, children are combined with ``lau_mul``
     and ``lau_iadd_scaled``, and each rule's coefficients are converted once,
     next to the rule itself.  A ``RatFunc`` is built only at the boundary, by
-    ``normalized_value``, ``reduce_normalized`` and the recorded trace.  The
-    leaves are constants ("parity-zero" and "support-zero" are 0, "base-n1"
-    is 1) and cost O(n) to recompute, so only rewritten values are memoized.
+    ``normalized_value``, ``reduce_normalized`` and the recorded trace.
+    ``laurent_value`` is the entry point for callers that build their own
+    labels and stay in Laurent form (the geometry sums): it skips label
+    validation and returns the memo's dict itself.  The leaves are constants
+    ("parity-zero" and "support-zero" are 0, "base-n1" is 1) and cost O(n)
+    to recompute, so only rewritten values are memoized.
     A rule coefficient outside ZZ[q, q^-1] raises ``NotLaurentError``.
     Stored values are never mutated, so one engine may be shared by threads.
     """
@@ -363,11 +381,9 @@ class ReductionEngine:
     # leaf evaluation shared by the tracing and non-tracing paths
     @staticmethod
     def _leaf(xi, lam):
-        if (weight(xi) - weight(lam)) % 2:
-            return _LAU_ZERO, "parity-zero"
-        for x, l in zip(xi, lam):
-            if x > l:
-                return _LAU_ZERO, "support-zero"
+        zero = provable_zero(xi, lam)
+        if zero is not None:
+            return _LAU_ZERO, zero
         if len(xi) == 1:
             return _LAU_ONE, "base-n1"
         return None
@@ -430,6 +446,11 @@ class ReductionEngine:
             step.value = RatFunc.from_laurent(val)
         self._memo[key] = val
         return val
+
+    def laurent_value(self, xi, lam):
+        """The value alone as the memo's Laurent dict, which callers must never
+        mutate; the labels are not validated (callers build them)."""
+        return self._eval(xi, lam, None)
 
     def normalized_value(self, xi, lam):
         """The value alone, with memoization but no trace."""

@@ -1,9 +1,13 @@
 """Derived densities, intersection numbers, and the truncated-sum machinery."""
 
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hermdens import geometry
 from hermdens.geometry import (
     SumTruncationPolicy,
     TruncationUnsoundError,
@@ -16,10 +20,12 @@ from hermdens.geometry import (
     sankaran_intersection_report,
     truncated_partition_sum,
 )
-from hermdens.qalgebra import ONE, Q, ZERO
+from hermdens.qalgebra import ONE, Q, RatFunc, ZERO
 
 
 REDUCE = make_engine("reduce")
+
+GOLDEN_MAKER = Path(__file__).parent / "data" / "make_geometry_golden.py"
 
 
 def closed_form_families(a):
@@ -51,9 +57,9 @@ def test_policy_validation():
 def test_truncated_sum_reports_zero_tail():
     nv = REDUCE.normalized_value
     val, rep = truncated_partition_sum(
-        "demo", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)),
+        "demo", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)).as_laurent(),
         SumTruncationPolicy.for_target((4, 1, 0, 0)))
-    assert val == ONE  # only the (1,0,0,0) term survives
+    assert RatFunc.from_laurent(val) == ONE  # only the (1,0,0,0) term survives
     assert rep.stopped_at is not None
     window = rep.levels[-2:]
     assert all(r.all_zero for r in window)
@@ -64,7 +70,7 @@ def test_truncated_sum_unsound_cap_raises():
     nv = REDUCE.normalized_value
     with pytest.raises(TruncationUnsoundError):
         truncated_partition_sum(
-            "too-tight", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)),
+            "too-tight", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)).as_laurent(),
             SumTruncationPolicy(hard_cap=1))
 
 
@@ -176,3 +182,84 @@ def test_engine_independence_spot_checks():
     for b in ((4, 1, 0, 0), (4, 2, 1, 0), (4, 3, 1, 1), (2, 1, 0, 0)):
         assert conjecture_check(b, engine=REDUCE).equal
         assert conjecture_check(b, engine=direct).equal
+
+
+def _golden_maker():
+    spec = importlib.util.spec_from_file_location("make_geometry_golden", GOLDEN_MAKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_geometry_golden():
+    # values, truncation reports and conjecture reports of both engines, byte
+    # for byte; tests/data/make_geometry_golden.py rewrites the file when the
+    # geometry outputs are meant to change
+    maker = _golden_maker()
+    path = GOLDEN_MAKER.with_name("geometry_golden.json")
+    text = path.read_text()
+    cases = json.loads(text)
+    assert [(c["fn"], tuple(c["b"]), c["engine"]) for c in cases] == maker.calls()
+    replayed = []
+    for case in cases:
+        result = maker.record(case["fn"], tuple(case["b"]), case["engine"])
+        assert json.dumps(result) == json.dumps(case["result"]), \
+            (case["fn"], case["b"], case["engine"])
+        replayed.append(dict(case, result=result))
+    assert maker.dumps(replayed) == text
+
+
+def test_zero_screen_is_sound(monkeypatch):
+    # every label pair the geometry sums answer 0 without asking the engine is
+    # 0 by the direct formula
+    screened = {}
+    rule = geometry.provable_zero
+
+    def recording(xi, lam):
+        kind = rule(xi, lam)
+        if kind is not None:
+            screened[(xi, lam)] = kind
+        return kind
+
+    monkeypatch.setattr(geometry, "provable_zero", recording)
+    rng = random.Random(11)
+    rank2 = set()
+    while len(rank2) < 8:
+        lead = rng.randint(2, 9)
+        rank2.add((lead, rng.randint(2, lead)))
+    rank4 = set()
+    while len(rank4) < 6:
+        a = rng.choice((2, 4, 6))
+        b = (a,) + tuple(sorted((rng.randint(0, a - 1) for _ in range(3)), reverse=True))
+        if sum(b) % 2:
+            rank4.add(b)
+    engine = make_engine("reduce")
+    for b in sorted(rank2):
+        sankaran_intersection(b, engine=engine)
+        difference_identity_check(b, engine=engine)
+    for b in sorted(rank4):
+        conjecture_check(b, engine=engine)
+    kinds = list(screened.values())
+    assert (len(kinds), kinds.count("parity-zero"), kinds.count("support-zero")) == (1213, 735, 478)
+    direct = make_engine("direct")
+    for xi, lam in screened:
+        assert direct.normalized(xi, lam) == ZERO, (xi, lam)
+        assert direct.alpha(xi, lam) == ZERO, (xi, lam)
+
+
+def _rank2_closed_form(l, k):
+    # empirical: (l+k-1)/2 for odd l+k, (l+k)/2 - (q + ... + q^k) for even l+k
+    if (l + k) % 2:
+        return ONE * ((l + k - 1) // 2)
+    val = ONE * ((l + k) // 2)
+    for i in range(1, k + 1):
+        val = val - Q ** i
+    return val
+
+
+def test_sankaran_rank2_closed_form():
+    engine = make_engine("reduce")
+    for l in range(22):
+        for k in range(l + 1):
+            assert sankaran_intersection((l, k), engine=engine) == _rank2_closed_form(l, k), (l, k)
+    assert sankaran_intersection((60, 41), engine=engine) == _rank2_closed_form(60, 41) == 50

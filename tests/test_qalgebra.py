@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -129,6 +130,18 @@ def test_gauss_binomial_is_the_product_quotient():
             assert gauss_binomial(u, v) == want == gauss_binomial(u, u - v), (u, v)
 
 
+def test_gauss_binomial_is_the_plain_product_quotient():
+    # the same quotient without splitting the powers of q by hand: plain RatFunc
+    # division, where poly_gcd meets numerators and denominators of unequal
+    # q-valuation
+    polys = [ONE]
+    for i in range(1, 25):
+        polys.append(polys[-1] * (ONE - neg_q_power(-i)))
+    for u in range(25):
+        for v in range(u + 1):
+            assert polys[u] / (polys[v] * polys[u - v]) == gauss_binomial(u, v), (u, v)
+
+
 def test_pascal_type_step():
     # [k+1; j] - [k; j] = (-q)^(-k-1+j) [k; j-1]
     for k in range(1, 11):
@@ -208,6 +221,47 @@ def test_monomial_denominator_matches_gcd_reduction():
             for n in (num, IntPoly({})):
                 f = RatFunc(n, IntPoly({k: c}))
                 assert (f.num, f.den) == _gcd_reduced(n, IntPoly({k: c})), (n, c, k)
+
+
+def _prs_gcd(a, b):
+    # poly_gcd without splitting off the powers of q: the primitive
+    # pseudo-remainder sequence run on a and b as they are
+    if a.is_zero and b.is_zero:
+        return IntPoly({})
+    if a.is_zero:
+        a, b = b, a
+    if b.is_zero:
+        g, p = a.primitive()
+        return IntPoly.const(g) * (p if p.leading_coeff() > 0 else -p)
+    ca, pa = a.primitive()
+    cb, pb = b.primitive()
+    if pa.degree() < pb.degree():
+        pa, pb = pb, pa
+    while not pb.is_zero:
+        db = pb.degree()
+        r = pa * IntPoly.const(pb.leading_coeff() ** (pa.degree() - db + 1))
+        while not r.is_zero and r.degree() >= db:
+            f = IntPoly.monomial(r.leading_coeff() // pb.leading_coeff(), r.degree() - db)
+            r = r - f * pb
+        pa, pb = pb, r.primitive()[1]
+    if pa.leading_coeff() < 0:
+        pa = -pa
+    return IntPoly.const(gcd(ca, cb)) * pa
+
+
+def test_poly_gcd_matches_unsplit_prs():
+    rng = random.Random(20261019)
+
+    def poly(lo, hi):
+        return IntPoly({e: rng.randint(-6, 6) for e in range(rng.randint(lo, hi))})
+
+    for _ in range(300):
+        common = poly(0, 4) if rng.random() < 0.7 else IntPoly({0: 1})
+        a, b = poly(0, 6) * common, poly(0, 6) * common
+        if rng.random() < 0.8:
+            a = a.shift(rng.randint(0, 5))
+            b = b.shift(rng.randint(0, 5))
+        assert poly_gcd(a, b) == _prs_gcd(a, b), (a, b)
 
 
 def test_json_roundtrip():
