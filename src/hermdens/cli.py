@@ -212,6 +212,13 @@ def _cmd_intersect(args):
     return _emit_value(args, value, extra)
 
 
+def _selected(cases, what):
+    """The cases of a sweep; one that selects none is a usage error, not a pass."""
+    if not cases:
+        raise UsageError(f"the options select no {what} to verify")
+    return cases
+
+
 def _verify_theorem(args):
     from .partitions import lambda_ns_elements
     if args.xi is not None:
@@ -224,7 +231,7 @@ def _verify_theorem(args):
         cases = random.Random(args.seed).sample(cases, args.sample)
     engine = hironaka.HironakaEngine()
     failures = 0
-    for xi, lam in cases:
+    for xi, lam in _selected(cases, "relations"):
         rel = relations.theorem_terms(args.n, args.s, xi)
         ok, residual = relations.verify_relation(rel, lam, engine)
         status = "ok" if ok else f"RESIDUAL {residual}"
@@ -247,7 +254,7 @@ def _verify_corollary(args):
     if args.sample is not None and args.sample < len(pairs):
         pairs = random.Random(args.seed).sample(pairs, args.sample)
     failures = 0
-    for rule, fill, xi, lam in pairs:
+    for rule, fill, xi, lam in _selected(pairs, "identities"):
         lhs = engine.normalized(xi, lam)
         rhs = sum((c * engine.normalized(p, lam) for c, p in rule.instantiate(fill)),
                   start=ZERO)
@@ -260,16 +267,15 @@ def _verify_corollary(args):
 
 
 def _verify_identity(args):
+    cases = _selected([(lead, second) for lead in range(2, args.max + 1)
+                       for second in range(2, lead + 1)], "identities")
     engine = geometry.make_engine("reduce")
     failures = 0
-    total = 0
-    for lead in range(2, args.max + 1):
-        for second in range(2, lead + 1):
-            total += 1
-            ok, residual = geometry.difference_identity_check((lead, second), engine=engine)
-            failures += not ok
-            print(f"B={lead},{second}: {'ok' if ok else f'RESIDUAL {residual}'}")
-    print(f"{total - failures}/{total} identities verified")
+    for b in cases:
+        ok, residual = geometry.difference_identity_check(b, engine=engine)
+        failures += not ok
+        print(f"B={format_partition(b)}: {'ok' if ok else f'RESIDUAL {residual}'}")
+    print(f"{len(cases) - failures}/{len(cases)} identities verified")
     return 1 if failures else 0
 
 

@@ -25,12 +25,14 @@ Operations:
 Inner normalized densities come from the reduction engine by default, or
 from direct evaluation for cross-checking; either way through the engine's
 ``laurent_value``, which returns a Laurent dict {exponent: coefficient}
-(every density here lies in ZZ[q, q^-1]).  Before an engine is asked, a
-screen answers 0 for labels that ``relations.provable_zero`` rules out
-(weight parity and componentwise support), as most labels in these sums
-are; a screened term still counts in its level's report.  The sums, their
-weights and the term functions stay in Laurent form, and each public
-function builds one exact ``RatFunc`` per value it returns.
+(every density here lies in ZZ[q, q^-1]).  A call without ``engine`` builds
+a fresh ``ReductionEngine``; pass one engine to several calls to share its
+memo.  Before an engine is asked, a screen answers 0 for labels that
+``relations.provable_zero`` rules out (weight parity and componentwise
+support), as most labels in these sums are; a screened term still counts
+in its level's report.  The sums, their weights and the term functions stay
+in Laurent form, and each public function builds one exact ``RatFunc`` per
+value it returns.
 """
 
 from __future__ import annotations
@@ -136,16 +138,6 @@ def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
 # engines
 # ---------------------------------------------------------------------------
 
-_SHARED = None
-
-
-def _default_engine():
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = ReductionEngine()
-    return _SHARED
-
-
 def make_engine(kind="reduce"):
     if kind == "reduce":
         return ReductionEngine()
@@ -220,7 +212,7 @@ def derivative_0000_report(b, policy=None, engine=None):
     """Derived density of the rank-4 unimodular class against B, with reports."""
     b = _validate_rank4(b)
     policy = policy or SumTruncationPolicy.for_target(b)
-    total, sums = _derivative_laurent(b, policy, engine or _default_engine())
+    total, sums = _derivative_laurent(b, policy, engine or ReductionEngine())
     return RatFunc.from_laurent(total), sums
 
 
@@ -242,7 +234,7 @@ def sankaran_intersection_report(b, policy=None, engine=None):
     if len(b) != 2:
         raise ValueError(f"need a length-2 class, got {b}")
     policy = policy or SumTruncationPolicy.for_target(b)
-    nv = _screened(engine or _default_engine())
+    nv = _screened(engine or ReductionEngine())
 
     total = lau_mul(_ONE_MINUS_Q, nv((1, 1), b))
     reports = []
@@ -272,7 +264,7 @@ def difference_identity_check(b, policy=None, engine=None):
     if len(b) != 2 or b[1] < 2:
         raise ValueError(f"need a length-2 class with both parts >= 2, got {b}")
     policy = policy or SumTruncationPolicy.for_target(b, min_cap=6)
-    nv = _screened(engine or _default_engine())
+    nv = _screened(engine or ReductionEngine())
     b_mixed = (b[0], b[1] - 2)
 
     lhs = _combine(((_MINUS_Q, nv((1, 1), b)), (_LAU_ONE, nv((0, 0), b_mixed)),
@@ -341,7 +333,7 @@ def conjecture_check(b, policy=None, engine=None):
         raise ValueError(f"need an odd weight, got {b} of weight {weight(b)}")
     tail3 = b[1:]
     policy = policy or SumTruncationPolicy.for_target(b)
-    engine = engine or _default_engine()
+    engine = engine or ReductionEngine()
     nv = _screened(engine)
 
     reports = []

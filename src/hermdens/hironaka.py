@@ -71,8 +71,7 @@ class HironakaEngine:
         for i in range(m2, min(l2, m1) + 1):
             # i and 2*l2 + 1 - i have opposite parity, so the product is even
             e = i * (2 * l2 + 1 - i) // 2
-            term = lau_mul(dict(gauss_laurent(l2 - m2, l2 - i)),
-                           dict(gauss_laurent(l1 - i, l1 - m1)))
+            term = lau_mul(gauss_laurent(l2 - m2, l2 - i), gauss_laurent(l1 - i, l1 - m1))
             lau_iadd_scaled(acc, term, shift=e, scale=1 if e % 2 == 0 else -1)
         self._inner[key] = acc
         return acc

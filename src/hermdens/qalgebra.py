@@ -326,7 +326,7 @@ def lau_neg_q(e):
 
 @lru_cache(maxsize=None)
 def gauss_laurent(u, v):
-    """Gaussian binomial [u; v] as a tuple of Laurent items.
+    """Gaussian binomial [u; v] as a Laurent dict, shared: never mutate it.
 
     [u; v] is prod_{i=1..u}(1-(-q)^{-i}) divided by the corresponding
     products for v and u-v, a polynomial in (-q)^{-1}.  It is built row by
@@ -341,7 +341,7 @@ def gauss_laurent(u, v):
             lau_iadd_scaled(dict(row[j - 1]), row[j] if j < k else {},
                             shift=-j, scale=-1 if j % 2 else 1)
             for j in range(1, min(k, v) + 1)]
-    return tuple(sorted(row[v].items()))
+    return row[v]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,8 @@ class RatFunc:
     Canonical form: the denominator is nonzero with positive leading
     coefficient, numerator and denominator share no polynomial factor and no
     integer factor > 1, and zero is 0/1.  Equality and hashing are
-    structural on this canonical form.
+    structural on this canonical form; an int or Fraction compares as the
+    constant it is, and a constant hashes like its number.
     """
 
     __slots__ = ("num", "den")
@@ -487,11 +488,15 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = RatFunc(IntPoly.const(other))
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+        other = RatFunc._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.num.degree() <= 0 and self.den.degree() == 0:
+            # a constant hashes like the int or Fraction it equals
+            return hash(Fraction(self.num.coeffs.get(0, 0), self.den.coeffs[0]))
         return hash((self.num, self.den))
 
     # -- conversions -------------------------------------------------------

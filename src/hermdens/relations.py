@@ -33,10 +33,10 @@ the direct formula.  The rewrite loop:
       2-4 carry the ids "C2.17.*", "C2.19.*", "C2.20.*" of
       ``REWRITE_RULES``, larger ranks ids "derived:<signature>".
 
-Every evaluation returns an auditable ``ReductionTrace`` whose replay
-reproduces the value exactly.  Each rewrite strictly decreases the measure
-(|lam|, trailing zeros of xi, n), which is checked per step; a violation
-raises ``RuntimeError``.
+``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
+replay reproduces the value exactly; ``normalized_value`` returns the value
+alone.  Each rewrite strictly decreases the measure (|lam|, trailing zeros
+of xi, n), which is checked per rewrite; a violation raises ``RuntimeError``.
 
 ``alpha_via_generic_reduction`` works at the unnormalized alpha level for
 arbitrary n: the reduced normalized density times the closed self-density.
@@ -333,10 +333,6 @@ class ReductionTrace:
 # the normalized reduction engine
 # ---------------------------------------------------------------------------
 
-def _measure(xi, lam):
-    return (weight(lam), trailing_zeros(xi), len(xi))
-
-
 # Laurent constants shared by many memo entries; like every stored value they
 # are never mutated.
 _LAU_ZERO = {}
@@ -361,24 +357,24 @@ def provable_zero(xi, lam):
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
-    Internally every value is a Laurent dict {exponent: coefficient} in
-    ZZ[q, q^-1]: the memo holds them, children are combined with ``lau_mul``
-    and ``lau_iadd_scaled``, and each rule's coefficients are converted once,
-    next to the rule itself.  A ``RatFunc`` is built only at the boundary, by
-    ``normalized_value``, ``reduce_normalized`` and the recorded trace.
-    ``laurent_value`` is the entry point for callers that build their own
-    labels and stay in Laurent form (the geometry sums): it skips label
-    validation and returns the memo's dict itself.  The leaves are constants
-    ("parity-zero" and "support-zero" are 0, "base-n1" is 1) and cost O(n)
-    to recompute, so only rewritten values are memoized.
-    A rule coefficient outside ZZ[q, q^-1] raises ``NotLaurentError``.
-    Stored values are never mutated, so one engine may be shared by threads.
+    ``laurent_value`` is the one evaluator: the memo, then a leaf, then one
+    rewrite (``_expansion``) whose children it values and combines.  Every
+    value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1]; each
+    rule's coefficients are converted once, next to the rule.  The geometry
+    sums, which build their own labels, call it directly: it skips label
+    validation and returns the memo's dict itself.  ``normalized_value`` and
+    ``reduce_normalized`` return a ``RatFunc``; the latter records its trace
+    by a separate depth-first walk that takes every value from
+    ``laurent_value``.  The leaves are constants ("parity-zero" and
+    "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so only
+    rewritten values are memoized.  A rule coefficient outside ZZ[q, q^-1]
+    raises ``NotLaurentError``.  Stored values are never mutated, so one
+    engine may be shared by threads.
     """
 
     def __init__(self):
         self._memo = {}
 
-    # leaf evaluation shared by the tracing and non-tracing paths
     @staticmethod
     def _leaf(xi, lam):
         zero = provable_zero(xi, lam)
@@ -389,86 +385,90 @@ class ReductionEngine:
         return None
 
     def _expansion(self, xi, lam):
-        """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)])."""
+        """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)]); a
+        child that does not lower the measure raises ``RuntimeError``."""
         if xi[-1] >= 1 and lam[-1] >= 1:
-            return "P2.15", [(_LAU_ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
-        if lam[-1] == 0:
-            return "P2.14", [(_LAU_ONE, xi[:-1], lam[:-1])]
-        # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
-        rule, bind = match_rewrite(xi)
-        return rule.rule_id, [(c, p, lam) for c, p in rule.instantiate_laurent(bind)]
-
-    def _eval(self, xi, lam, trace):
-        key = (xi, lam)
-        # read once: another thread may fill the key between two reads
-        cached = self._memo.get(key)
-        if cached is not None and trace is None:
-            return cached
-        leaf = self._leaf(xi, lam)
-        if leaf is not None:
-            val, rule = leaf
-            if trace is not None:
-                trace.add(TraceStep(rule, xi, lam, value=RatFunc.from_laurent(val)))
-            return val
-        if cached is not None:
-            # warm cache at the trace root: record a terminal step with the value
-            trace.add(TraceStep("memo", xi, lam, value=RatFunc.from_laurent(cached)))
-            return cached
-        rule_id, children = self._expansion(xi, lam)
-        step = trace.add(TraceStep(rule_id, xi, lam)) if trace is not None else None
-        here = _measure(xi, lam)
-        val = {}
-        for factor, cxi, clam in children:
-            if not _measure(cxi, clam) < here:
+            rule_id, children = "P2.15", [
+                (_LAU_ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
+        elif lam[-1] == 0:
+            rule_id, children = "P2.14", [(_LAU_ONE, xi[:-1], lam[:-1])]
+        else:
+            # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
+            rule, bind = match_rewrite(xi)
+            rule_id = rule.rule_id
+            children = [(c, p, lam) for c, p in rule.instantiate_laurent(bind)]
+        here = (weight(lam), trailing_zeros(xi), len(xi))      # the measure
+        for _, cxi, clam in children:
+            if not (weight(clam), trailing_zeros(cxi), len(cxi)) < here:
                 raise RuntimeError(
                     f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
-            ckey = (cxi, clam)
-            note = None
-            cleaf = self._leaf(cxi, clam)
-            if cleaf is not None:
-                sub, note = cleaf
-            else:
-                sub = self._memo.get(ckey)
-                if sub is None:
-                    sub = self._eval(cxi, clam, trace)
-                elif trace is None or not trace.has_expanded(ckey):
-                    # value computed before this trace began: inline it
-                    note = "memo"
-            if len(children) == 1 and factor is _LAU_ONE:
-                val = sub           # shared with the child, as both are never mutated
-            else:
-                lau_iadd_scaled(val, lau_mul(factor, sub))
-            if step is not None:
-                step.children.append(TraceChild(
-                    RatFunc.from_laurent(factor), cxi, clam,
-                    value=None if note is None else RatFunc.from_laurent(sub), note=note))
-        if step is not None:
-            step.value = RatFunc.from_laurent(val)
-        self._memo[key] = val
-        return val
+        return rule_id, children
 
     def laurent_value(self, xi, lam):
         """The value alone as the memo's Laurent dict, which callers must never
         mutate; the labels are not validated (callers build them)."""
-        return self._eval(xi, lam, None)
+        val = self._memo.get((xi, lam))
+        if val is not None:
+            return val
+        leaf = self._leaf(xi, lam)
+        if leaf is not None:
+            return leaf[0]
+        _, children = self._expansion(xi, lam)
+        if len(children) == 1 and children[0][0] is _LAU_ONE:
+            # shared with the child, as both are never mutated
+            val = self.laurent_value(children[0][1], children[0][2])
+        else:
+            val = {}
+            for factor, cxi, clam in children:
+                lau_iadd_scaled(val, lau_mul(factor, self.laurent_value(cxi, clam)))
+        self._memo[xi, lam] = val
+        return val
+
+    def _record(self, xi, lam, trace):
+        """The note under which a parent step inlines the value of (xi, lam): its
+        leaf rule, or "memo" if valued before the trace began.  Else None, once
+        its rewrite and its children's are in the trace, depth first."""
+        leaf = self._leaf(xi, lam)
+        if leaf is not None:
+            return leaf[1]
+        if trace.has_expanded((xi, lam)):
+            return None
+        if (xi, lam) in self._memo:
+            return "memo"
+        rule_id, children = self._expansion(xi, lam)
+        step = trace.add(TraceStep(rule_id, xi, lam))
+        for factor, cxi, clam in children:
+            note = self._record(cxi, clam, trace)
+            step.children.append(TraceChild(
+                RatFunc.from_laurent(factor), cxi, clam, note=note,
+                value=None if note is None else self._value(cxi, clam)))
+        step.value = self._value(xi, lam)
+        return None
+
+    def _value(self, xi, lam):
+        return RatFunc.from_laurent(self.laurent_value(xi, lam))
+
+    @staticmethod
+    def _labels(xi, lam):
+        xi, lam = check_partition(xi), check_partition(lam)
+        if len(xi) != len(lam):
+            raise ValueError("normalized density needs labels of equal length")
+        return xi, lam
 
     def normalized_value(self, xi, lam):
         """The value alone, with memoization but no trace."""
-        xi = check_partition(xi)
-        lam = check_partition(lam)
-        if len(xi) != len(lam):
-            raise ValueError("normalized density needs labels of equal length")
-        return RatFunc.from_laurent(self._eval(xi, lam, None))
+        return self._value(*self._labels(xi, lam))
 
     def reduce_normalized(self, xi, lam):
         """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace)."""
-        xi = check_partition(xi)
-        lam = check_partition(lam)
-        if len(xi) != len(lam):
-            raise ValueError("normalized density needs labels of equal length")
+        xi, lam = self._labels(xi, lam)
         trace = ReductionTrace(root=(xi, lam))
-        val = self._eval(xi, lam, trace)
-        return RatFunc.from_laurent(val), trace
+        note = self._record(xi, lam, trace)
+        value = self._value(xi, lam)
+        if note is not None:
+            # a leaf or a warm memo at the root: one terminal step with the value
+            trace.add(TraceStep(note, xi, lam, value=value))
+        return value, trace
 
 
 def reduce_normalized(xi, lam, engine=None):

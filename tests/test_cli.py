@@ -120,6 +120,26 @@ def test_verify_identity_322(capsys):
     assert "3/3 identities verified" in out
 
 
+def test_verify_theorem_empty_sweep_is_a_usage_error(capsys):
+    for extra in (["--max-part", "0"], ["--sample", "0"]):
+        code, out, err = _capture(capsys, ["verify", "theorem", "--n", "2", "--s", "1"] + extra)
+        assert code == 2, extra
+        assert out == "" and "select no relations" in err, extra
+
+
+def test_verify_corollary_empty_sweep_is_a_usage_error(capsys):
+    for extra in (["--b-max", "0"], ["--sample", "0"]):
+        code, out, err = _capture(capsys, ["verify", "corollary", "--n", "2"] + extra)
+        assert code == 2, extra
+        assert out == "" and "select no identities" in err, extra
+
+
+def test_verify_identity_322_empty_sweep_is_a_usage_error(capsys):
+    code, out, err = _capture(capsys, ["verify", "identity-322", "--max", "1"])
+    assert code == 2
+    assert out == "" and "select no identities" in err
+
+
 def test_verify_conjecture(capsys):
     code, out, _ = _capture(capsys, ["verify", "conjecture", "4,1,0,0"])
     assert code == 0

@@ -197,6 +197,19 @@ def test_canonical_form():
         q_1.exact_div(IntPoly({}))
 
 
+def test_constants_compare_and_hash_like_numbers():
+    assert ONE / 2 - Fraction(1, 2) == ZERO
+    assert ONE / 2 == Fraction(1, 2) and Fraction(1, 2) == ONE / 2
+    assert ONE / 2 != Fraction(1, 3) and Q != Fraction(1, 2) and Q != 1
+    assert ONE / Q != 1 and (ONE / Q) * Q == 1
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 4)):
+        f = RatFunc.from_fraction(value)
+        assert f == value and hash(f) == hash(value), value
+    assert hash(ONE) == hash(1) and hash(ZERO) == hash(0)
+    assert len({ONE, 1, Fraction(1), ONE / 2, Fraction(2, 4)}) == 2
+    assert ONE != "1" and ONE != None    # noqa: E711
+
+
 def _gcd_reduced(num, den):
     # the canonical form written out with the full gcd: divide both by
     # poly_gcd (content included), then make the leading coefficient of the

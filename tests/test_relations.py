@@ -1,5 +1,6 @@
 """Vanishing relations, the normalized reduction engine, and the generic reducer."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -471,6 +472,17 @@ def test_non_laurent_coefficient_raises_without_asserts():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_non_decreasing_rewrite_raises(monkeypatch):
+    # rule C2.17.3, (2, 0), rewritten to its own template: the child does not
+    # lower the measure, and both evaluation paths refuse it
+    import hermdens.relations as relations
+    monkeypatch.setitem(relations._RHS, (2, 0), (((ONE, (2, 0)),), (({0: 1}, (2, 0)),)))
+    with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
+        ReductionEngine().normalized_value((2, 0), (3, 1))
+    with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
+        ReductionEngine().reduce_normalized((3, 1), (4, 2))
+
+
 def test_engine_memo_is_never_mutated():
     rng = random.Random(909)
     cases = []
@@ -578,3 +590,28 @@ def test_shared_generic_reducer_across_threads(monkeypatch):
 def test_reduce_normalized_function_wrapper():
     val, trace = reduce_normalized((3, 0, 0), (8, 3, 2))
     assert val == Q ** 6 + Q ** 5 + Q ** 4 and len(trace) >= 1
+
+
+def test_warm_engine_traces_are_pinned():
+    # a seeded mix of untraced and traced calls on one shared engine, so that
+    # traces meet labels valued before they began ("memo" notes), leaves and
+    # children already expanded in the same trace
+    rng = random.Random(5)
+    eng = ReductionEngine()
+    blobs = []
+    memo_roots = memo_notes = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        lam = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        xi = tuple(sorted((rng.randint(0, l) for l in lam), reverse=True))
+        if rng.random() < 0.5:
+            eng.normalized_value(xi, lam)
+            continue
+        val, trace = eng.reduce_normalized(xi, lam)
+        assert trace.replay() == val, (xi, lam)
+        blobs.append(trace.to_json())
+        memo_roots += trace.rule_ids().count("memo")
+        memo_notes += sum(c.note == "memo" for s in trace.steps for c in s.children)
+    digest = hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest()
+    assert (len(blobs), sum(map(len, blobs)), memo_roots, memo_notes) == (140, 307, 11, 43)
+    assert digest == "5f19a6fdba1923707d7a32e9ee7153db26a7f02bccb7c93de10cb31a082d787f"
