@@ -172,25 +172,25 @@ def _cmd_normalized(args):
             raise UsageError("--trace requires --engine reduce")
         return _emit_value(args, hironaka.normalized(args.xi, args.lam))
     engine = relations.ReductionEngine()
+    if not args.trace:
+        return _emit_value(args, engine.normalized_value(args.xi, args.lam))
     value, trace = engine.reduce_normalized(args.xi, args.lam)
     if args.format == "json":
-        extra = {"trace": trace.to_json()} if args.trace else None
-        return _emit_value(args, value, extra)
+        return _emit_value(args, value, {"trace": trace.to_json()})
     code = _emit_value(args, value)
-    if args.trace:
-        for i, step in enumerate(trace.steps, 1):
-            head = (f"step {i}: {step.rule_id} "
-                    f"A_{format_partition(step.xi_before)}(A_{format_partition(step.lam_before)})")
-            if step.children:
-                parts = []
-                for child in step.children:
-                    ref = f"A_{format_partition(child.xi)}(A_{format_partition(child.lam)})"
-                    if child.value is not None:
-                        ref = f"[{ref} = {child.value}]"
-                    parts.append(f"({child.factor}) * {ref}")
-                print(f"{head} -> " + " + ".join(parts))
-            else:
-                print(f"{head} = {step.value}")
+    for i, step in enumerate(trace.steps, 1):
+        head = (f"step {i}: {step.rule_id} "
+                f"A_{format_partition(step.xi_before)}(A_{format_partition(step.lam_before)})")
+        if step.children:
+            parts = []
+            for child in step.children:
+                ref = f"A_{format_partition(child.xi)}(A_{format_partition(child.lam)})"
+                if child.value is not None:
+                    ref = f"[{ref} = {child.value}]"
+                parts.append(f"({child.factor}) * {ref}")
+            print(f"{head} -> " + " + ".join(parts))
+        else:
+            print(f"{head} = {step.value}")
     return code
 
 

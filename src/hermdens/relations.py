@@ -358,18 +358,18 @@ class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
     ``laurent_value`` is the one evaluator: the memo, then a leaf, then one
-    rewrite (``_expansion``) whose children it values and combines.  Every
-    value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1]; each
-    rule's coefficients are converted once, next to the rule.  The geometry
-    sums, which build their own labels, call it directly: it skips label
-    validation and returns the memo's dict itself.  ``normalized_value`` and
-    ``reduce_normalized`` return a ``RatFunc``; the latter records its trace
-    by a separate depth-first walk that takes every value from
-    ``laurent_value``.  The leaves are constants ("parity-zero" and
-    "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so only
-    rewritten values are memoized.  A rule coefficient outside ZZ[q, q^-1]
-    raises ``NotLaurentError``.  Stored values are never mutated, so one
-    engine may be shared by threads.
+    rewrite (``_expansion``) whose children it values and sums (``_combine``).
+    Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1];
+    each rule's coefficients are converted once, next to the rule.  The
+    geometry sums, which build their own labels, call it directly: it skips
+    label validation and returns the memo's dict itself.  ``normalized_value``
+    and ``reduce_normalized`` return a ``RatFunc``; the latter records its
+    trace by a separate depth-first walk that expands each node once and sums
+    it with the same ``_combine``.  The leaves are constants ("parity-zero"
+    and "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so
+    only rewritten values are memoized.  A rule coefficient outside
+    ZZ[q, q^-1] raises ``NotLaurentError``.  Stored values are never mutated,
+    so one engine may be shared by threads.
     """
 
     def __init__(self):
@@ -380,9 +380,7 @@ class ReductionEngine:
         zero = provable_zero(xi, lam)
         if zero is not None:
             return _LAU_ZERO, zero
-        if len(xi) == 1:
-            return _LAU_ONE, "base-n1"
-        return None
+        return (_LAU_ONE, "base-n1") if len(xi) == 1 else None
 
     def _expansion(self, xi, lam):
         """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)]); a
@@ -413,40 +411,43 @@ class ReductionEngine:
         leaf = self._leaf(xi, lam)
         if leaf is not None:
             return leaf[0]
-        _, children = self._expansion(xi, lam)
-        if len(children) == 1 and children[0][0] is _LAU_ONE:
-            # shared with the child, as both are never mutated
-            val = self.laurent_value(children[0][1], children[0][2])
+        terms = []      # a loop, not a comprehension: one frame per rewrite
+        for factor, cxi, clam in self._expansion(xi, lam)[1]:
+            terms.append((factor, self.laurent_value(cxi, clam)))
+        return self._combine(xi, lam, terms)
+
+    def _combine(self, xi, lam, terms):
+        """Sums one rewrite's (Laurent factor, child value) terms; memoizes it."""
+        if len(terms) == 1 and terms[0][0] is _LAU_ONE:
+            val = terms[0][1]   # shared with the child, as both are never mutated
         else:
             val = {}
-            for factor, cxi, clam in children:
-                lau_iadd_scaled(val, lau_mul(factor, self.laurent_value(cxi, clam)))
+            for factor, sub in terms:
+                lau_iadd_scaled(val, lau_mul(factor, sub))
         self._memo[xi, lam] = val
         return val
 
     def _record(self, xi, lam, trace):
-        """The note under which a parent step inlines the value of (xi, lam): its
-        leaf rule, or "memo" if valued before the trace began.  Else None, once
-        its rewrite and its children's are in the trace, depth first."""
+        """(note, Laurent value) of (xi, lam).  A parent step inlines the value
+        under its leaf rule, or "memo" if valued before the trace began; else
+        the note is None, once its subtree is in the trace, depth first."""
         leaf = self._leaf(xi, lam)
         if leaf is not None:
-            return leaf[1]
-        if trace.has_expanded((xi, lam)):
-            return None
-        if (xi, lam) in self._memo:
-            return "memo"
+            return leaf[1], leaf[0]
+        if (xi, lam) in self._memo:     # entries are never removed
+            note = None if trace.has_expanded((xi, lam)) else "memo"
+            return note, self._memo[xi, lam]
         rule_id, children = self._expansion(xi, lam)
-        step = trace.add(TraceStep(rule_id, xi, lam))
+        step, terms = trace.add(TraceStep(rule_id, xi, lam)), []
         for factor, cxi, clam in children:
-            note = self._record(cxi, clam, trace)
+            note, sub = self._record(cxi, clam, trace)
+            terms.append((factor, sub))
             step.children.append(TraceChild(
                 RatFunc.from_laurent(factor), cxi, clam, note=note,
-                value=None if note is None else self._value(cxi, clam)))
-        step.value = self._value(xi, lam)
-        return None
-
-    def _value(self, xi, lam):
-        return RatFunc.from_laurent(self.laurent_value(xi, lam))
+                value=None if note is None else RatFunc.from_laurent(sub)))
+        val = self._combine(xi, lam, terms)
+        step.value = RatFunc.from_laurent(val)
+        return None, val
 
     @staticmethod
     def _labels(xi, lam):
@@ -457,18 +458,17 @@ class ReductionEngine:
 
     def normalized_value(self, xi, lam):
         """The value alone, with memoization but no trace."""
-        return self._value(*self._labels(xi, lam))
+        return RatFunc.from_laurent(self.laurent_value(*self._labels(xi, lam)))
 
     def reduce_normalized(self, xi, lam):
         """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace)."""
         xi, lam = self._labels(xi, lam)
         trace = ReductionTrace(root=(xi, lam))
-        note = self._record(xi, lam, trace)
-        value = self._value(xi, lam)
+        note, val = self._record(xi, lam, trace)
         if note is not None:
             # a leaf or a warm memo at the root: one terminal step with the value
-            trace.add(TraceStep(note, xi, lam, value=value))
-        return value, trace
+            trace.add(TraceStep(note, xi, lam, value=RatFunc.from_laurent(val)))
+        return trace.steps[0].value, trace      # the root's step comes first
 
 
 def reduce_normalized(xi, lam, engine=None):

@@ -483,6 +483,15 @@ def test_non_decreasing_rewrite_raises(monkeypatch):
         ReductionEngine().reduce_normalized((3, 1), (4, 2))
 
 
+def test_long_rewrite_chain_fits_the_recursion_limit():
+    # A_(k,k)(A_(k,k)) is a chain of k P2.15 steps and one P2.14 step; at one
+    # Python frame per rewrite, k = 3/5 of the recursion limit still evaluates
+    k = sys.getrecursionlimit() * 3 // 5
+    assert ReductionEngine().normalized_value((k, k), (k, k)) == ONE
+    val, trace = ReductionEngine().reduce_normalized((k, k), (k, k))
+    assert val == ONE and len(trace) == k + 1
+
+
 def test_engine_memo_is_never_mutated():
     rng = random.Random(909)
     cases = []
