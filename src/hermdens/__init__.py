@@ -47,12 +47,9 @@ from .relations import (
 )
 from .oracle import (
     BudgetExceededError,
-    GaloisRingElement,
     GaloisRingParams,
-    conj,
     count_representations,
     density_oracle,
-    hermitian_apply,
     stabilization_check,
 )
 from .geometry import (

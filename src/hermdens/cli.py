@@ -122,8 +122,6 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--nonresidue", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1,
-                   help="no effect; kept so that existing scripts still run")
 
     p = sub.add_parser("crosscheck", help="symbolic density vs counting oracle at q = p")
     p.add_argument("xi", type=_partition)
@@ -132,8 +130,6 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--nonresidue", type=int, default=None)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1,
-                   help="no effect; kept so that existing scripts still run")
 
     return top
 
@@ -242,12 +238,12 @@ def _verify_theorem(args):
 
 
 def _verify_corollary(args):
-    values = [int(x) for x in args.params.split(",")]
+    values = sorted({int(x) for x in args.params.split(",")}, reverse=True)
     engine = hironaka.HironakaEngine()
     cases = []
     for rule in relations.REWRITE_RULES[args.n]:
         slots = sum(not isinstance(t, int) for t in rule.pattern)
-        for fill in itertools.combinations_with_replacement(sorted(values, reverse=True), slots):
+        for fill in itertools.combinations_with_replacement(values, slots):
             cases.append((rule, fill, fill_pattern(rule.pattern, fill)))
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
     pairs = [(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams]

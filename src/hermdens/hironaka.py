@@ -47,11 +47,6 @@ class NotTabulated(LookupError):
     no longer raises it."""
 
 
-def product_cutoff(mu, lam):
-    """Largest j for which I_j(mu, lam) can differ from 1."""
-    return max(mu[0] if mu else 0, lam[0] + 1)
-
-
 class HironakaEngine:
     """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization."""
 

@@ -15,6 +15,10 @@ at q = p.
 Conjugation is w -> -w: since w^2 = c is a unit, the two square roots of c
 are swapped by the unique nontrivial ring automorphism fixing Z/p^d.
 
+``GaloisRingParams`` is the ring's one object.  A ring element a + b w
+appears only as its integer coordinate pair (a, b) mod p^d, and a matrix
+over R as its two component matrices; there is no element class.
+
 For a diagonal A = diag(v_1, ..., v_m) the left side is a sum over the rows
 x_i of X, the classical row decomposition of representation numbers
 (Siegel; Kitaoka, *Arithmetic of Quadratic Forms*):
@@ -103,120 +107,6 @@ class GaloisRingParams:
     @property
     def modulus(self):
         return self.p ** self.d
-
-    def element(self, a, b=0):
-        return GaloisRingElement(a % self.modulus, b % self.modulus, self)
-
-
-class GaloisRingElement:
-    """a + b*w with components reduced mod p^d and w^2 = c."""
-
-    __slots__ = ("a", "b", "params")
-
-    def __init__(self, a, b, params):
-        m = params.modulus
-        self.a = a % m
-        self.b = b % m
-        self.params = params
-
-    def _check(self, other):
-        if self.params != other.params:
-            raise ValueError("mixed Galois ring parameters")
-
-    def __add__(self, other):
-        self._check(other)
-        return GaloisRingElement(self.a + other.a, self.b + other.b, self.params)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GaloisRingElement(self.a - other.a, self.b - other.b, self.params)
-
-    def __neg__(self):
-        return GaloisRingElement(-self.a, -self.b, self.params)
-
-    def __mul__(self, other):
-        self._check(other)
-        c = self.params.c
-        return GaloisRingElement(
-            self.a * other.a + c * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.params)
-
-    def conj(self):
-        return GaloisRingElement(self.a, -self.b, self.params)
-
-    def norm(self):
-        """conj(x) * x, which lands in the fixed subring (b-component 0)."""
-        return GaloisRingElement(self.a * self.a - self.params.c * self.b * self.b, 0, self.params)
-
-    def is_unit(self):
-        return (self.a % self.params.p, self.b % self.params.p) != (0, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, GaloisRingElement) and self.params == other.params
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.params))
-
-    def __repr__(self):
-        return f"({self.a}+{self.b}w mod {self.params.p}^{self.params.d})"
-
-
-def conj(x):
-    """The nontrivial ring automorphism w -> -w."""
-    return x.conj()
-
-
-# ---------------------------------------------------------------------------
-# element-level matrices (used for small exact checks and tests)
-# ---------------------------------------------------------------------------
-
-def diagonal_gram(parts, params):
-    """diag(p^parts) as a matrix of ring elements."""
-    parts = check_partition(parts)
-    m = len(parts)
-    zero = params.element(0)
-    rows = [[zero] * m for _ in range(m)]
-    for i, e in enumerate(parts):
-        rows[i][i] = params.element(pow(params.p, e, params.modulus))
-    return rows
-
-
-def mat_mul(x, y):
-    rows, inner, cols = len(x), len(y), len(y[0])
-    if len(x[0]) != inner:
-        raise ValueError(f"cannot multiply {rows}x{len(x[0])} by {inner}x{cols}")
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            s = x[i][0] * y[0][j]
-            for k in range(1, inner):
-                s = s + x[i][k] * y[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def conj_transpose(x):
-    return [[x[i][j].conj() for i in range(len(x))] for j in range(len(x[0]))]
-
-
-def is_hermitian(x):
-    n = len(x)
-    return all(x[j][i] == x[i][j].conj() for i in range(n) for j in range(n))
-
-
-def hermitian_apply(gram, x):
-    """conj(X)^T A X for an m x m hermitian A and an m x n matrix X."""
-    m = len(gram)
-    if any(len(row) != m for row in gram) or len(x) != m:
-        raise ValueError("dimension mismatch")
-    out = mat_mul(conj_transpose(x), mat_mul(gram, x))
-    if not is_hermitian(out):
-        raise ArithmeticError("conj(X)^T A X is not hermitian; is A hermitian?")
-    return out
 
 
 # ---------------------------------------------------------------------------

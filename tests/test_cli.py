@@ -114,6 +114,16 @@ def test_verify_corollary_rejects_small_placeholder(capsys):
     assert out == "" and "'*' slot" in err
 
 
+def test_verify_corollary_ignores_repeated_params(capsys):
+    # a value given twice fills the placeholders once, not once per copy
+    argv = ["verify", "corollary", "--n", "2", "--b-max", "2", "--params"]
+    once = _capture(capsys, argv + ["3"])
+    twice = _capture(capsys, argv + ["3,3"])
+    assert once[0] == twice[0] == 0
+    assert once[1] == twice[1]
+    assert once[1].endswith("12/12 identities verified\n")
+
+
 def test_verify_identity_322(capsys):
     code, out, _ = _capture(capsys, ["verify", "identity-322", "--max", "3"])
     assert code == 0
@@ -169,6 +179,20 @@ def test_exit_code_usage():
     assert run(["alpha", "4,0"]) == 2          # missing argument
     assert run(["alpha", "4,0", "1,2"]) == 2   # not a partition
     assert run(["alpha", "1", "1,1"]) == 2     # xi shorter than lambda
+
+
+def _assert_rejects_workers(capsys, argv):
+    code, out, err = _capture(capsys, argv + ["--workers", "2"])
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --workers 2" in err
+
+
+def test_oracle_rejects_workers(capsys):
+    _assert_rejects_workers(capsys, ["oracle", "0,0", "0,0", "--p", "3", "--d", "1"])
+
+
+def test_crosscheck_rejects_workers(capsys):
+    _assert_rejects_workers(capsys, ["crosscheck", "0", "0", "--p", "3", "--d", "2"])
 
 
 def test_exit_code_budget(capsys):

@@ -13,7 +13,6 @@ from hermdens.hironaka import (
     default_engine,
     I_j,
     normalized,
-    product_cutoff,
     self_density_closed,
 )
 from hermdens.partitions import (
@@ -126,7 +125,8 @@ def test_inner_factor_is_one_beyond_cutoff():
         lam = tuple(sorted((rng.randint(0, 5) for _ in range(n)), reverse=True))
         mu = tuple(min(x + 1, rng.randint(0, 6)) for x in lam)
         mu = tuple(sorted(mu, reverse=True))
-        cut = product_cutoff(mu, lam)
+        # the largest j for which I_j(mu, lam) can differ from 1
+        cut = max(mu[0], lam[0] + 1)
         for j in (cut + 1, cut + 2, cut + 3):
             assert I_j(mu, lam, j) == ONE
 
