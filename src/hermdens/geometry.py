@@ -8,7 +8,10 @@ first part) under an explicit ``SumTruncationPolicy``: iteration stops once
 ``zero_tail_window`` consecutive levels contribute exactly zero term by
 term, and fails loudly with ``TruncationUnsoundError`` if that never
 happens up to ``hard_cap``.  After a successful stop, one probe term beyond
-the cap is evaluated and must be zero.
+the cap is evaluated and must be zero.  Each sum passes the support box of
+its term: a label with a part above B's part at the same index is 0 (the
+"support-zero" rule), so only the partitions inside the box are evaluated,
+and the labels outside it are counted in the level's report, not evaluated.
 
 Operations:
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import hironaka
-from .partitions import check_partition, partitions_first_part, weight
+from .partitions import check_partition, count_first_part, partitions_first_part, weight
 from .qalgebra import RatFunc, lau_iadd_scaled, lau_mul
 from .relations import ReductionEngine, provable_zero
 
@@ -95,27 +98,30 @@ class SumReport:
         }
 
 
-def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1):
+def truncated_partition_sum(name, length, start, term_fn, policy, min_part=1, bound=None):
     """Sum term_fn over partitions of the given length with parts >= min_part,
     grouped by first part from ``start`` upward, under the truncation policy.
 
     Terms and the sum are Laurent dicts; returns (value, SumReport).  A level
     counts as zero only when every term at that level is exactly zero
-    (cancellation does not stop the scan).
+    (cancellation does not stop the scan).  ``bound`` is the caller's support
+    box: term_fn must be exactly zero on every partition with some
+    part[i] > bound[i], so it runs only inside the box, while each level's
+    report still counts every partition of the level.  The probe term is
+    evaluated whatever the box.
     """
     total = {}
     report = SumReport(name=name)
     zero_run = 0
     stopped = None
     for level in range(start, policy.hard_cap + 1):
-        n_terms = 0
         all_zero = True
-        for part in partitions_first_part(level, length, min_part):
+        for part in partitions_first_part(level, length, min_part, bound):
             val = term_fn(part)
-            n_terms += 1
             if val:
                 all_zero = False
                 lau_iadd_scaled(total, val)
+        n_terms = count_first_part(level, length, min_part)
         report.levels.append(LevelRecord(level, n_terms, all_zero))
         zero_run = zero_run + 1 if all_zero else 0
         if zero_run >= policy.zero_tail_window:
@@ -202,7 +208,7 @@ def _derivative_laurent(b, policy, engine):
         def term(part, _k=k):
             return nv(part + (0,) * (4 - _k), b)
         val, rep = truncated_partition_sum(
-            f"tail{4 - k}-zeros", k, 1, term, policy)
+            f"tail{4 - k}-zeros", k, 1, term, policy, bound=b[:k])
         sums.append(rep)
         lau_iadd_scaled(total, lau_mul(coeff, val))
     return total, sums
@@ -239,12 +245,13 @@ def sankaran_intersection_report(b, policy=None, engine=None):
     total = lau_mul(_ONE_MINUS_Q, nv((1, 1), b))
     reports = []
     val, rep = truncated_partition_sum(
-        "pairs-ge-2", 2, 2, lambda part: nv(part, b), policy, min_part=2)
+        "pairs-ge-2", 2, 2, lambda part: nv(part, b), policy, min_part=2, bound=b)
     reports.append(rep)
     lau_iadd_scaled(total, lau_mul(_ONE_MINUS_Q2, val))
     for tail in (1, 0):
         val, rep = truncated_partition_sum(
-            f"column-{tail}", 1, 2, lambda part, _t=tail: nv(part + (_t,), b), policy)
+            f"column-{tail}", 1, 2, lambda part, _t=tail: nv(part + (_t,), b), policy,
+            bound=b[:1])
         reports.append(rep)
         lau_iadd_scaled(total, val)
     return RatFunc.from_laurent(total), reports
@@ -278,7 +285,7 @@ def difference_identity_check(b, policy=None, engine=None):
             lead = part[0]
             return _combine(((_LAU_ONE, nv((lead, _t), b)), (_MINUS_Q2, nv((lead, _s), b))))
         val, _ = truncated_partition_sum(
-            f"tail-{tail}-minus-{scaled_tail}", 1, 4, term, policy)
+            f"tail-{tail}-minus-{scaled_tail}", 1, 4, term, policy, bound=b[:1])
         lau_iadd_scaled(rhs, val)
     residual = lau_iadd_scaled(lhs, rhs, scale=-1)
     return not residual, RatFunc.from_laurent(residual)
@@ -369,7 +376,8 @@ def conjecture_check(b, policy=None, engine=None):
                                deriv(_sorted4(alpha_part, lead - 2, 0, 0)), scale=-1)
         return lau_mul(coeff, step)
 
-    val, rep = truncated_partition_sum("horizontal-steps", 1, 3, horizontal_step, policy)
+    val, rep = truncated_partition_sum(
+        "horizontal-steps", 1, 3, horizontal_step, policy, bound=tail3[:1])
     reports.append(rep)
     lau_iadd_scaled(rhs, val)
     term_record("horizontal-steps", val)
@@ -385,13 +393,13 @@ def conjecture_check(b, policy=None, engine=None):
         return lau_mul(coeff, nv((1, 1, 1, 0), cls4))
 
     val, rep = truncated_partition_sum(
-        "vertex-pairs", 2, 1, lambda p: vertex_term(p, True), policy)
+        "vertex-pairs", 2, 1, lambda p: vertex_term(p, True), policy, bound=tail3[:2])
     reports.append(rep)
     lau_iadd_scaled(rhs, lau_mul(_ONE_MINUS_Q2, val))
     term_record("vertex-pairs", val)
 
     val, rep = truncated_partition_sum(
-        "vertex-triples", 3, 1, lambda p: vertex_term(p, False), policy)
+        "vertex-triples", 3, 1, lambda p: vertex_term(p, False), policy, bound=tail3)
     reports.append(rep)
     lau_iadd_scaled(rhs, lau_mul(_W3, val))
     term_record("vertex-triples", val)

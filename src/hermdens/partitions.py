@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from math import comb
 
 from .qalgebra import RatFunc, neg_q_power
 
@@ -203,14 +204,32 @@ def partitions_fixed_length(n, lo, hi):
         yield t
 
 
-def partitions_first_part(level, length, min_part):
-    """Partitions of the given length whose first part equals level."""
-    if length == 1:
-        if level >= min_part:
-            yield (level,)
+def partitions_first_part(level, length, min_part, bound=None):
+    """Partitions of the given length whose first part equals level, parts >= min_part.
+
+    With ``bound`` (one entry per part), only those with part[i] <= bound[i],
+    in the same order; none when level > bound[0].
+    """
+    if bound is None:
+        bound = (level,) * length
+    if min_part <= level <= bound[0]:
+        for rest in _bounded_tails(level, bound[1:length], min_part):
+            yield (level,) + rest
+
+
+def _bounded_tails(top, bound, min_part):
+    """Non-increasing tuples t of len(bound), with min_part <= t[i] <= min(top, bound[i])."""
+    if not bound:
+        yield ()
         return
-    for rest in itertools.combinations_with_replacement(range(level, min_part - 1, -1), length - 1):
-        yield (level,) + rest
+    for x in range(min(top, bound[0]), min_part - 1, -1):
+        for rest in _bounded_tails(x, bound[1:], min_part):
+            yield (x,) + rest
+
+
+def count_first_part(level, length, min_part):
+    """The number of partitions ``partitions_first_part`` yields without a bound."""
+    return comb(level - min_part + length - 1, length - 1) if level >= min_part else 0
 
 
 def lambda_ns_elements(n, s, max_nonzero):

@@ -36,7 +36,8 @@ the direct formula.  The rewrite loop:
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
 alone.  Each rewrite strictly decreases the measure (|lam|, trailing zeros
-of xi, n), which is checked per rewrite; a violation raises ``RuntimeError``.
+of xi, n), which is checked per rewrite, and for rule (d), whose children
+keep lam, once per label and engine; a violation raises ``RuntimeError``.
 
 ``alpha_via_generic_reduction`` works at the unnormalized alpha level for
 arbitrary n: the reduced normalized density times the closed self-density.
@@ -370,10 +371,21 @@ class ReductionEngine:
     only rewritten values are memoized.  A rule coefficient outside
     ZZ[q, q^-1] raises ``NotLaurentError``.  Stored values are never mutated,
     so one engine may be shared by threads.
+
+    Each engine expands a label's rule (d) once: ``_rewrite`` matches it,
+    fills it, checks the measure and caches (rule id, [(factor, child_xi)])
+    under xi.  Its children keep lam, so the check depends on xi alone.
+    Threads that fill one entry at once write equal entries.  The cache is
+    per engine, not per process, so a fresh engine sees the rules as they are
+    now.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one child,
+    factor 1) in a loop, not by recursion: it checks the memo and the leaves
+    at every node of the chain, and memoizes each node with the value at the
+    chain's end, the same dict ``_combine`` would share.
     """
 
     def __init__(self):
         self._memo = {}
+        self._rules = {}        # xi -> (rule_id, [(Laurent factor, child_xi)]) of rule (d)
 
     @staticmethod
     def _leaf(xi, lam):
@@ -392,9 +404,8 @@ class ReductionEngine:
             rule_id, children = "P2.14", [(_LAU_ONE, xi[:-1], lam[:-1])]
         else:
             # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
-            rule, bind = match_rewrite(xi)
-            rule_id = rule.rule_id
-            children = [(c, p, lam) for c, p in rule.instantiate_laurent(bind)]
+            rule_id, rewrites = self._rules.get(xi) or self._rewrite(xi, lam)
+            return rule_id, [(c, p, lam) for c, p in rewrites]
         here = (weight(lam), trailing_zeros(xi), len(xi))      # the measure
         for _, cxi, clam in children:
             if not (weight(clam), trailing_zeros(cxi), len(cxi)) < here:
@@ -402,19 +413,46 @@ class ReductionEngine:
                     f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
         return rule_id, children
 
+    def _rewrite(self, xi, lam):
+        """Rule (d) for xi, checked and cached: its children keep lam, so the
+        measure falls exactly when each child_xi has fewer trailing zeros, or
+        as many and fewer parts."""
+        rule, bind = match_rewrite(xi)
+        rewrites = rule.instantiate_laurent(bind)
+        here = (trailing_zeros(xi), len(xi))
+        for _, cxi in rewrites:
+            if not (trailing_zeros(cxi), len(cxi)) < here:
+                raise RuntimeError(
+                    f"non-decreasing step {rule.rule_id}: {(xi, lam)} -> {(cxi, lam)}")
+        entry = self._rules[xi] = (rule.rule_id, rewrites)
+        return entry
+
     def laurent_value(self, xi, lam):
         """The value alone as the memo's Laurent dict, which callers must never
         mutate; the labels are not validated (callers build them)."""
-        val = self._memo.get((xi, lam))
-        if val is not None:
-            return val
-        leaf = self._leaf(xi, lam)
-        if leaf is not None:
-            return leaf[0]
-        terms = []      # a loop, not a comprehension: one frame per rewrite
-        for factor, cxi, clam in self._expansion(xi, lam)[1]:
-            terms.append((factor, self.laurent_value(cxi, clam)))
-        return self._combine(xi, lam, terms)
+        memo, chain = self._memo, []
+        while True:
+            val = memo.get((xi, lam))
+            if val is not None:
+                break
+            leaf = self._leaf(xi, lam)
+            if leaf is not None:
+                val = leaf[0]
+                break
+            children = self._expansion(xi, lam)[1]
+            if len(children) == 1 and children[0][0] is _LAU_ONE:
+                # a P2.15 or P2.14 step: its value is its child's
+                chain.append((xi, lam))
+                _, xi, lam = children[0]
+                continue
+            terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
+            for factor, cxi, clam in children:
+                terms.append((factor, self.laurent_value(cxi, clam)))
+            val = self._combine(xi, lam, terms)
+            break
+        for key in reversed(chain):
+            memo[key] = val     # shared along the chain, as _combine shares it
+        return val
 
     def _combine(self, xi, lam, terms):
         """Sums one rewrite's (Laurent factor, child value) terms; memoizes it."""

@@ -1,5 +1,6 @@
 """Partition statistics, special constructions, and the d-coefficients."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hermdens.partitions import (
     conj_inner_product,
     conjugate,
     conjugate_part,
+    count_first_part,
     d_coefficients,
     format_partition,
     mu_lk,
     parse_partition,
+    partitions_first_part,
     stats,
     trailing_zeros,
     weight,
@@ -130,3 +133,34 @@ def test_xi_plus_always_valid():
         assert len(out) == n
         assert weight(out) == weight(xi) + 2 * a + b
         assert trailing_zeros(out) == s - a - b
+
+
+def _first_part_reference(level, length, min_part):
+    # the parts after the first, as a multiset of values in [min_part, level]
+    if level < min_part:
+        return []
+    return [(level,) + rest for rest in itertools.combinations_with_replacement(
+        range(level, min_part - 1, -1), length - 1)]
+
+
+def test_bounded_first_part_is_the_filtered_enumeration():
+    # without a bound: every partition of the level, in the reference order,
+    # as many as the closed count; with one, exactly those inside it
+    rng = random.Random(15)
+    cases = [(5, 3, 1, (4, 4, 4)), (3, 2, 2, (3, 1)), (2, 1, 1, (0,)), (4, 4, 1, (6, 5, 0, 0))]
+    for _ in range(300):
+        length = rng.randint(1, 4)
+        cases.append((rng.randint(0, 7), length, rng.choice((1, 2)),
+                      tuple(sorted((rng.randint(0, 7) for _ in range(length)), reverse=True))))
+    empty = 0
+    for level, length, min_part, bound in cases:
+        full = _first_part_reference(level, length, min_part)
+        assert list(partitions_first_part(level, length, min_part)) == full
+        assert count_first_part(level, length, min_part) == len(full), (level, length, min_part)
+        inside = [p for p in full if all(x <= c for x, c in zip(p, bound))]
+        got = list(partitions_first_part(level, length, min_part, bound))
+        assert got == inside, (level, length, min_part, bound)
+        if level > bound[0]:
+            assert got == []
+        empty += not got and bool(full)
+    assert empty >= 50

@@ -484,12 +484,52 @@ def test_non_decreasing_rewrite_raises(monkeypatch):
 
 
 def test_long_rewrite_chain_fits_the_recursion_limit():
-    # A_(k,k)(A_(k,k)) is a chain of k P2.15 steps and one P2.14 step; at one
-    # Python frame per rewrite, k = 3/5 of the recursion limit still evaluates
+    # A_(k,k)(A_(k,k)) is a chain of k P2.15 steps and one P2.14 step.  The
+    # evaluator follows such unit steps in a loop, without a Python frame per
+    # step, so a chain longer than the recursion limit evaluates; the trace
+    # walk still takes one frame per rewrite, and k = 3/5 of the limit fits it
     k = sys.getrecursionlimit() * 3 // 5
+    long = 2 * sys.getrecursionlimit()
+    assert ReductionEngine().normalized_value((long, long), (long, long)) == ONE
     assert ReductionEngine().normalized_value((k, k), (k, k)) == ONE
     val, trace = ReductionEngine().reduce_normalized((k, k), (k, k))
     assert val == ONE and len(trace) == k + 1
+
+
+def test_unit_chain_memoizes_every_node():
+    # each P2.15/P2.14 node on a chain is memoized with the chain's own dict
+    eng = ReductionEngine()
+    val = eng.laurent_value((4, 2, 2), (6, 4, 2))
+    # P2.15, P2.15, P2.14, then rule C2.17.3 at the chain's end
+    chain = [((4, 2, 2), (6, 4, 2)), ((3, 1, 1), (5, 3, 1)), ((2, 0, 0), (4, 2, 0)),
+             ((2, 0), (4, 2))]
+    assert val and all(eng._memo[key] is val for key in chain)
+    assert RatFunc.from_laurent(val) == HironakaEngine().normalized((4, 2, 2), (6, 4, 2))
+
+
+def test_rule_d_expands_each_label_once(monkeypatch):
+    # an engine matches and fills the rewrite rule of a label once, whatever
+    # lam it meets the label with; a fresh engine does it again
+    import hermdens.relations as relations
+    matched = []
+
+    def counting(xi):
+        matched.append(xi)
+        return match_rewrite(xi)
+
+    monkeypatch.setattr(relations, "match_rewrite", counting)
+    rng = random.Random(16)
+    cases = []
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        lam = tuple(sorted((rng.randint(1, 6) for _ in range(n)), reverse=True))
+        cases.append((tuple(sorted((rng.randint(0, l) for l in lam), reverse=True)), lam))
+    eng, heng = ReductionEngine(), HironakaEngine()
+    for xi, lam in cases:
+        assert eng.normalized_value(xi, lam) == heng.normalized(xi, lam), (xi, lam)
+    assert len(matched) == len(set(matched)) >= 30
+    ReductionEngine().normalized_value(*cases[0])
+    assert len(matched) > len(set(matched))
 
 
 def test_engine_memo_is_never_mutated():
