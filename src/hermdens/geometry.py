@@ -164,10 +164,12 @@ def _screened(engine):
 
 
 def _combine(pairs):
-    """sum of coeff * value over (Laurent coeff, Laurent value) pairs, as a new dict."""
+    """sum of coeff * value over (Laurent coeff, Laurent value) pairs, as a new
+    dict; an empty value, a screened-out zero, costs no product."""
     acc = {}
     for coeff, val in pairs:
-        lau_iadd_scaled(acc, lau_mul(coeff, val))
+        if val:
+            lau_iadd_scaled(acc, lau_mul(coeff, val))
     return acc
 
 

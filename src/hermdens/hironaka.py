@@ -17,13 +17,19 @@ c_j = mu'_j (n >= c_1 >= c_2 >= ... >= 0, c_j <= (lam+1)'_j), every factor
 of the summand depends on one column or on two adjacent ones: n(mu), |mu|
 and <xi', mu'> are sums over j of terms in c_j, and I_j depends on
 (c_j, c_{j+1}).  ``HironakaEngine.alpha`` therefore sums column by column
-from j = lam_1 + 1 down to 1, keeping one partial sum per height, which
-takes O(lam_1 * n^2) Laurent products where the box of mu has up to
-prod_i (lam_i + 2) members.
+from j = lam_1 + 1 down to 1, keeping one partial sum per height.  A column
+maps the partial sums through I_j, which splits as
+sum_i (-q)^(e_i) [l2 - c_{j+1}; l2 - i] [l1 - i; l1 - c_j], with
+l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and e_i = i (2 l2 + 1 - i) / 2: two
+q-binomial transforms S_v = sum_{u >= v} [u; v] a_u with the twist
+(-q)^(e_i) between them, each evaluated by Horner's scheme on the q-binomial
+theorem.  A column then costs O(n^2) shifted Laurent additions and no
+products, where the box of mu has up to prod_i (lam_i + 2) members.
 
-The engine memoizes alpha on (xi, lam) keys and the inner factors on their
-four conjugate values, and works in Laurent form internally (densities lie
-in ZZ[q, q^-1]); results are returned as reduced ``RatFunc`` values.
+The engine memoizes alpha on (xi, lam) keys, and works in Laurent form
+internally (densities lie in ZZ[q, q^-1]); results are returned as reduced
+``RatFunc`` values.  The inner factors, memoized on their four conjugate
+values, serve only ``I_j``.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 vanish whenever |xi| and |lam| have different parities (the determinant
@@ -45,6 +51,38 @@ from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_iadd_scaled, lau_mul
 class NotTabulated(LookupError):
     """Kept for compatibility: ``self_density_closed`` covers every label and
     no longer raises it."""
+
+
+def _qbinomial_transform(terms):
+    """S_v = sum_{u >= v} [u; v] a_u for v = 0..N, by additions only.
+
+    ``terms[u]`` (u = 0..N) is None for a_u = 0, or a lazy triple
+    (d, shift, sign) standing for sign * q^shift * d; the result is a list of
+    the same form, S_v for v = 0..N, each d a new dict.  With t = (-q)^-1
+    the q-binomial theorem reads prod_{k<u} (1 + t^k x) =
+    sum_v t^(v(v-1)/2) [u; v] x^v, so sum_u a_u prod_{k<u} (1 + t^k x) has
+    x^v-coefficient t^(v(v-1)/2) S_v.  Horner's scheme builds it as
+    P <- a_u + (1 + t^u x) P for u = N..0, O(N^2) shifted additions, and the
+    twist (-q)^(v(v-1)/2) goes into each triple instead of onto a copy.
+    """
+    poly = []                           # poly[v]: x^v-coefficient of P
+    for u in range(len(terms) - 1, -1, -1):
+        if poly:
+            sign = -1 if u % 2 else 1
+            poly.append({})
+            for v in range(len(poly) - 1, 0, -1):
+                lau_iadd_scaled(poly[v], poly[v - 1], shift=-u, scale=sign)
+        term = terms[u]
+        if term is not None:
+            if not poly:
+                poly.append({})
+            lau_iadd_scaled(poly[0], *term)
+    out = [None] * len(terms)
+    for v, d in enumerate(poly):
+        if d:
+            k = v * (v - 1) // 2
+            out[v] = (d, k, -1 if k % 2 else 1)
+    return out
 
 
 class HironakaEngine:
@@ -102,26 +140,33 @@ class HironakaEngine:
         # (-1)^(c_j + e_j) q^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
         # I_j(c_j, c_{j+1}), so it is summed from the last column down: after
         # column j, chain[c] sums the factors of columns >= j over all
-        # c_j = c >= c_{j+1} >= ...
-        chain = {0: {0: 1}}
+        # c_j = c >= c_{j+1} >= ...  Entries are lazy (d, shift, sign) triples
+        # or None, as ``_qbinomial_transform`` takes and returns them.
+        chain = [({0: 1}, 0, 1)]
         for j in range(lam[0] + 1, 0, -1):
             l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
             x = n - m - 1 + conjugate_part(xi, j)
-            step = {}
-            for c in range(l1 + 1):
-                e = x * c - c * (c - 1) // 2
-                sign = -1 if (c + e) % 2 else 1
-                acc = {}
-                for c2, tail in chain.items():
-                    if c2 <= c:
-                        lau_iadd_scaled(acc, lau_mul(self._inner_items(l1, l2, c, c2), tail),
-                                        shift=e, scale=sign)
-                if acc:
-                    step[c] = acc
-            chain = step
+            # chain holds c2 = 0..l2, the heights of column j + 1, and
+            # I_j(l1, l2, c, c2) = sum_i (-q)^(e_i) [l2-c2; l2-i] [l1-i; l1-c]
+            # with e_i = i (2 l2 + 1 - i) / 2: a transform c2 -> i (u = l2-c2,
+            # v = l2-i), the twist (-q)^(e_i), a transform i -> c (u = l1-i,
+            # v = l1-c), and then the column's own (-1)^(c+e) q^e
+            inner = [None] * (l1 + 1)
+            for v, term in enumerate(_qbinomial_transform(chain[::-1])):
+                if term is not None:
+                    i = l2 - v
+                    e = i * (2 * l2 + 1 - i) // 2
+                    inner[l1 - i] = (term[0], term[1] + e, -term[2] if e % 2 else term[2])
+            chain = [None] * (l1 + 1)
+            for v, term in enumerate(_qbinomial_transform(inner)):
+                if term is not None:
+                    c = l1 - v
+                    e = x * c - c * (c - 1) // 2
+                    chain[c] = (term[0], term[1] + e, -term[2] if (c + e) % 2 else term[2])
         acc = {}
-        for tail in chain.values():
-            lau_iadd_scaled(acc, tail)
+        for term in chain:
+            if term is not None:
+                lau_iadd_scaled(acc, *term)
         val = RatFunc.from_laurent(acc)
         self._alpha[key] = val
         return val

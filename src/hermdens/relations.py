@@ -461,7 +461,8 @@ class ReductionEngine:
         else:
             val = {}
             for factor, sub in terms:
-                lau_iadd_scaled(val, lau_mul(factor, sub))
+                if sub:         # a zero leaf's empty value adds nothing
+                    lau_iadd_scaled(val, lau_mul(factor, sub))
         self._memo[xi, lam] = val
         return val
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermdens.hironaka import (
     HironakaEngine,
+    _qbinomial_transform,
     alpha,
     default_engine,
     I_j,
@@ -24,7 +25,8 @@ from hermdens.partitions import (
     tilde,
     weight,
 )
-from hermdens.qalgebra import ONE, Q, ZERO, RatFunc, lau_iadd_scaled, lau_mul
+from hermdens.qalgebra import (
+    ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul)
 from hermdens.relations import theorem_terms, verify_relation
 
 
@@ -98,9 +100,59 @@ def test_alpha_chain_sum_matches_box_reference(pair):
     assert eng.alpha(xi, lam).to_json() == _alpha_box_reference(eng, xi, lam).to_json()
 
 
+def test_alpha_chain_sum_matches_box_reference_on_larger_labels():
+    # beyond the hypothesis strategy's n <= 4 and parts <= 6; each box
+    # tilde(lam) is kept to at most 5000 partitions
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 6)
+        xi, lam = (tuple(sorted((rng.randint(0, 9) for _ in range(k)), reverse=True))
+                   for k in (rng.randint(n, n + 2), n))
+        if sum(1 for _ in itertools.islice(partitions_in_box(tilde(lam)), 5001)) > 5000:
+            continue
+        eng = HironakaEngine()
+        assert eng.alpha(xi, lam) == _alpha_box_reference(eng, xi, lam), (xi, lam)
+        checked += 1
+
+
+def _materialize(term):
+    return {} if term is None else lau_iadd_scaled({}, term[0], shift=term[1], scale=term[2])
+
+
+def _random_laurent(rng):
+    return {rng.randint(-6, 6): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 4))}
+
+
+def test_qbinomial_transform_matches_its_slow_form():
+    # S_v = sum_{u >= v} [u; v] a_u, against gauss_laurent products; some a_u
+    # are None, some are the empty dict, and exponents run negative
+    rng = random.Random(161)
+    for size in range(9):
+        for _ in range(12):
+            terms = []
+            for _u in range(size + 1):
+                kind = rng.random()
+                if kind < 0.2:
+                    terms.append(None)
+                elif kind < 0.3:
+                    terms.append(({}, rng.randint(-3, 3), 1))
+                else:
+                    terms.append((_random_laurent(rng), rng.randint(-3, 3), rng.choice((-1, 1))))
+            got = _qbinomial_transform(terms)
+            assert len(got) == size + 1
+            for v in range(size + 1):
+                want = {}
+                for u in range(v, size + 1):
+                    lau_iadd_scaled(want, lau_mul(gauss_laurent(u, v), _materialize(terms[u])))
+                assert _materialize(got[v]) == want, (terms, v)
+                assert got[v] is None or got[v][0], "an empty S_v is None"
+
+
 def test_vanishing_relation_at_large_rank():
     # the box tilde(lam) holds 6324 partitions, each costing up to 11 Laurent
-    # products in the box sum; the chain sum takes a few hundred per alpha
+    # products in the box sum; the column chain takes no products and about
+    # 300 shifted Laurent additions per alpha
     ok, residual = verify_relation(theorem_terms(6, 2, (3, 2, 2, 1, 0, 0)),
                                    (10, 9, 7, 5, 3, 1), HironakaEngine())
     assert ok, residual
