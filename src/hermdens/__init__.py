@@ -53,8 +53,6 @@ from .oracle import (
     stabilization_check,
 )
 from .geometry import (
-    SumTruncationPolicy,
-    TruncationUnsoundError,
     conjecture_check,
     derivative_0000,
     difference_identity_check,

@@ -6,7 +6,7 @@ numeric evaluation at a rational q, reduction traces, batch verification
 sweeps, and the counting oracle.
 
 Exit codes: 0 success / all verified, 1 verification failure (nonzero
-residual or mismatch), 2 usage error, 3 budget or truncation failure.
+residual or mismatch), 2 usage error, 3 budget failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from . import geometry, hironaka, oracle, relations
-from .geometry import SumTruncationPolicy, TruncationUnsoundError
 from .oracle import BudgetExceededError, GaloisRingParams
 from .partitions import fill_pattern, format_partition, parse_partition, partitions_fixed_length
 from .qalgebra import PoleError, ZERO
@@ -71,15 +70,11 @@ def build_parser():
 
     p = sub.add_parser("derivative", help="derived density of the rank-4 unimodular class")
     p.add_argument("b", type=_partition, metavar="a,b,c,d")
-    p.add_argument("--hard-cap", type=int, default=None)
-    p.add_argument("--zero-tail-window", type=int, default=2)
     p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
     add_value_opts(p)
 
     p = sub.add_parser("intersect", help="rank-2 special-cycle intersection number")
     p.add_argument("b", type=_partition, metavar="l,k")
-    p.add_argument("--hard-cap", type=int, default=None)
-    p.add_argument("--zero-tail-window", type=int, default=2)
     p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
     add_value_opts(p)
 
@@ -112,8 +107,6 @@ def build_parser():
 
     v = vsub.add_parser("conjecture", help="rank-4 expansion check")
     v.add_argument("b", type=_partition, metavar="a,b,c,d")
-    v.add_argument("--hard-cap", type=int, default=None)
-    v.add_argument("--zero-tail-window", type=int, default=2)
 
     p = sub.add_parser("oracle", help="counting oracle over the finite quotient ring")
     p.add_argument("xi", type=_partition)
@@ -147,15 +140,6 @@ def _emit_value(args, value, extra=None):
         if args.q_eval is not None:
             print(f"at q={args.q_eval}: {value.evaluate_at(args.q_eval)}")
     return 0
-
-
-def _policy(args, target):
-    if args.hard_cap is not None:
-        return SumTruncationPolicy(args.hard_cap, args.zero_tail_window)
-    if args.zero_tail_window != 2:
-        base = SumTruncationPolicy.for_target(target)
-        return SumTruncationPolicy(base.hard_cap, args.zero_tail_window)
-    return None
 
 
 def _cmd_alpha(args):
@@ -196,14 +180,14 @@ def _cmd_self(args):
 
 def _cmd_derivative(args):
     engine = geometry.make_engine(args.engine)
-    value, reports = geometry.derivative_0000_report(args.b, _policy(args, args.b), engine)
+    value, reports = geometry.derivative_0000_report(args.b, engine)
     extra = {"truncation": [r.to_json() for r in reports]} if args.format == "json" else None
     return _emit_value(args, value, extra)
 
 
 def _cmd_intersect(args):
     engine = geometry.make_engine(args.engine)
-    value, reports = geometry.sankaran_intersection_report(args.b, _policy(args, args.b), engine)
+    value, reports = geometry.sankaran_intersection_report(args.b, engine)
     extra = {"truncation": [r.to_json() for r in reports]} if args.format == "json" else None
     return _emit_value(args, value, extra)
 
@@ -276,7 +260,7 @@ def _verify_identity(args):
 
 
 def _verify_conjecture(args):
-    report = geometry.conjecture_check(args.b, _policy(args, args.b))
+    report = geometry.conjecture_check(args.b)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -364,7 +348,7 @@ def run(argv):
     except (UsageError, ValueError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, TruncationUnsoundError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

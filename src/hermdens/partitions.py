@@ -11,10 +11,10 @@ constructions used by the density relations: the zero-tail promotions
 ``xi_plus``, the two-one paddings ``mu_lk``, and the coefficient family
 ``d_coefficients`` read off the product (1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
 
-It also holds the label-pattern language of the rewrite rules and the
-self-density tables: a pattern is a tuple of slots, where an int matches
-that part exactly and ``"*"`` matches any part >= 3 and binds it
-(``match_pattern``); ``fill_pattern`` substitutes bindings back.
+It also holds the label-pattern language of the rewrite rules: a pattern is
+a tuple of slots, where an int matches that part exactly and ``"*"``
+matches any part >= 3 and binds it (``match_pattern``); ``fill_pattern``
+substitutes bindings back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
 
 from .qalgebra import RatFunc, neg_q_power
 
@@ -204,14 +203,11 @@ def partitions_fixed_length(n, lo, hi):
         yield t
 
 
-def partitions_first_part(level, length, min_part, bound=None):
-    """Partitions of the given length whose first part equals level, parts >= min_part.
-
-    With ``bound`` (one entry per part), only those with part[i] <= bound[i],
-    in the same order; none when level > bound[0].
+def partitions_first_part(level, length, min_part, bound):
+    """Partitions of the given length whose first part equals level, with
+    min_part <= part[i] <= bound[i] (one bound per part); none when
+    level > bound[0].
     """
-    if bound is None:
-        bound = (level,) * length
     if min_part <= level <= bound[0]:
         for rest in _bounded_tails(level, bound[1:length], min_part):
             yield (level,) + rest
@@ -225,11 +221,6 @@ def _bounded_tails(top, bound, min_part):
     for x in range(min(top, bound[0]), min_part - 1, -1):
         for rest in _bounded_tails(x, bound[1:], min_part):
             yield (x,) + rest
-
-
-def count_first_part(level, length, min_part):
-    """The number of partitions ``partitions_first_part`` yields without a bound."""
-    return comb(level - min_part + length - 1, length - 1) if level >= min_part else 0
 
 
 def lambda_ns_elements(n, s, max_nonzero):

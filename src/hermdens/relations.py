@@ -462,7 +462,7 @@ class ReductionEngine:
             val = {}
             for factor, sub in terms:
                 if sub:         # a zero leaf's empty value adds nothing
-                    lau_iadd_scaled(val, lau_mul(factor, sub))
+                    lau_iadd_scaled(val, sub if factor == _LAU_ONE else lau_mul(factor, sub))
         self._memo[xi, lam] = val
         return val
 

@@ -1,5 +1,5 @@
 """Rewrite geometry_golden.json: the exact outputs of the geometry sums, with
-their truncation reports, on a fixed set of classes and both engines.
+their support-box reports, on a fixed set of classes and both engines.
 
 Each record holds one call: ``derivative_0000_report`` and
 ``sankaran_intersection_report`` as their value and ``SumReport.to_json``

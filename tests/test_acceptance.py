@@ -322,11 +322,13 @@ def test_criterion_12_property_suite(hiro, reducer):
         lam = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
         val, trace = reducer.reduce_normalized(xi, lam)
         assert trace.replay() == val
-    # zero-tail soundness of an emitted sum
+    # each emitted sum covers its support box: levels 2..box[0], each
+    # counting the box's partitions at that level
     _, reports = sankaran_intersection_report((3, 1), engine=reducer)
-    for rep in reports:
-        assert all(r.all_zero for r in rep.levels[-2:])
-        assert rep.probe_level is not None
+    assert [(rep.name, rep.box, [(r.level, r.terms) for r in rep.levels])
+            for rep in reports] == [("pairs-ge-2", (3, 1), [(2, 0), (3, 0)]),
+                                    ("column-1", (3,), [(2, 1), (3, 1)]),
+                                    ("column-0", (3,), [(2, 1), (3, 1)])]
     # derived-density engine independence
     direct = make_engine("direct")
     for b in ((4, 1, 0, 0), (4, 2, 1, 0)):

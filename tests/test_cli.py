@@ -181,18 +181,18 @@ def test_exit_code_usage():
     assert run(["alpha", "1", "1,1"]) == 2     # xi shorter than lambda
 
 
-def _assert_rejects_workers(capsys, argv):
-    code, out, err = _capture(capsys, argv + ["--workers", "2"])
+def _assert_rejects(capsys, argv, option):
+    code, out, err = _capture(capsys, argv + option)
     assert code == 2
-    assert out == "" and "unrecognized arguments: --workers 2" in err
+    assert out == "" and f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_oracle_rejects_workers(capsys):
-    _assert_rejects_workers(capsys, ["oracle", "0,0", "0,0", "--p", "3", "--d", "1"])
+    _assert_rejects(capsys, ["oracle", "0,0", "0,0", "--p", "3", "--d", "1"], ["--workers", "2"])
 
 
 def test_crosscheck_rejects_workers(capsys):
-    _assert_rejects_workers(capsys, ["crosscheck", "0", "0", "--p", "3", "--d", "2"])
+    _assert_rejects(capsys, ["crosscheck", "0", "0", "--p", "3", "--d", "2"], ["--workers", "2"])
 
 
 def test_exit_code_budget(capsys):
@@ -208,9 +208,11 @@ def test_exit_code_histogram_bytes(capsys):
     assert "bytes" in err and "budget" in err
 
 
-def test_exit_code_truncation(capsys):
-    code, _, err = _capture(capsys, ["derivative", "4,1,0,0", "--hard-cap", "1"])
-    assert code == 3
+def test_truncation_options_are_usage_errors(capsys):
+    for argv in (["derivative", "4,1,0,0"], ["intersect", "4,2"],
+                 ["verify", "conjecture", "4,1,0,0"]):
+        for option in (["--hard-cap", "5"], ["--zero-tail-window", "3"]):
+            _assert_rejects(capsys, argv, option)
 
 
 def test_module_entry_point():

@@ -1,4 +1,4 @@
-"""Derived densities, intersection numbers, and the truncated-sum machinery."""
+"""Derived densities, intersection numbers, and the support-box sums."""
 
 import importlib.util
 import json
@@ -9,8 +9,6 @@ import pytest
 
 from hermdens import geometry
 from hermdens.geometry import (
-    SumTruncationPolicy,
-    TruncationUnsoundError,
     conjecture_check,
     derivative_0000,
     derivative_0000_report,
@@ -54,33 +52,38 @@ def closed_form_families(a):
     }
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SumTruncationPolicy(5, zero_tail_window=1)
-    with pytest.raises(ValueError):
-        SumTruncationPolicy(0)
-    assert SumTruncationPolicy.for_target((6, 1, 0, 0)).hard_cap == 8
-    assert SumTruncationPolicy.for_target((0, 0)).hard_cap == 4
+# (start, min_part) of each named sum
+SUM_STARTS = {
+    "tail3-zeros": (1, 1), "tail2-zeros": (1, 1), "tail1-zeros": (1, 1),
+    "tail0-zeros": (1, 1), "pairs-ge-2": (2, 2), "column-1": (2, 1), "column-0": (2, 1),
+    "horizontal-steps": (3, 1), "vertex-pairs": (1, 1), "vertex-triples": (1, 1),
+}
 
 
-def test_truncated_sum_reports_zero_tail():
+def _assert_box_report(rep):
+    """The report's levels are exactly start..box[0], each counting the
+    partitions of the box with that first part and parts >= min_part."""
+    start, min_part = SUM_STARTS[rep.name]
+    assert [r.level for r in rep.levels] == list(range(start, rep.box[0] + 1)), rep
+    inside = [p for p in partitions_in_box(rep.box) if p[0] >= start and p[-1] >= min_part]
+    for r in rep.levels:
+        assert r.terms == sum(p[0] == r.level for p in inside), (rep, r)
+    assert sum(r.terms for r in rep.levels) == len(inside), rep
+
+
+def test_box_sum_reports_every_level():
     nv = REDUCE.normalized_value
     val, rep = truncated_partition_sum(
-        "demo", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)).as_laurent(),
-        SumTruncationPolicy.for_target((4, 1, 0, 0)))
+        "demo", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)).as_laurent(), (4,))
     assert RatFunc.from_laurent(val) == ONE  # only the (1,0,0,0) term survives
-    assert rep.stopped_at is not None
-    window = rep.levels[-2:]
-    assert all(r.all_zero for r in window)
-    assert rep.probe_level == 7
-
-
-def test_truncated_sum_unsound_cap_raises():
-    nv = REDUCE.normalized_value
-    with pytest.raises(TruncationUnsoundError):
-        truncated_partition_sum(
-            "too-tight", 1, 1, lambda p: nv(p + (0, 0, 0), (4, 1, 0, 0)).as_laurent(),
-            SumTruncationPolicy(hard_cap=1))
+    assert rep.to_json() == {"name": "demo", "box": [4], "levels": [
+        {"level": 1, "terms": 1, "all_zero": False},
+        {"level": 2, "terms": 1, "all_zero": True},
+        {"level": 3, "terms": 1, "all_zero": True},
+        {"level": 4, "terms": 1, "all_zero": True}]}
+    # a start above the box sums nothing and reports no level
+    val, rep = truncated_partition_sum("empty", 2, 3, lambda p: {0: 1}, (2, 2))
+    assert val == {} and rep.levels == []
 
 
 def test_derivative_family_values():
@@ -124,10 +127,12 @@ def test_sankaran_values():
 
 
 def test_sankaran_reports():
-    _, reports = sankaran_intersection_report((2, 0), engine=REDUCE)
-    assert {r.name for r in reports} == {"pairs-ge-2", "column-1", "column-0"}
-    for rep in reports:
-        assert all(r.all_zero for r in rep.levels[-2:])
+    for b in ((2, 0), (0, 0), (1, 1), (5, 3), (9, 4)):
+        _, reports = sankaran_intersection_report(b, engine=REDUCE)
+        assert [(r.name, r.box) for r in reports] == \
+            [("pairs-ge-2", b), ("column-1", b[:1]), ("column-0", b[:1])]
+        for rep in reports:
+            _assert_box_report(rep)
 
 
 def test_difference_identity_grid():
@@ -164,6 +169,16 @@ def test_conjecture_report_json():
     assert blob["equal"] is True
     assert blob["b"] == [4, 1, 0, 0]
     assert any(s["name"] == "vertex-triples" for s in blob["truncation"])
+    # every sum of the rank-4 classes, the derived densities' included
+    for b in ((4, 1, 0, 0), (6, 3, 1, 1), (6, 4, 3, 2), (2, 1, 0, 0)):
+        reports = conjecture_check(b, engine=REDUCE).truncation
+        assert reports[:4] == derivative_0000_report(b, engine=REDUCE)[1]
+        assert [(r.name, r.box) for r in reports[:4]] == \
+            [(f"tail{4 - k}-zeros", b[:k]) for k in range(1, 5)]
+        assert [(r.name, r.box) for r in reports[-3:]] == [
+            ("horizontal-steps", b[1:2]), ("vertex-pairs", b[1:3]), ("vertex-triples", b[1:])]
+        for report in reports:
+            _assert_box_report(report)
 
 
 def test_engine_independence_spot_checks():
@@ -220,11 +235,14 @@ def test_geometry_golden():
 
 def test_zero_screen_is_sound(monkeypatch):
     # every label pair the geometry sums answer 0 without asking the engine is
-    # 0 by the direct formula: the pairs the screen sees, and the pairs of the
-    # terms outside each sum's support box, which the sums no longer build
+    # 0 by the direct formula: the pairs the screen sees inside each sum's
+    # support box, and the pairs of the terms outside it, which the sums do
+    # not build, at every level from the sum's start to ``top``, four above
+    # the largest part of the class
     screened, skipped = {}, {}
     sink = [screened]
     rule = geometry.provable_zero
+    top = None
 
     def recording(xi, lam):
         kind = rule(xi, lam)
@@ -234,15 +252,15 @@ def test_zero_screen_is_sound(monkeypatch):
 
     real_sum = geometry.truncated_partition_sum
 
-    def replaying(name, length, start, term_fn, policy, min_part=1, bound=None):
-        result = real_sum(name, length, start, term_fn, policy, min_part, bound)
-        # build every skipped term of every scanned level, as the unbounded
-        # enumeration would: each must be exactly zero
+    def replaying(name, length, start, term_fn, bound, min_part=1):
+        result = real_sum(name, length, start, term_fn, bound, min_part)
+        # build every term outside the box, as an unbounded sum would: each
+        # must be exactly zero
         sink.append(skipped)
         try:
-            for rec in result[1].levels:
-                inside = set(partitions_first_part(rec.level, length, min_part, bound))
-                for part in partitions_first_part(rec.level, length, min_part):
+            for level in range(start, top + 1):
+                inside = set(partitions_first_part(level, length, min_part, bound))
+                for part in partitions_first_part(level, length, min_part, (level,) * length):
                     if part not in inside:
                         assert term_fn(part) == {}, (name, part)
         finally:
@@ -264,20 +282,22 @@ def test_zero_screen_is_sound(monkeypatch):
             rank4.add(b)
     engine = make_engine("reduce")
     for b in sorted(rank2):
+        top = max(b) + 4
         sankaran_intersection(b, engine=engine)
         difference_identity_check(b, engine=engine)
     for b in sorted(rank4):
+        top = max(b) + 4
         conjecture_check(b, engine=engine)
 
     def census(pairs):
         kinds = list(pairs.values())
         return len(kinds), kinds.count("parity-zero"), kinds.count("support-zero")
 
-    # the screen sees only the pairs inside the boxes; with the skipped ones
-    # they are the 1,213 pairs the unbounded sums screened
-    assert census(screened) == (316, 266, 50)
+    # inside the boxes the screen sees parity zeros only; the replay reaches
+    # the support zeros
+    assert census(screened) == (234, 234, 0)
     checked = {**skipped, **screened}
-    assert census(checked) == (1213, 735, 478)
+    assert census(checked) == (6146, 3260, 2886)
     direct = make_engine("direct")
     for xi, lam in checked:
         assert direct.normalized(xi, lam) == ZERO, (xi, lam)
