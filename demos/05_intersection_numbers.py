@@ -1,14 +1,15 @@
 """Applications: derived densities and special-cycle intersection numbers.
 
-The derived density of the rank-4 unimodular class expands as a weighted
-lattice sum; rank-2 intersection numbers are another such sum; and the
-conjectural expansion relates the rank-4 derived density to vertex-lattice
-counts.  Every sum is exact over its support box: a label with a part
-above B's is 0, so only the partitions inside the box are summed.
+The derived density of the rank-4 unimodular class is the |mu|-weighted
+twin of the column chain of alpha(1_4, B); rank-2 intersection numbers are a
+weighted lattice sum; and the conjectural expansion relates the rank-4
+derived density to horizontal terms and vertex-lattice counts, also lattice
+sums.  Every sum is exact over its support box: a label with a part above
+B's is 0, so only the partitions inside the box are summed.
 """
 
 from hermdens import Q, conjecture_check, derivative_0000, sankaran_intersection
-from hermdens.geometry import derivative_0000_report, difference_identity_check
+from hermdens.geometry import difference_identity_check
 
 print("== derived densities of (a,1,0,0): linear in a/2 ==")
 for a in (2, 4, 6, 8):
@@ -20,9 +21,9 @@ for a in (4, 6):
     print(f"D(A_{a}311) =", derivative_0000((a, 3, 1, 1)))
 
 print("\n== each sum runs over its support box ==")
-val, reports = derivative_0000_report((4, 2, 1, 0))
-print("D(A_4210) =", val)
-for rep in reports:
+report = conjecture_check((6, 3, 1, 1))
+print("the sums of the expansion of D(A_6311); rhs =", report.rhs)
+for rep in report.truncation:
     levels = ", ".join(f"{r.level}:{r.terms}{'*' if r.all_zero else ''}" for r in rep.levels)
     print(f"  sum {rep.name} over box {rep.box}: level:terms {levels} (starred = all-zero)")
 

@@ -68,9 +68,9 @@ def build_parser():
     p.add_argument("xi", type=_partition)
     add_value_opts(p)
 
-    p = sub.add_parser("derivative", help="derived density of the rank-4 unimodular class")
+    p = sub.add_parser("derivative", help="derived density of the rank-4 unimodular "
+                       "class against a strictly dominant class of odd weight")
     p.add_argument("b", type=_partition, metavar="a,b,c,d")
-    p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
     add_value_opts(p)
 
     p = sub.add_parser("intersect", help="rank-2 special-cycle intersection number")
@@ -179,10 +179,7 @@ def _cmd_self(args):
 
 
 def _cmd_derivative(args):
-    engine = geometry.make_engine(args.engine)
-    value, reports = geometry.derivative_0000_report(args.b, engine)
-    extra = {"truncation": [r.to_json() for r in reports]} if args.format == "json" else None
-    return _emit_value(args, value, extra)
+    return _emit_value(args, geometry.derivative_0000(args.b))
 
 
 def _cmd_intersect(args):

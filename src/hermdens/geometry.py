@@ -1,24 +1,24 @@
 """Derived densities and special-cycle intersection numbers.
 
-The quantities here are finite weighted sums of normalized densities over
-families of partitions.  Each is an exact sum over its support box: a
-label with a part above B's part at the same index is 0 (the "support-zero"
-rule, Newman, Thm II.15), so a sum runs over the partitions inside the box
-and no others.  The partitions are grouped by first part, and each level
-from the sum's start to the box's first part is reported with its term
-count.
-
 Operations:
 
 * ``derivative_0000``       -- the derived density of the rank-4 unimodular
-  class, via the weighted-lattice (Cho-Yamauchi style) sum with weights
-  1, (1+q), (1+q)(1-q^2), (1+q)(1-q^2)(1+q^3) over tails of 0..3 zeros;
+  class against a strictly dominant class of odd weight, taken from
+  ``hironaka.derived_density`` (no lattice sum, no engine, no report);
 * ``sankaran_intersection`` -- the rank-2 special-cycle intersection number
   as a weighted lattice count;
 * ``difference_identity_check`` -- the two evaluations of the intersection
   difference under scaling one vector by 1/pi must agree;
 * ``conjecture_check``      -- the proposed expansion of the rank-4 derived
   density into horizontal terms and vertex-lattice counts of type (1,1,1,0).
+
+All but the derived density are finite weighted sums of normalized densities
+over families of partitions.  Each is an exact sum over its support box: a
+label with a part above B's part at the same index is 0 (the "support-zero"
+rule, Newman, Thm II.15), so a sum runs over the partitions inside the box
+and no others.  The partitions are grouped by first part, and each level
+from the sum's start to the box's first part is reported with its term
+count.
 
 Inner normalized densities come from the reduction engine by default, or
 from direct evaluation for cross-checking; either way through the engine's
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import hironaka
-from .partitions import check_partition, partitions_first_part, weight
+from .partitions import check_partition, partitions_first_part
 from .qalgebra import RatFunc, lau_iadd_scaled, lau_mul
 from .relations import ReductionEngine, provable_zero
 
@@ -131,17 +131,12 @@ _ONE_MINUS_Q2 = {0: 1, 2: -1}
 _MINUS_Q = {1: -1}
 _MINUS_Q2 = {2: -1}
 _Q_MINUS_Q2 = {1: 1, 2: -1}
+_ONE_PLUS_Q_ONE_MINUS_Q2 = lau_mul({0: 1, 1: 1}, _ONE_MINUS_Q2)
 
 
 # ---------------------------------------------------------------------------
 # the rank-4 derived density
 # ---------------------------------------------------------------------------
-
-_W1 = _LAU_ONE
-_W2 = {0: 1, 1: 1}
-_W3 = lau_mul(_W2, _ONE_MINUS_Q2)                   # (1+q)(1-q^2)
-_W4 = lau_mul(_W3, {0: 1, 3: 1})                    # (1+q)(1-q^2)(1+q^3)
-
 
 def _validate_rank4(b):
     b = check_partition(b)
@@ -152,28 +147,10 @@ def _validate_rank4(b):
     return b
 
 
-def _derivative_laurent(b, engine):
-    """``derivative_0000_report`` of a validated class, as a Laurent dict."""
-    nv = _screened(engine)
-    pairs, sums = [], []
-    for k, coeff in ((1, _W1), (2, _W2), (3, _W3), (4, _W4)):
-        def term(part, _k=k):
-            return nv(part + (0,) * (4 - _k), b)
-        val, rep = truncated_partition_sum(f"tail{4 - k}-zeros", k, 1, term, b[:k])
-        pairs.append((coeff, val))
-        sums.append(rep)
-    return _combine(pairs), sums
-
-
-def derivative_0000_report(b, engine=None):
-    """Derived density of the rank-4 unimodular class against B, with reports."""
-    b = _validate_rank4(b)
-    total, sums = _derivative_laurent(b, engine or ReductionEngine())
-    return RatFunc.from_laurent(total), sums
-
-
-def derivative_0000(b, engine=None):
-    return derivative_0000_report(b, engine)[0]
+def derivative_0000(b):
+    """Derived density of the rank-4 unimodular class against B = A_b, for b
+    strictly dominant of odd weight (``hironaka.derived_density``)."""
+    return hironaka.derived_density(_validate_rank4(b))
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +259,19 @@ def conjecture_check(b, engine=None):
     alpha_part = b[0]
     if alpha_part % 2:
         raise ValueError(f"need an even dominant part, got {b}")
-    if weight(b) % 2 == 0:
-        raise ValueError(f"need an odd weight, got {b} of weight {weight(b)}")
     tail3 = b[1:]
-    engine = engine or ReductionEngine()
-    nv = _screened(engine)
+    nv = _screened(engine or ReductionEngine())
 
     reports = []
     terms = []
-
-    lhs, lhs_reports = _derivative_laurent(b, engine)
-    reports.extend(lhs_reports)
-
     deriv_cache = {}
 
     def deriv(cls4):
         if cls4 not in deriv_cache:
-            val, reps = _derivative_laurent(cls4, engine)
-            reports.extend(reps)
-            deriv_cache[cls4] = val
+            deriv_cache[cls4] = hironaka.derived_density(cls4).as_laurent()
         return deriv_cache[cls4]
+
+    lhs = deriv(b)                      # ValueError on even weight
 
     def term_record(name, val):
         terms.append({"term": name, "value": str(RatFunc.from_laurent(val))})
@@ -317,7 +287,7 @@ def conjecture_check(b, engine=None):
         if not coeff:
             return {}
         step = lau_iadd_scaled(dict(deriv((alpha_part, lead, 0, 0))),
-                               deriv(_sorted4(alpha_part, lead - 2, 0, 0)), scale=-1)
+                               deriv((alpha_part, lead - 2, 0, 0)), scale=-1)
         return lau_mul(coeff, step)
 
     val, rep = truncated_partition_sum("horizontal-steps", 1, 3, horizontal_step, tail3[:1])
@@ -341,12 +311,8 @@ def conjecture_check(b, engine=None):
     val, rep = truncated_partition_sum(
         "vertex-triples", 3, 1, lambda p: vertex_term(p, False), tail3)
     reports.append(rep)
-    lau_iadd_scaled(rhs, lau_mul(_W3, val))
+    lau_iadd_scaled(rhs, lau_mul(_ONE_PLUS_Q_ONE_MINUS_Q2, val))
     term_record("vertex-triples", val)
 
     return ConjectureReport(b=b, lhs=RatFunc.from_laurent(lhs), rhs=RatFunc.from_laurent(rhs),
                             equal=lhs == rhs, truncation=reports, terms=terms)
-
-
-def _sorted4(*parts):
-    return tuple(sorted(parts, reverse=True))

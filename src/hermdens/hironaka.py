@@ -16,9 +16,9 @@ The sum is not taken partition by partition.  Written in the column heights
 c_j = mu'_j (n >= c_1 >= c_2 >= ... >= 0, c_j <= (lam+1)'_j), every factor
 of the summand depends on one column or on two adjacent ones: n(mu), |mu|
 and <xi', mu'> are sums over j of terms in c_j, and I_j depends on
-(c_j, c_{j+1}).  ``HironakaEngine.alpha`` therefore sums column by column
-from j = lam_1 + 1 down to 1, keeping one partial sum per height.  A column
-maps the partial sums through I_j, which splits as
+(c_j, c_{j+1}).  One kernel, ``_column_chain``, therefore sums column by
+column from j = lam_1 + 1 down to 1, keeping one partial sum per height.  A
+column maps the partial sums through I_j, which splits as
 sum_i (-q)^(e_i) [l2 - c_{j+1}; l2 - i] [l1 - i; l1 - c_j], with
 l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and e_i = i (2 l2 + 1 - i) / 2: two
 q-binomial transforms S_v = sum_{u >= v} [u; v] a_u with the twist
@@ -26,8 +26,9 @@ q-binomial transforms S_v = sum_{u >= v} [u; v] a_u with the twist
 theorem.  A column then costs O(n^2) shifted Laurent additions and no
 products, where the box of mu has up to prod_i (lam_i + 2) members.
 
-The engine memoizes alpha on (xi, lam) keys, and works in Laurent form
-internally (densities lie in ZZ[q, q^-1]); results are returned as reduced
+``HironakaEngine.alpha`` memoizes its value on (xi, lam) keys;
+``derived_density`` also takes its |mu|-weighted twin.  The kernel works in
+Laurent form (densities lie in ZZ[q, q^-1]); results are reduced
 ``RatFunc`` values.  The inner factors, memoized on their four conjugate
 values, serve only ``I_j``.
 
@@ -85,6 +86,60 @@ def _qbinomial_transform(terms):
     return out
 
 
+def _column_chain(xi, lam, twin):
+    """Hironaka's sum for alpha(A_xi, A_lam), and with ``twin`` the same sum
+    with each summand weighted by |mu| (else None), as Laurent dicts.
+
+    mu <= lam + 1 exactly when c_j = mu'_j <= (lam+1)'_j for j = 1..lam_1 + 1,
+    and c_{lam_1+2} = 0.  The summand is a product over j of
+    (-1)^(c_j + e_j) q^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
+    I_j(c_j, c_{j+1}), so it is summed from the last column down: after
+    column j, chains[0][c] sums the factors of columns >= j over all
+    c_j = c >= c_{j+1} >= ..., and the twin chains[1][c] weights that sum by
+    c_j + c_{j+1} + ...  Entries are lazy triples as in _qbinomial_transform.
+    """
+    m, n = len(xi), len(lam)
+    lt = tilde(lam)
+    chains = [[({0: 1}, 0, 1)], [None]] if twin else [[({0: 1}, 0, 1)]]
+    for j in range(lam[0] + 1, 0, -1):
+        l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
+        x = n - m - 1 + conjugate_part(xi, j)
+        # a chain holds c2 = 0..l2, the heights of column j + 1, and
+        # I_j(l1, l2, c, c2) = sum_i (-q)^(e_i) [l2-c2; l2-i] [l1-i; l1-c]
+        # with e_i = i (2 l2 + 1 - i) / 2: a transform c2 -> i (u = l2-c2,
+        # v = l2-i), the twist (-q)^(e_i), a transform i -> c (u = l1-i,
+        # v = l1-c), and then the column's own (-1)^(c+e) q^e.  Every map is
+        # linear, so the twin takes the same path as the value.
+        for k, chain in enumerate(chains):
+            inner = [None] * (l1 + 1)
+            for v, term in enumerate(_qbinomial_transform(chain[::-1])):
+                if term is not None:
+                    i = l2 - v
+                    e = i * (2 * l2 + 1 - i) // 2
+                    inner[l1 - i] = (term[0], term[1] + e, -term[2] if e % 2 else term[2])
+            chain = chains[k] = [None] * (l1 + 1)
+            for v, term in enumerate(_qbinomial_transform(inner)):
+                if term is not None:
+                    c = l1 - v
+                    e = x * c - c * (c - 1) // 2
+                    chain[c] = (term[0], term[1] + e, -term[2] if (c + e) % 2 else term[2])
+        if twin:
+            # column j adds c_j = c to the weight of each summand at height c;
+            # the value and the twin at height c carry the same shift and
+            # sign, and each transform returns new dicts
+            value, weighted = chains
+            for c in range(1, l1 + 1):
+                if value[c] is not None:
+                    if weighted[c] is None:
+                        weighted[c] = ({},) + value[c][1:]
+                    lau_iadd_scaled(weighted[c][0], value[c][0], scale=c)
+    sums = [{} for _ in chains]
+    for acc, chain in zip(sums, chains):
+        for term in filter(None, chain):
+            lau_iadd_scaled(acc, *term)
+    return sums[0], sums[1] if twin else None
+
+
 class HironakaEngine:
     """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization."""
 
@@ -131,43 +186,9 @@ class HironakaEngine:
         cached = self._alpha.get(key)
         if cached is not None:
             return cached
-        m, n = len(xi), len(lam)
-        if m < n:
-            raise ValueError(f"need len(xi) >= len(lam), got {m} < {n}")
-        lt = tilde(lam)
-        # mu <= lt exactly when c_j = mu'_j <= lt'_j for j = 1..lam_1 + 1, and
-        # c_{lam_1+2} = 0.  The summand is a product over j of
-        # (-1)^(c_j + e_j) q^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
-        # I_j(c_j, c_{j+1}), so it is summed from the last column down: after
-        # column j, chain[c] sums the factors of columns >= j over all
-        # c_j = c >= c_{j+1} >= ...  Entries are lazy (d, shift, sign) triples
-        # or None, as ``_qbinomial_transform`` takes and returns them.
-        chain = [({0: 1}, 0, 1)]
-        for j in range(lam[0] + 1, 0, -1):
-            l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
-            x = n - m - 1 + conjugate_part(xi, j)
-            # chain holds c2 = 0..l2, the heights of column j + 1, and
-            # I_j(l1, l2, c, c2) = sum_i (-q)^(e_i) [l2-c2; l2-i] [l1-i; l1-c]
-            # with e_i = i (2 l2 + 1 - i) / 2: a transform c2 -> i (u = l2-c2,
-            # v = l2-i), the twist (-q)^(e_i), a transform i -> c (u = l1-i,
-            # v = l1-c), and then the column's own (-1)^(c+e) q^e
-            inner = [None] * (l1 + 1)
-            for v, term in enumerate(_qbinomial_transform(chain[::-1])):
-                if term is not None:
-                    i = l2 - v
-                    e = i * (2 * l2 + 1 - i) // 2
-                    inner[l1 - i] = (term[0], term[1] + e, -term[2] if e % 2 else term[2])
-            chain = [None] * (l1 + 1)
-            for v, term in enumerate(_qbinomial_transform(inner)):
-                if term is not None:
-                    c = l1 - v
-                    e = x * c - c * (c - 1) // 2
-                    chain[c] = (term[0], term[1] + e, -term[2] if (c + e) % 2 else term[2])
-        acc = {}
-        for term in chain:
-            if term is not None:
-                lau_iadd_scaled(acc, *term)
-        val = RatFunc.from_laurent(acc)
+        if len(xi) < len(lam):
+            raise ValueError(f"need len(xi) >= len(lam), got {len(xi)} < {len(lam)}")
+        val = RatFunc.from_laurent(_column_chain(xi, lam, False)[0])
         self._alpha[key] = val
         return val
 
@@ -221,3 +242,18 @@ def self_density_closed(xi, engine=None):
         for k in range(1, xi.count(v) + 1):
             val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
     return RatFunc.from_laurent(val)
+
+
+def derived_density(lam):
+    """dDen(B) = -d/dX Den(X, B) at X = 1 for B = A_lam of odd weight, any rank n:
+    -sum_mu |mu| (-1)^|mu| (-q)^(-n(mu)-|mu|) prod_j I_j(mu, lam) / alpha(1_n, 1_n).
+    Den((-q)^-k, B) = alpha(1_{n+k}, B) / alpha(1_{n+k}, 1_n) has the summands of
+    alpha(1_n, B) times X^|mu|, and alpha(1_n, B) = 0 for odd |B| (Li-Zhang, in
+    the form of Cho-Yamauchi).  Even weight raises ValueError.
+    """
+    lam = check_partition(lam)
+    if weight(lam) % 2 == 0:
+        raise ValueError(f"need an odd weight, got {lam} of weight {weight(lam)}")
+    unit = (0,) * len(lam)
+    twin = _column_chain(unit, lam, True)[1]
+    return -RatFunc.from_laurent(twin) / self_density_closed(unit)

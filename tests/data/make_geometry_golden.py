@@ -1,10 +1,12 @@
-"""Rewrite geometry_golden.json: the exact outputs of the geometry sums, with
-their support-box reports, on a fixed set of classes and both engines.
+"""Rewrite geometry_golden.json: the exact outputs of the geometry functions,
+with the support-box reports of their sums, on a fixed set of classes and
+both engines.
 
-Each record holds one call: ``derivative_0000_report`` and
-``sankaran_intersection_report`` as their value and ``SumReport.to_json``
-list, ``conjecture_check`` as ``ConjectureReport.to_json``, and
-``difference_identity_check`` as its flag and residual.
+Each record holds one call: ``derivative_0000`` as its value, once per class
+and with no engine (it asks none); ``sankaran_intersection_report`` as its
+value and ``SumReport.to_json`` list; ``conjecture_check`` as
+``ConjectureReport.to_json``; and ``difference_identity_check`` as its flag
+and residual.
 
 Run from the repository root with ``PYTHONPATH=src python tests/data/make_geometry_golden.py``,
 and only when the geometry outputs are meant to change;
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from hermdens.geometry import (
     conjecture_check,
-    derivative_0000_report,
+    derivative_0000,
     difference_identity_check,
     make_engine,
     sankaran_intersection_report,
@@ -45,10 +47,11 @@ def _sum_record(value, reports):
 
 
 def record(fn, b, engine):
-    """The JSON form of one geometry call on a fresh engine of the given kind."""
+    """The JSON form of one geometry call on a fresh engine of the given kind
+    (None for ``derivative_0000``)."""
+    if fn == "derivative_0000":
+        return {"value": derivative_0000(b).to_json()}
     eng = make_engine(engine)
-    if fn == "derivative_0000_report":
-        return _sum_record(*derivative_0000_report(b, engine=eng))
     if fn == "conjecture_check":
         return conjecture_check(b, engine=eng).to_json()
     if fn == "sankaran_intersection_report":
@@ -63,10 +66,9 @@ def calls():
     """(fn, class, engine) for every recorded call, in file order."""
     out = []
     for b, engines in RANK4:
-        fns = ["derivative_0000_report"]
+        out.append(("derivative_0000", b, None))
         if b[0] % 2 == 0 and sum(b) % 2:
-            fns.append("conjecture_check")
-        out += [(fn, b, e) for e in engines for fn in fns]
+            out += [("conjecture_check", b, e) for e in engines]
     for b, engines in RANK2:
         fns = ["sankaran_intersection_report"]
         if b[1] >= 2:

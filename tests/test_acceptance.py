@@ -14,7 +14,6 @@ import pytest
 from hermdens.geometry import (
     conjecture_check,
     derivative_0000,
-    derivative_0000_report,
     difference_identity_check,
     make_engine,
     sankaran_intersection_report,
@@ -24,6 +23,7 @@ from hermdens.oracle import DEFAULT_BUDGET, GaloisRingParams, density_oracle
 from hermdens.partitions import lambda_ns_elements, partitions_fixed_length
 from hermdens.qalgebra import ONE, Q, ZERO, gauss_binomial, neg_q_power
 from hermdens.relations import GenericAlphaReducer, ReductionEngine, theorem_terms, verify_relation
+from test_geometry import _derivative_lattice_reference
 
 SEED = 20260809
 
@@ -252,19 +252,19 @@ def _family_closed_form(b):
     raise KeyError(tail)
 
 
-def test_criterion_09_derived_density_families(reducer):
+def test_criterion_09_derived_density_families():
     """Families (1)-(5) match the printed closed forms; family (6) matches
     the dominant-part slope (q+1)(q^4+q^3+1), not the (q^4+q+1) variant."""
     t0 = time.perf_counter()
     for a in (4, 6, 8):
         for tail in ((1, 0, 0), (1, 1, 1), (3, 0, 0), (3, 1, 1), (2, 1, 0)):
             b = (a,) + tail
-            assert derivative_0000(b, engine=reducer) == _family_closed_form(b), b
+            assert derivative_0000(b) == _family_closed_form(b), b
     q = Q
     tail6 = (-q ** 8 - 3 * q ** 7 - 3 * q ** 6 - q ** 5
              + 3 * q ** 4 + 2 * q ** 3 - q ** 2 + 3 * q + 4)
     for a in (6, 8):
-        got = derivative_0000((a, 4, 2, 1), engine=reducer)
+        got = derivative_0000((a, 4, 2, 1))
         variant_a = (a // 2) * (q + 1) * (q ** 4 + q ** 3 + 1) + tail6
         variant_b = (a // 2) * (q + 1) * (q ** 4 + q + 1) + tail6
         assert got == variant_a, a
@@ -329,9 +329,11 @@ def test_criterion_12_property_suite(hiro, reducer):
             for rep in reports] == [("pairs-ge-2", (3, 1), [(2, 0), (3, 0)]),
                                     ("column-1", (3,), [(2, 1), (3, 1)]),
                                     ("column-0", (3,), [(2, 1), (3, 1)])]
-    # derived-density engine independence
+    # derived densities: the lattice reference under either engine equals
+    # the chain (both classes have odd weight)
     direct = make_engine("direct")
     for b in ((4, 1, 0, 0), (4, 2, 1, 0)):
-        assert derivative_0000(b, engine=reducer) == derivative_0000(b, engine=direct)
+        assert _derivative_lattice_reference(b, reducer)[0] == \
+            _derivative_lattice_reference(b, direct)[0] == derivative_0000(b), b
     _report("criterion 12: seeded property digest green",
             time.perf_counter() - t0, 300)

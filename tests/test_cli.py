@@ -80,6 +80,12 @@ def test_derivative_command(capsys):
     assert out.strip() == "2q+3"
 
 
+def test_derivative_rejects_even_weight(capsys):
+    code, out, err = _capture(capsys, ["derivative", "2,1,1,0"])
+    assert code == 2
+    assert out == "" and "odd weight" in err
+
+
 def test_intersect_command(capsys):
     code, out, _ = _capture(capsys, ["intersect", "1,1", "--q-eval", "3"])
     assert code == 0
@@ -213,6 +219,9 @@ def test_truncation_options_are_usage_errors(capsys):
                  ["verify", "conjecture", "4,1,0,0"]):
         for option in (["--hard-cap", "5"], ["--zero-tail-window", "3"]):
             _assert_rejects(capsys, argv, option)
+    # the derived density asks no engine
+    for engine in ("reduce", "direct"):
+        _assert_rejects(capsys, ["derivative", "4,1,0,0"], ["--engine", engine])
 
 
 def test_module_entry_point():

@@ -7,18 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from hermdens import geometry
+from hermdens import geometry, hironaka
 from hermdens.geometry import (
     conjecture_check,
     derivative_0000,
-    derivative_0000_report,
     difference_identity_check,
     make_engine,
     sankaran_intersection,
     sankaran_intersection_report,
     truncated_partition_sum,
 )
-from hermdens.hironaka import HironakaEngine, self_density_closed
+from hermdens.hironaka import HironakaEngine, derived_density, self_density_closed
 from hermdens.partitions import (
     conjugate_part,
     n_stat,
@@ -71,6 +70,34 @@ def _assert_box_report(rep):
     assert sum(r.terms for r in rep.levels) == len(inside), rep
 
 
+# weights of the tails of 3, 2, 1 and 0 zeros in the lattice sum below
+_LATTICE_WEIGHTS = ({0: 1}, {0: 1, 1: 1}, lau_mul({0: 1, 1: 1}, {0: 1, 2: -1}),
+                    lau_mul(lau_mul({0: 1, 1: 1}, {0: 1, 2: -1}), {0: 1, 3: 1}))
+
+
+def _derivative_lattice_reference(b, engine):
+    """The rank-4 derived density as a weighted lattice sum (Cho-Yamauchi
+    style), sharing no code with the column chain:
+
+        D(B) = sum_{k=1..4} w_k sum_{part in the box b[:k]} A_{part + 0^(4-k)}(B)
+
+    with weights w = 1, (1+q), (1+q)(1-q^2), (1+q)(1-q^2)(1+q^3), parts >= 1,
+    and each A read through ``engine``.  It is -d/dX Den(X, B) at X = 1 for
+    odd |B| only (for even |B| it is +d/dX).  Returns (value, reports).
+    ``geometry.truncated_partition_sum`` and ``geometry._screened`` are read
+    at call time, so that a test's patches of them apply.
+    """
+    nv = geometry._screened(engine)
+    total, reports = {}, []
+    for k, coeff in enumerate(_LATTICE_WEIGHTS, 1):
+        def term(part, _k=k):
+            return nv(part + (0,) * (4 - _k), b)
+        val, rep = geometry.truncated_partition_sum(f"tail{4 - k}-zeros", k, 1, term, b[:k])
+        lau_iadd_scaled(total, lau_mul(coeff, val))
+        reports.append(rep)
+    return RatFunc.from_laurent(total), reports
+
+
 def test_box_sum_reports_every_level():
     nv = REDUCE.normalized_value
     val, rep = truncated_partition_sum(
@@ -89,10 +116,10 @@ def test_box_sum_reports_every_level():
 def test_derivative_family_values():
     for a in (2, 4, 6):
         want = closed_form_families(a)
-        assert derivative_0000((a, 1, 0, 0), engine=REDUCE) == want[(a, 1, 0, 0)]
+        assert derivative_0000((a, 1, 0, 0)) == want[(a, 1, 0, 0)]
     for key, want in closed_form_families(4).items():
         if key[1] <= 3 and key != (4, 4, 2, 1):
-            assert derivative_0000(key, engine=REDUCE) == want, key
+            assert derivative_0000(key) == want, key
 
 
 def test_derivative_validation():
@@ -102,18 +129,44 @@ def test_derivative_validation():
         derivative_0000((3, 1, 0))
 
 
+def test_derived_density_rejects_even_weight():
+    # on even weight the lattice sum is +d/dX Den(X, B) at X = 1, on odd
+    # weight -d/dX: no one formula covers both, so even weight is refused
+    for b in ((2, 1, 1, 0), (4, 1, 1, 0), (6, 3, 2, 1)):
+        with pytest.raises(ValueError, match="odd weight"):
+            derivative_0000(b)
+    for lam in ((0,), (2,), (1, 1), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="odd weight"):
+            derived_density(lam)
+
+
+def test_derivative_matches_lattice_reference():
+    # the chain against the lattice sum through the reduction engine, on 100
+    # seeded odd-weight classes with parts up to 24
+    rng = random.Random(1818)
+    classes = set()
+    while len(classes) < 100:
+        a = rng.randint(1, 24)
+        b = (a,) + tuple(sorted((rng.randint(0, a - 1) for _ in range(3)), reverse=True))
+        if sum(b) % 2:
+            classes.add(b)
+    engine = make_engine("reduce")
+    for b in sorted(classes):
+        assert derivative_0000(b) == _derivative_lattice_reference(b, engine)[0], b
+
+
 def test_derivative_outputs_are_laurent():
     for b in ((4, 1, 0, 0), (4, 2, 1, 0), (6, 3, 1, 1)):
-        derivative_0000(b, engine=REDUCE).as_laurent()
+        derivative_0000(b).as_laurent()
 
 
 def test_derivative_alpha_step_is_constant_within_family():
     # the difference between consecutive even dominant parts does not depend
     # on the dominant part
     for tail in ((1, 0, 0), (1, 1, 1), (3, 0, 0), (3, 1, 1), (2, 1, 0)):
-        vals = {a: derivative_0000((a,) + tail, engine=REDUCE) for a in (4, 6, 8)}
+        vals = {a: derivative_0000((a,) + tail) for a in (4, 6, 8)}
         assert vals[6] - vals[4] == vals[8] - vals[6], tail
-    vals = {a: derivative_0000((a, 4, 2, 1), engine=REDUCE) for a in (6, 8, 10)}
+    vals = {a: derivative_0000((a, 4, 2, 1)) for a in (6, 8, 10)}
     assert vals[8] - vals[6] == vals[10] - vals[8]
 
 
@@ -169,27 +222,31 @@ def test_conjecture_report_json():
     assert blob["equal"] is True
     assert blob["b"] == [4, 1, 0, 0]
     assert any(s["name"] == "vertex-triples" for s in blob["truncation"])
-    # every sum of the rank-4 classes, the derived densities' included
+    # every sum of the rank-4 classes, and those of the lattice reference
     for b in ((4, 1, 0, 0), (6, 3, 1, 1), (6, 4, 3, 2), (2, 1, 0, 0)):
         reports = conjecture_check(b, engine=REDUCE).truncation
-        assert reports[:4] == derivative_0000_report(b, engine=REDUCE)[1]
-        assert [(r.name, r.box) for r in reports[:4]] == \
-            [(f"tail{4 - k}-zeros", b[:k]) for k in range(1, 5)]
-        assert [(r.name, r.box) for r in reports[-3:]] == [
+        assert [(r.name, r.box) for r in reports] == [
             ("horizontal-steps", b[1:2]), ("vertex-pairs", b[1:3]), ("vertex-triples", b[1:])]
-        for report in reports:
+        lattice = _derivative_lattice_reference(b, REDUCE)[1]
+        assert [(r.name, r.box) for r in lattice] == \
+            [(f"tail{4 - k}-zeros", b[:k]) for k in range(1, 5)]
+        for report in reports + lattice:
             _assert_box_report(report)
 
 
 def test_engine_independence_spot_checks():
     rng = random.Random(21)
     direct = make_engine("direct")
-    # derived densities
+    # derived densities: the lattice reference under either engine equals the
+    # chain, on odd weight (the domain of both)
     for _ in range(20):
         a = rng.choice((2, 4))
         tail = tuple(sorted((rng.randint(0, a - 1) for _ in range(3)), reverse=True))
         b = (a,) + tail
-        assert derivative_0000(b, engine=REDUCE) == derivative_0000(b, engine=direct), b
+        if sum(b) % 2:
+            reduced = _derivative_lattice_reference(b, REDUCE)[0]
+            assert reduced == _derivative_lattice_reference(b, direct)[0] == \
+                derivative_0000(b), b
     # intersection numbers
     for _ in range(20):
         lead = rng.randint(0, 4)
@@ -267,8 +324,19 @@ def test_zero_screen_is_sound(monkeypatch):
             sink.pop()
         return result
 
+    engine = make_engine("reduce")
+    real_derived = hironaka.derived_density
+
+    def with_lattice_reference(lam):
+        # each derived density the conjecture takes from the chain also runs
+        # the lattice reference on the same class, whose sums the census sees
+        value = real_derived(lam)
+        assert value == _derivative_lattice_reference(lam, engine)[0], lam
+        return value
+
     monkeypatch.setattr(geometry, "provable_zero", recording)
     monkeypatch.setattr(geometry, "truncated_partition_sum", replaying)
+    monkeypatch.setattr(hironaka, "derived_density", with_lattice_reference)
     rng = random.Random(11)
     rank2 = set()
     while len(rank2) < 8:
@@ -280,7 +348,6 @@ def test_zero_screen_is_sound(monkeypatch):
         b = (a,) + tuple(sorted((rng.randint(0, a - 1) for _ in range(3)), reverse=True))
         if sum(b) % 2:
             rank4.add(b)
-    engine = make_engine("reduce")
     for b in sorted(rank2):
         top = max(b) + 4
         sankaran_intersection(b, engine=engine)
@@ -347,7 +414,7 @@ def test_derivative_matches_box_reference():
         if sum(b) % 2:
             classes.add(b)
     for b in sorted(classes):
-        assert derivative_0000(b, engine=REDUCE) == _derivative_box_reference(b), b
+        assert derivative_0000(b) == _derivative_box_reference(b), b
 
 
 def _rank2_closed_form(l, k):

@@ -12,6 +12,7 @@ from hermdens.hironaka import (
     _qbinomial_transform,
     alpha,
     default_engine,
+    derived_density,
     I_j,
     normalized,
     self_density_closed,
@@ -161,6 +162,25 @@ def test_vanishing_relation_at_large_rank():
 def test_alpha_rejects_short_xi():
     with pytest.raises(ValueError):
         alpha((1,), (1, 0))
+
+
+def test_derived_density_rank2_kudla_rapoport():
+    # Kudla-Rapoport (Crelle 2011): the rank-2 intersection number of
+    # B = A_(l,k), l + k odd, is 1/2 sum_{i=0..k} q^i (l+k+1-2i), which is
+    # dDen(B) by Li-Zhang; all 420 odd-weight classes with l <= 40
+    cases = 0
+    for l in range(41):
+        for k in range(l + 1):
+            if (l + k) % 2:
+                want = sum((Q ** i * ((l + k + 1 - 2 * i) // 2) for i in range(k + 1)), ZERO)
+                assert derived_density((l, k)) == want, (l, k)
+                cases += 1
+    assert cases == 420
+
+
+def test_derived_density_rank1():
+    for a in (1, 3, 5, 7, 9):
+        assert derived_density((a,)) == ONE * ((a + 1) // 2), a
 
 
 def test_inner_factor_examples():
