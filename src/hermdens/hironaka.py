@@ -23,14 +23,20 @@ sum_i (-q)^(e_i) [l2 - c_{j+1}; l2 - i] [l1 - i; l1 - c_j], with
 l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and e_i = i (2 l2 + 1 - i) / 2: two
 q-binomial transforms S_v = sum_{u >= v} [u; v] a_u with the twist
 (-q)^(e_i) between them, each evaluated by Horner's scheme on the q-binomial
-theorem.  A column then costs O(n^2) shifted Laurent additions and no
+theorem.  An alpha then costs O(lam_1 n^2) shifted additions and no
 products, where the box of mu has up to prod_i (lam_i + 2) members.
 
+Each partial sum is a Laurent polynomial in t = (-q)^-1 held as one integer
+(Kronecker substitution): t^(-s) P(t) is the pair (P(2^B), s), so a shifted
+addition is one big-integer shift and add, and the twists only add to s.
+The width B is proven from lam alone (``_coefficient_bound``) to hold every
+coefficient of the result, and the height sum is unpacked once, at the end,
+into a Laurent dict.  The packed form never leaves the kernel.
+
 ``HironakaEngine.alpha`` memoizes its value on (xi, lam) keys;
-``derived_density`` also takes its |mu|-weighted twin.  The kernel works in
-Laurent form (densities lie in ZZ[q, q^-1]); results are reduced
-``RatFunc`` values.  The inner factors, memoized on their four conjugate
-values, serve only ``I_j``.
+``derived_density`` also takes its |mu|-weighted twin.  Results are reduced
+``RatFunc`` values (densities lie in ZZ[q, q^-1]).  The inner factors,
+memoized on their four conjugate values, serve only ``I_j``.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 vanish whenever |xi| and |lam| have different parities (the determinant
@@ -45,7 +51,10 @@ values) or confined to one engine instance per thread.
 
 from __future__ import annotations
 
-from .partitions import check_partition, conjugate_part, tilde, weight
+from functools import lru_cache
+from math import comb
+
+from .partitions import check_partition, conjugate, conjugate_part, tilde, weight
 from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_iadd_scaled, lau_mul
 
 
@@ -54,35 +63,99 @@ class NotTabulated(LookupError):
     no longer raises it."""
 
 
-def _qbinomial_transform(terms):
-    """S_v = sum_{u >= v} [u; v] a_u for v = 0..N, by additions only.
+def _qbinomial_transform(terms, width):
+    """S_v = sum_{u >= v} [u; v] a_u for v = 0..N, by shifts and additions only.
 
-    ``terms[u]`` (u = 0..N) is None for a_u = 0, or a lazy triple
-    (d, shift, sign) standing for sign * q^shift * d; the result is a list of
-    the same form, S_v for v = 0..N, each d a new dict.  With t = (-q)^-1
-    the q-binomial theorem reads prod_{k<u} (1 + t^k x) =
+    ``terms[u]`` (u = 0..N) is None for a_u = 0, or a packed pair (p, s)
+    standing for t^(-s) P(t), t = (-q)^-1, where P is an integer polynomial
+    in t and p = P(2^width); the result is a list of the same form, S_v for
+    v = 0..N.  The q-binomial theorem reads prod_{k<u} (1 + t^k x) =
     sum_v t^(v(v-1)/2) [u; v] x^v, so sum_u a_u prod_{k<u} (1 + t^k x) has
     x^v-coefficient t^(v(v-1)/2) S_v.  Horner's scheme builds it as
-    P <- a_u + (1 + t^u x) P for u = N..0, O(N^2) shifted additions, and the
-    twist (-q)^(v(v-1)/2) goes into each triple instead of onto a copy.
+    P <- a_u + (1 + t^u x) P for u = N..0: O(N^2) shifted additions, each one
+    big-integer shift and add, once the inputs are brought to their largest
+    s.  The x^v-coefficient is t^(v(v-1)/2) times a polynomial, so S_v is
+    that coefficient shifted right, exactly.
     """
-    poly = []                           # poly[v]: x^v-coefficient of P
+    top = max([term[1] for term in terms if term is not None], default=0)
+    poly = []                           # poly[v]: x^v-coefficient of P, at t^-top
     for u in range(len(terms) - 1, -1, -1):
         if poly:
-            sign = -1 if u % 2 else 1
-            poly.append({})
+            poly.append(0)
+            shift = u * width
             for v in range(len(poly) - 1, 0, -1):
-                lau_iadd_scaled(poly[v], poly[v - 1], shift=-u, scale=sign)
+                poly[v] += poly[v - 1] << shift
         term = terms[u]
         if term is not None:
             if not poly:
-                poly.append({})
-            lau_iadd_scaled(poly[0], *term)
+                poly.append(0)
+            poly[0] += term[0] << (top - term[1]) * width
     out = [None] * len(terms)
-    for v, d in enumerate(poly):
-        if d:
-            k = v * (v - 1) // 2
-            out[v] = (d, k, -1 if k % 2 else 1)
+    for v, p in enumerate(poly):
+        if p:
+            # p = P(2^width) for P divisible by t^(v(v-1)/2), so the shift is exact
+            out[v] = (p >> v * (v - 1) // 2 * width, top)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column_norm(l1, l2):
+    """The largest row sum max_c sum_c2 ||I(l1, l2, c, c2)||_1 of one column.
+
+    In t = (-q)^-1 every coefficient of I = sum_i t^(-e_i) [l2-c2; l2-i]
+    [l1-i; l1-c] is nonnegative, and [u; v] at t = 1 is C(u, v), so
+    ||I||_1 = sum_i C(l2-c2, l2-i) C(l1-i, l1-c).
+    """
+    return max(sum(comb(l2 - c2, l2 - i) * comb(l1 - i, l1 - c)
+                   for c2 in range(l2 + 1) for i in range(c2, min(l2, c) + 1))
+               for c in range(l1 + 1))
+
+
+def _coefficient_bound(lam, twin):
+    """A bound on every coefficient of ``_column_chain(xi, lam, twin)``, for any xi.
+
+    In t every factor of a summand is a monomial of l1 norm 1 or some
+    I_j(c_j, c_{j+1}), so the l1 norm of the sum is at most sum_mu
+    prod_j ||I_j||_1 = sum_c w_1[c], where w_j[c] = sum_c2 ||I_j(c, c2)||_1
+    w_{j+1}[c2] sums the norms of the factors of columns >= j, from w = 1 at
+    height 0 above the last column.  Then w_j[c] <= R_j max_c2 w_{j+1}[c2],
+    R_j the largest row sum of column j (``_column_norm``), and column 1 has
+    n + 1 heights: the bound is (n + 1) prod_j R_j.  The twin weighs each
+    summand by |mu| <= |lam| + n.
+    """
+    cols = conjugate(tilde(lam)) + (0,)
+    bound = len(lam) + 1
+    for l1, l2 in zip(cols, cols[1:]):
+        bound *= _column_norm(l1, l2)
+    return bound * (weight(lam) + len(lam)) if twin else bound
+
+
+def _aligned_sum(terms, width):
+    """The packed pair of the sum of ``terms`` (packed pairs or None), at their largest s."""
+    terms = [term for term in terms if term is not None]
+    top = max((term[1] for term in terms), default=0)
+    return sum(p << (top - s) * width for p, s in terms), top
+
+
+def _unpack(p, s, width):
+    """The Laurent dict of t^(-s) P(t), t = (-q)^-1, from p = P(2^width).
+
+    Every coefficient of P must lie in [-2^(width-1), 2^(width-1)): P is read
+    off p as balanced base-2^width digits, made nonnegative by adding
+    2^(width-1) to each, so that one binary string holds them all.
+    """
+    if not p:
+        return {}
+    half = 1 << (width - 1)
+    size = p.bit_length() // width + 2
+    bits = format(p + half * (((1 << size * width) - 1) // ((1 << width) - 1)), "b")
+    bits = bits.zfill(size * width)
+    out = {}
+    for k in range(size):
+        c = int(bits[(size - 1 - k) * width:(size - k) * width], 2) - half
+        if c:
+            # the digit of t^(k - s) = (-q)^(s - k)
+            out[s - k] = -c if (s - k) % 2 else c
     return out
 
 
@@ -92,51 +165,49 @@ def _column_chain(xi, lam, twin):
 
     mu <= lam + 1 exactly when c_j = mu'_j <= (lam+1)'_j for j = 1..lam_1 + 1,
     and c_{lam_1+2} = 0.  The summand is a product over j of
-    (-1)^(c_j + e_j) q^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
+    (-1)^c_j (-q)^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
     I_j(c_j, c_{j+1}), so it is summed from the last column down: after
     column j, chains[0][c] sums the factors of columns >= j over all
     c_j = c >= c_{j+1} >= ..., and the twin chains[1][c] weights that sum by
-    c_j + c_{j+1} + ...  Entries are lazy triples as in _qbinomial_transform.
+    c_j + c_{j+1} + ...  Entries are packed pairs as in _qbinomial_transform,
+    at the one width that ``_coefficient_bound`` proves wide enough for the
+    result; the packed form is exact throughout, and only the final height
+    sum is unpacked.
     """
     m, n = len(xi), len(lam)
-    lt = tilde(lam)
-    chains = [[({0: 1}, 0, 1)], [None]] if twin else [[({0: 1}, 0, 1)]]
+    # (lam+1)'_j and xi'_j, indexed from j = 1
+    cols = (0,) + conjugate(tilde(lam)) + (0,)
+    xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)
+    width = _coefficient_bound(lam, twin).bit_length() + 2
+    chains = [[(1, 0)], [None]] if twin else [[(1, 0)]]
     for j in range(lam[0] + 1, 0, -1):
-        l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
-        x = n - m - 1 + conjugate_part(xi, j)
+        l1, l2 = cols[j], cols[j + 1]
+        x = n - m - 1 + xi_cols[j]
         # a chain holds c2 = 0..l2, the heights of column j + 1, and
-        # I_j(l1, l2, c, c2) = sum_i (-q)^(e_i) [l2-c2; l2-i] [l1-i; l1-c]
+        # I_j(l1, l2, c, c2) = sum_i t^(-e_i) [l2-c2; l2-i] [l1-i; l1-c]
         # with e_i = i (2 l2 + 1 - i) / 2: a transform c2 -> i (u = l2-c2,
-        # v = l2-i), the twist (-q)^(e_i), a transform i -> c (u = l1-i,
-        # v = l1-c), and then the column's own (-1)^(c+e) q^e.  Every map is
+        # v = l2-i), the twist t^(-e_i), a transform i -> c (u = l1-i,
+        # v = l1-c), and then the column's own (-1)^c t^(-e).  Every map is
         # linear, so the twin takes the same path as the value.
         for k, chain in enumerate(chains):
             inner = [None] * (l1 + 1)
-            for v, term in enumerate(_qbinomial_transform(chain[::-1])):
+            for v, term in enumerate(_qbinomial_transform(chain[::-1], width)):
                 if term is not None:
                     i = l2 - v
-                    e = i * (2 * l2 + 1 - i) // 2
-                    inner[l1 - i] = (term[0], term[1] + e, -term[2] if e % 2 else term[2])
+                    inner[l1 - i] = (term[0], term[1] + i * (2 * l2 + 1 - i) // 2)
             chain = chains[k] = [None] * (l1 + 1)
-            for v, term in enumerate(_qbinomial_transform(inner)):
+            for v, term in enumerate(_qbinomial_transform(inner, width)):
                 if term is not None:
                     c = l1 - v
-                    e = x * c - c * (c - 1) // 2
-                    chain[c] = (term[0], term[1] + e, -term[2] if (c + e) % 2 else term[2])
+                    chain[c] = (-term[0] if c % 2 else term[0], term[1] + x * c - c * (c - 1) // 2)
         if twin:
-            # column j adds c_j = c to the weight of each summand at height c;
-            # the value and the twin at height c carry the same shift and
-            # sign, and each transform returns new dicts
+            # column j adds c_j = c to the weight of each summand at height c
             value, weighted = chains
             for c in range(1, l1 + 1):
                 if value[c] is not None:
-                    if weighted[c] is None:
-                        weighted[c] = ({},) + value[c][1:]
-                    lau_iadd_scaled(weighted[c][0], value[c][0], scale=c)
-    sums = [{} for _ in chains]
-    for acc, chain in zip(sums, chains):
-        for term in filter(None, chain):
-            lau_iadd_scaled(acc, *term)
+                    p, s = value[c]
+                    weighted[c] = _aligned_sum((weighted[c], (c * p, s)), width)
+    sums = [_unpack(*_aligned_sum(chain, width), width) for chain in chains]
     return sums[0], sums[1] if twin else None
 
 
@@ -244,16 +315,38 @@ def self_density_closed(xi, engine=None):
     return RatFunc.from_laurent(val)
 
 
+def _divide_one_minus_t(d, k):
+    """The Laurent dict d / (1 - (-q)^-k), k >= 1, by additions only.
+
+    The quotient Q solves Q = d + (-1)^k q^-k Q, so it is filled in from the
+    top exponent of d down to its lowest plus k; the k exponents below are
+    the remainder, and a nonzero one raises ArithmeticError.
+    """
+    sign = -1 if k % 2 else 1
+    low = min(d, default=0)
+    quo = {}
+    for e in range(max(d, default=-1), low - 1, -1):
+        c = d.get(e, 0) + sign * quo.get(e + k, 0)
+        if c:
+            if e < low + k:
+                raise ArithmeticError(f"1 - (-q)^-{k} does not divide {d}")
+            quo[e] = c
+    return quo
+
+
 def derived_density(lam):
     """dDen(B) = -d/dX Den(X, B) at X = 1 for B = A_lam of odd weight, any rank n:
     -sum_mu |mu| (-1)^|mu| (-q)^(-n(mu)-|mu|) prod_j I_j(mu, lam) / alpha(1_n, 1_n).
     Den((-q)^-k, B) = alpha(1_{n+k}, B) / alpha(1_{n+k}, 1_n) has the summands of
     alpha(1_n, B) times X^|mu|, and alpha(1_n, B) = 0 for odd |B| (Li-Zhang, in
-    the form of Cho-Yamauchi).  Even weight raises ValueError.
+    the form of Cho-Yamauchi).  Even weight raises ValueError.  The quotient is
+    a Laurent polynomial, and alpha(1_n, 1_n) = prod_{k=1..n} (1 - (-q)^-k)
+    (``self_density_closed``), so the division is exact, one factor at a time.
     """
     lam = check_partition(lam)
     if weight(lam) % 2 == 0:
         raise ValueError(f"need an odd weight, got {lam} of weight {weight(lam)}")
-    unit = (0,) * len(lam)
-    twin = _column_chain(unit, lam, True)[1]
-    return -RatFunc.from_laurent(twin) / self_density_closed(unit)
+    twin = _column_chain((0,) * len(lam), lam, True)[1]
+    for k in range(1, len(lam) + 1):
+        twin = _divide_one_minus_t(twin, k)
+    return RatFunc.from_laurent({e: -c for e, c in twin.items()})

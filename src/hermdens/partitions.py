@@ -82,9 +82,11 @@ def conjugate_part(parts, i):
 
 def conjugate(parts):
     """Full conjugate partition, with length equal to the largest part."""
-    if not parts or parts[0] == 0:
-        return ()
-    return tuple(conjugate_part(parts, i) for i in range(1, parts[0] + 1))
+    out = []
+    # i parts reach the columns parts[i] + 1..parts[i - 1] (parts[len] = 0)
+    for i in range(len(parts), 0, -1):
+        out += [i] * (parts[i - 1] - len(out))
+    return tuple(out)
 
 
 def conj_inner_product(xi, mu):

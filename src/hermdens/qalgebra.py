@@ -170,6 +170,11 @@ class IntPoly:
         return IntPoly._raw(lau_iadd_scaled(dict(self.coeffs), other.coeffs, scale=-1))
 
     def __mul__(self, other):
+        # values are immutable, so a factor 1 or 0 can hand back an operand
+        if not self.coeffs or other.coeffs == _POLY_ONE.coeffs:
+            return self
+        if not other.coeffs or self.coeffs == _POLY_ONE.coeffs:
+            return other
         return IntPoly._raw(lau_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, n):

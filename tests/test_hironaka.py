@@ -9,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from hermdens.hironaka import (
     HironakaEngine,
+    _coefficient_bound,
+    _column_chain,
+    _divide_one_minus_t,
     _qbinomial_transform,
+    _unpack,
     alpha,
     default_engine,
     derived_density,
@@ -117,8 +121,129 @@ def test_alpha_chain_sum_matches_box_reference_on_larger_labels():
         checked += 1
 
 
-def _materialize(term):
-    return {} if term is None else lau_iadd_scaled({}, term[0], shift=term[1], scale=term[2])
+def _dict_qbinomial_transform(terms):
+    """S_v = sum_{u >= v} [u; v] a_u on Laurent dicts: the reference for the
+    packed transform.  ``terms[u]`` is None or a lazy triple (d, shift, sign)
+    standing for sign * q^shift * d, and so is each S_v."""
+    poly = []                           # poly[v]: x^v-coefficient of P
+    for u in range(len(terms) - 1, -1, -1):
+        if poly:
+            sign = -1 if u % 2 else 1
+            poly.append({})
+            for v in range(len(poly) - 1, 0, -1):
+                lau_iadd_scaled(poly[v], poly[v - 1], shift=-u, scale=sign)
+        term = terms[u]
+        if term is not None:
+            if not poly:
+                poly.append({})
+            lau_iadd_scaled(poly[0], *term)
+    out = [None] * len(terms)
+    for v, d in enumerate(poly):
+        if d:
+            k = v * (v - 1) // 2
+            out[v] = (d, k, -1 if k % 2 else 1)
+    return out
+
+
+def _chain_dict_reference(xi, lam, twin):
+    """The column chain with Laurent-dict entries, one dict addition per
+    shifted addition: the reference for ``_column_chain``'s packed kernel."""
+    m, n = len(xi), len(lam)
+    lt = tilde(lam)
+    chains = [[({0: 1}, 0, 1)], [None]] if twin else [[({0: 1}, 0, 1)]]
+    for j in range(lam[0] + 1, 0, -1):
+        l1, l2 = conjugate_part(lt, j), conjugate_part(lt, j + 1)
+        x = n - m - 1 + conjugate_part(xi, j)
+        for k, chain in enumerate(chains):
+            inner = [None] * (l1 + 1)
+            for v, term in enumerate(_dict_qbinomial_transform(chain[::-1])):
+                if term is not None:
+                    i = l2 - v
+                    e = i * (2 * l2 + 1 - i) // 2
+                    inner[l1 - i] = (term[0], term[1] + e, -term[2] if e % 2 else term[2])
+            chain = chains[k] = [None] * (l1 + 1)
+            for v, term in enumerate(_dict_qbinomial_transform(inner)):
+                if term is not None:
+                    c = l1 - v
+                    e = x * c - c * (c - 1) // 2
+                    chain[c] = (term[0], term[1] + e, -term[2] if (c + e) % 2 else term[2])
+        if twin:
+            value, weighted = chains
+            for c in range(1, l1 + 1):
+                if value[c] is not None:
+                    if weighted[c] is None:
+                        weighted[c] = ({},) + value[c][1:]
+                    lau_iadd_scaled(weighted[c][0], value[c][0], scale=c)
+    sums = [{} for _ in chains]
+    for acc, chain in zip(sums, chains):
+        for term in filter(None, chain):
+            lau_iadd_scaled(acc, *term)
+    return sums[0], sums[1] if twin else None
+
+
+def _random_label(rng, length, top):
+    return tuple(sorted((rng.randint(0, top) for _ in range(length)), reverse=True))
+
+
+def _chain_labels():
+    # seeded pairs with n <= 8, parts <= 20 and m <= n + 2, the widest
+    # label (20, 18, ..., 6), and the unit class against rank-4 classes with
+    # a first part >= 30, as the derived densities of the geometry ask them
+    rng = random.Random(19)
+    pairs = [((0,) * 8, (20, 18, 16, 14, 12, 10, 8, 6)), ((1, 1, 0), (20, 18, 16))]
+    pairs += [((0, 0, 0, 0), lam) for lam in
+              ((30, 1, 0, 0), (31, 1, 1, 1), (33, 3, 1, 0), (34, 4, 2, 1), (41, 2, 1, 1))]
+    while len(pairs) < 120:
+        n = rng.randint(1, 8)
+        pairs.append((_random_label(rng, rng.randint(n, n + 2), rng.choice((4, 12, 20))),
+                      _random_label(rng, n, rng.choice((4, 12, 20)))))
+    return pairs
+
+
+def test_packed_chain_matches_dict_reference():
+    for xi, lam in _chain_labels():
+        got = _column_chain(xi, lam, True)
+        want = _chain_dict_reference(xi, lam, True)
+        assert _column_chain(xi, lam, False) == (got[0], None)
+        for g, w in zip(got, want):
+            assert RatFunc.from_laurent(g).to_json() == RatFunc.from_laurent(w).to_json(), (xi, lam)
+
+
+def test_coefficient_bound_holds():
+    # every coefficient of the value and of the twin fits the width's
+    # balanced digits; on small boxes the bound is at least the sum over mu
+    # of the norms of the summands, the quantity it bounds
+    rng = random.Random(1919)
+    eng = HironakaEngine()
+    boxed = 0
+    for xi, lam in _chain_labels():
+        for twin, sums in enumerate(_chain_dict_reference(xi, lam, True)):
+            half = 2 ** (_coefficient_bound(lam, twin).bit_length() + 1)
+            assert all(abs(c) < half for c in sums.values()), (xi, lam, twin)
+    while boxed < 40:
+        n = rng.randint(1, 5)
+        lam = _random_label(rng, n, 8)
+        lt = tilde(lam)
+        box = list(itertools.islice(partitions_in_box(lt), 5001))
+        if len(box) > 5000:
+            continue
+        norms = [0, 0]
+        for mu in box:
+            norm = 1
+            for j in range(1, lam[0] + 2):
+                inner = eng._inner_items(conjugate_part(lt, j), conjugate_part(lt, j + 1),
+                                         conjugate_part(mu, j), conjugate_part(mu, j + 1))
+                norm *= sum(abs(c) for c in inner.values())
+            norms[0] += norm
+            norms[1] += weight(mu) * norm
+        assert _coefficient_bound(lam, False) >= norms[0], lam
+        assert _coefficient_bound(lam, True) >= norms[1], lam
+        boxed += 1
+
+
+def _pack(d, s, width):
+    # sum_e c q^e = t^-s sum_e c (-1)^e t^(s-e) for t = (-q)^-1, s >= every e
+    return sum((c if e % 2 == 0 else -c) << (s - e) * width for e, c in d.items()), s
 
 
 def _random_laurent(rng):
@@ -127,33 +252,62 @@ def _random_laurent(rng):
 
 def test_qbinomial_transform_matches_its_slow_form():
     # S_v = sum_{u >= v} [u; v] a_u, against gauss_laurent products; some a_u
-    # are None, some are the empty dict, and exponents run negative
+    # are None, some are zero, exponents run negative, and the frames s
+    # differ from term to term
     rng = random.Random(161)
+    width = 16
     for size in range(9):
         for _ in range(12):
-            terms = []
+            terms, dicts = [], []
             for _u in range(size + 1):
                 kind = rng.random()
-                if kind < 0.2:
-                    terms.append(None)
-                elif kind < 0.3:
-                    terms.append(({}, rng.randint(-3, 3), 1))
-                else:
-                    terms.append((_random_laurent(rng), rng.randint(-3, 3), rng.choice((-1, 1))))
-            got = _qbinomial_transform(terms)
+                d = {} if kind < 0.3 else _random_laurent(rng)
+                dicts.append(d)
+                terms.append(None if kind < 0.2 else _pack(d, max(d, default=0) + rng.randint(0, 3), width))
+            got = _qbinomial_transform(terms, width)
             assert len(got) == size + 1
             for v in range(size + 1):
                 want = {}
                 for u in range(v, size + 1):
-                    lau_iadd_scaled(want, lau_mul(gauss_laurent(u, v), _materialize(terms[u])))
-                assert _materialize(got[v]) == want, (terms, v)
-                assert got[v] is None or got[v][0], "an empty S_v is None"
+                    lau_iadd_scaled(want, lau_mul(gauss_laurent(u, v), dicts[u]))
+                assert (got[v] is None) == (not want), "an empty S_v is None"
+                assert got[v] is None or _unpack(*got[v], width) == want, (terms, v)
+
+
+def test_unpack_reads_balanced_digits():
+    # P(t) = sum_k c_k t^k with every c_k in [-2^(width-1), 2^(width-1)), the
+    # edges included, read back as the q-dict of t^-s P(t)
+    rng = random.Random(162)
+    for width in (2, 3, 7, 31, 64):
+        half = 2 ** (width - 1)
+        for _ in range(40):
+            digits = [rng.choice((-half, half - 1, rng.randint(-half, half - 1)))
+                      for _ in range(rng.randint(0, 12))]
+            s = rng.randint(-6, 6)
+            want = {s - k: c if (s - k) % 2 == 0 else -c for k, c in enumerate(digits) if c}
+            p = sum(c << k * width for k, c in enumerate(digits))
+            assert _unpack(p, s, width) == want, (width, digits)
+
+
+def test_division_by_unit_factors_is_exact_or_raises():
+    rng = random.Random(163)
+    for _ in range(40):
+        d = _random_laurent(rng)
+        k = rng.randint(1, 6)
+        factor = {0: 1, -k: 1 if k % 2 else -1}          # 1 - (-q)^-k
+        assert _divide_one_minus_t(lau_mul(d, factor), k) == d
+        with pytest.raises(ArithmeticError):
+            # not a multiple: d (1 - (-q)^-k) + q^(max d + 1)
+            _divide_one_minus_t(lau_iadd_scaled(lau_mul(d, factor), {max(d) + 1: 1}), k)
+    assert _divide_one_minus_t({}, 3) == {}
+    with pytest.raises(ArithmeticError):
+        _divide_one_minus_t({0: 1}, 1)
 
 
 def test_vanishing_relation_at_large_rank():
     # the box tilde(lam) holds 6324 partitions, each costing up to 11 Laurent
-    # products in the box sum; the column chain takes no products and about
-    # 300 shifted Laurent additions per alpha
+    # products in the box sum; the column chain takes no products, about 300
+    # big-integer shift-adds and one unpack per alpha
     ok, residual = verify_relation(theorem_terms(6, 2, (3, 2, 2, 1, 0, 0)),
                                    (10, 9, 7, 5, 3, 1), HironakaEngine())
     assert ok, residual
