@@ -30,6 +30,8 @@ COMMANDS = [
     "normalized 1 5 --trace",
     "normalized 1,1,0,0,0 2,1,1,1,1 --trace",
     "verify conjecture 8,6,4,2",
+    # nonzero residuals: the lam_n = 0 controls of a theorem sweep (exit 1)
+    "verify theorem --n 2 --s 2 --lambda-min 0 --lambda-max 2",
 ]
 
 
