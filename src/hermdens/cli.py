@@ -196,6 +196,15 @@ def _selected(cases, what):
     return cases
 
 
+def _sampled(cases, args):
+    """A seeded subsample of ``--sample`` cases, or every case."""
+    if args.sample is None or args.sample >= len(cases):
+        return cases
+    if args.sample < 0:
+        raise UsageError(f"--sample must be >= 0, got {args.sample}")
+    return random.Random(args.seed).sample(cases, args.sample)
+
+
 def _verify_theorem(args):
     from .partitions import lambda_ns_elements
     if args.xi is not None:
@@ -203,9 +212,7 @@ def _verify_theorem(args):
     else:
         xis = list(lambda_ns_elements(args.n, args.s, args.max_part))
     lams = list(partitions_fixed_length(args.n, args.lambda_min, args.lambda_max))
-    cases = [(xi, lam) for xi in xis for lam in lams]
-    if args.sample is not None and args.sample < len(cases):
-        cases = random.Random(args.seed).sample(cases, args.sample)
+    cases = _sampled([(xi, lam) for xi in xis for lam in lams], args)
     engine = hironaka.HironakaEngine()
     failures = 0
     for xi, lam in _selected(cases, "relations"):
@@ -227,9 +234,7 @@ def _verify_corollary(args):
         for fill in itertools.combinations_with_replacement(values, slots):
             cases.append((rule, fill, fill_pattern(rule.pattern, fill)))
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
-    pairs = [(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams]
-    if args.sample is not None and args.sample < len(pairs):
-        pairs = random.Random(args.seed).sample(pairs, args.sample)
+    pairs = _sampled([(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams], args)
     failures = 0
     for rule, fill, xi, lam in _selected(pairs, "identities"):
         lhs = engine.normalized(xi, lam)

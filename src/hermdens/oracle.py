@@ -191,8 +191,10 @@ def count_solutions_matrix(ga, gb, ba, bb, m, n, params, budget=DEFAULT_BUDGET):
     ``ga``/``gb`` are the m x m integer component matrices of A, which must
     be diagonal and hermitian (ValueError otherwise); ``ba``/``bb`` are the
     n x n components of B, and a B that is not hermitian mod p^d has no
-    solutions.
+    solutions.  A negative ``budget`` raises ``ValueError``.
     """
+    if budget < 0:
+        raise ValueError(f"the oracle budget must be >= 0, got {budget}")
     modulus = params.modulus
     estimate = modulus ** (2 * m * n)
     if estimate > budget:

@@ -200,9 +200,11 @@ def partitions_in_box(bounds):
 
 
 def partitions_fixed_length(n, lo, hi):
-    """Partitions of length n with every part in [lo, hi]."""
-    for t in itertools.combinations_with_replacement(range(hi, lo - 1, -1), n):
-        yield t
+    """Partitions of length n with every part in [lo, hi]; ``ValueError`` at
+    the call if lo < 0, since parts are never negative."""
+    if lo < 0:
+        raise ValueError(f"partition parts are >= 0, got lower bound {lo}")
+    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), n)
 
 
 def partitions_first_part(level, length, min_part, bound):

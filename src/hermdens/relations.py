@@ -5,8 +5,13 @@ Three cooperating pieces live here.
 ``theorem_terms`` builds the linear relation satisfied by the densities
 alpha(A_., B) whenever pi^{-1}B is still integral: for a label xi ending in
 s zeros it combines the promotions xi_plus(xi, a, b) with the coefficients
-d_{n,s,i}, and the whole combination annihilates alpha(., B).
-``verify_relation`` checks such a relation by direct evaluation.
+d_{n,s,i}, and the whole combination annihilates alpha(., B).  Its
+arguments are checked on every call, but each relation is built once per
+process, summed as Laurent dicts.  A ``Relation`` keeps every coefficient as
+a ``RatFunc`` and as a Laurent dict, so one outside ZZ[q, q^-1] raises
+``NotLaurentError``.  ``verify_relation`` checks a relation by direct
+evaluation: it adds coefficient times alpha in one Laurent dict and builds a
+single ``RatFunc`` residual.
 
 ``ReductionEngine.reduce_normalized`` evaluates normalized densities
 A_xi(A_lam) by rewriting instead of direct summation, in Laurent form
@@ -58,7 +63,7 @@ from .partitions import (
     weight,
     xi_plus,
 )
-from .qalgebra import ONE, RatFunc, ZERO, lau_iadd_scaled, lau_mul, neg_q_power
+from .qalgebra import ONE, RatFunc, ZERO, lau_iadd_scaled, lau_mul
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +73,26 @@ from .qalgebra import ONE, RatFunc, ZERO, lau_iadd_scaled, lau_mul, neg_q_power
 @dataclass(frozen=True)
 class Relation:
     """A finite combination sum_i coeff_i * alpha(A_{part_i}, B) that vanishes
-    for every B = A_lam with all parts >= 1."""
+    for every B = A_lam with all parts >= 1.
+
+    Every coefficient lies in ZZ[q, q^-1]; ``laurent_terms`` holds the terms
+    with each coefficient as a shared Laurent dict (never mutate it), and a
+    coefficient outside that ring raises ``NotLaurentError``."""
 
     terms: tuple          # tuple of (RatFunc, partition)
     context: tuple        # (n, s, xi)
+    laurent_terms: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "laurent_terms",
+                           tuple((c.as_laurent(), p) for c, p in self.terms))
 
     def partitions(self):
         return tuple(p for _, p in self.terms)
+
+
+# Relations by (n, s, xi), each built once per process; never mutate one.
+_RELATIONS = {}
 
 
 def theorem_terms(n, s, xi):
@@ -83,7 +101,8 @@ def theorem_terms(n, s, xi):
     Terms are [(d_{n,s,i}, xi_plus(xi,0,i))] plus
     [(-(-1)^s (-q)^{-ns} d_{n,s,i}, xi_plus(xi,i,s-i))], with coefficients
     of duplicate partitions merged and exact zeros dropped.  The xi term
-    itself always survives with coefficient exactly 1.
+    itself always survives with coefficient exactly 1.  The arguments are
+    checked on every call; the relation is built on the first and shared.
     """
     xi = check_partition(xi)
     if len(xi) != n:
@@ -92,32 +111,43 @@ def theorem_terms(n, s, xi):
         raise ValueError(f"need 1 <= s <= n, got s={s}")
     if trailing_zeros(xi) != s:
         raise ValueError(f"{xi} does not end in exactly {s} zeros")
-    ds = d_coefficients(n, s)
-    pref = neg_q_power(-n * s)
-    if s % 2:
-        pref = -pref
+    key = (n, s, xi)
+    rel = _RELATIONS.get(key)
+    if rel is None:
+        # threads that build one key at once keep the first stored, an equal value
+        rel = _RELATIONS.setdefault(key, _build_relation(n, s, xi))
+    return rel
+
+
+def _build_relation(n, s, xi):
+    """``theorem_terms``'s relation, summed in Laurent form."""
+    ds = [d.as_laurent() for d in d_coefficients(n, s)]
+    # the prefactor -(-1)^s (-q)^{-ns} is the monomial -(-1)^{s+ns} q^{-ns}
+    sign = -1 if (s + n * s) % 2 == 0 else 1
     acc = {}
-    for i in range(s + 1):
-        p = xi_plus(xi, 0, i)
-        acc[p] = acc.get(p, ZERO) + ds[i]
-    for i in range(s + 1):
-        p = xi_plus(xi, i, s - i)
-        acc[p] = acc.get(p, ZERO) - pref * ds[i]
-    terms = tuple((c, p) for p, c in sorted(acc.items(), reverse=True) if not c.is_zero)
+    for i, d in enumerate(ds):
+        lau_iadd_scaled(acc.setdefault(xi_plus(xi, 0, i), {}), d)
+    for i, d in enumerate(ds):
+        lau_iadd_scaled(acc.setdefault(xi_plus(xi, i, s - i), {}), d, shift=-n * s, scale=sign)
+    terms = tuple((RatFunc.from_laurent(c), p) for p, c in sorted(acc.items(), reverse=True) if c)
     return Relation(terms=terms, context=(n, s, xi))
 
 
 def verify_relation(rel, lam, engine=None):
     """Evaluate the relation against B = A_lam; returns (is_zero, residual).
 
-    Valid instances require all parts of lam >= 1; calls with lam_n = 0 are
+    The terms are summed as Laurent dicts and the residual built once.  Valid
+    instances require all parts of lam >= 1; calls with lam_n = 0 are
     deliberate negative controls and generally leave a nonzero residual.
     """
     lam = check_partition(lam)
     engine = engine or hironaka.default_engine()
-    residual = ZERO
-    for coeff, part in rel.terms:
-        residual = residual + coeff * engine.alpha(part, lam)
+    acc = {}
+    for coeff, part in rel.laurent_terms:
+        value = engine.alpha(part, lam)
+        if value:
+            lau_iadd_scaled(acc, lau_mul(coeff, value.as_laurent()))
+    residual = RatFunc.from_laurent(acc)
     return residual.is_zero, residual
 
 

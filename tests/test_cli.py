@@ -207,6 +207,29 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_negative_budget_is_a_usage_error(capsys):
+    # an invalid budget is not a budget refusal (exit 3); --budget 0 still is
+    for command in ("oracle", "crosscheck"):
+        argv = [command, "1,0", "1,0", "--p", "3", "--d", "2", "--budget"]
+        code, out, err = _capture(capsys, argv + ["-1"])
+        assert (code, out) == (2, "") and "budget must be >= 0" in err, command
+        code, out, err = _capture(capsys, argv + ["0"])
+        assert (code, out) == (3, "") and "exceeds budget 0" in err, command
+
+
+def test_negative_lambda_min_is_rejected_before_any_row(capsys):
+    code, out, err = _capture(capsys, ["verify", "theorem", "--n", "2", "--s", "1",
+                                       "--lambda-min", "-1"])
+    assert (code, out) == (2, "") and "lower bound -1" in err
+
+
+def test_negative_sample_names_the_option(capsys):
+    for argv in (["verify", "theorem", "--n", "2", "--s", "1"],
+                 ["verify", "corollary", "--n", "2"]):
+        code, out, err = _capture(capsys, argv + ["--sample", "-1"])
+        assert (code, out) == (2, "") and "--sample must be >= 0, got -1" in err, argv
+
+
 def test_exit_code_histogram_bytes(capsys):
     code, _, err = _capture(capsys, ["oracle", "1,1,0,0", "1,0,0", "--p", "3", "--d", "2",
                                      "--budget", str(3 ** 48)])

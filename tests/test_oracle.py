@@ -145,6 +145,16 @@ def test_budget_gate():
     assert info.value.estimate == 3 ** 40
 
 
+def test_budget_gate_rejects_a_negative_budget():
+    # a negative budget is a domain error, not a refusal; 0 refuses every count
+    params = GaloisRingParams(3, 2)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        count_representations((1, 0), (1, 0), params, budget=-1)
+    with pytest.raises(BudgetExceededError) as info:
+        count_representations((1, 0), (1, 0), params, budget=0)
+    assert info.value.budget == 0
+
+
 def test_stabilization_examples():
     p = GaloisRingParams(3, 1)
     assert stabilization_check((0,), (0,), p, [1, 2]) == [Fraction(4, 3), Fraction(4, 3)]

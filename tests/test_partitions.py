@@ -16,6 +16,7 @@ from hermdens.partitions import (
     mu_lk,
     parse_partition,
     partitions_first_part,
+    partitions_fixed_length,
     stats,
     trailing_zeros,
     weight,
@@ -162,3 +163,11 @@ def test_bounded_first_part_is_the_filtered_enumeration():
             assert got == []
         empty += not got and bool(full)
     assert empty >= 50
+
+
+def test_fixed_length_partitions_reject_a_negative_lower_bound():
+    assert list(partitions_fixed_length(2, 0, 1)) == [(1, 1), (1, 0), (0, 0)]
+    assert list(partitions_fixed_length(2, 1, 0)) == []
+    # raised at the call, before any tuple is made
+    with pytest.raises(ValueError, match="lower bound -1"):
+        partitions_fixed_length(2, -1, 0)

@@ -14,17 +14,20 @@ import pytest
 
 from hermdens.hironaka import HironakaEngine
 from hermdens.partitions import (
+    d_coefficients,
     fill_pattern,
     lambda_ns_elements,
     partitions_fixed_length,
     trailing_zeros,
     weight,
+    xi_plus,
 )
 from hermdens.qalgebra import NotLaurentError, ONE, Q, RatFunc, ZERO, neg_q_power
 from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
     ReductionEngine,
+    Relation,
     match_rewrite,
     reduce_normalized,
     theorem_terms,
@@ -116,6 +119,98 @@ def test_theorem_sweep_small():
                 for lam in lams:
                     ok, res = verify_relation(rel, lam, eng)
                     assert ok, (n, s, xi, lam, str(res))
+
+
+def _theorem_terms_reference(n, s, xi):
+    """theorem_terms summed one RatFunc at a time and built on every call."""
+    ds = d_coefficients(n, s)
+    pref = neg_q_power(-n * s)
+    if s % 2:
+        pref = -pref
+    acc = {}
+    for i in range(s + 1):
+        p = xi_plus(xi, 0, i)
+        acc[p] = acc.get(p, ZERO) + ds[i]
+    for i in range(s + 1):
+        p = xi_plus(xi, i, s - i)
+        acc[p] = acc.get(p, ZERO) - pref * ds[i]
+    terms = tuple((c, p) for p, c in sorted(acc.items(), reverse=True) if not c.is_zero)
+    return Relation(terms=terms, context=(n, s, xi))
+
+
+def _verify_relation_reference(rel, lam, engine):
+    """verify_relation summed one RatFunc at a time."""
+    residual = ZERO
+    for coeff, part in rel.terms:
+        residual = residual + coeff * engine.alpha(part, lam)
+    return residual.is_zero, residual
+
+
+def _all_relations(max_n=5, max_part=4):
+    return [(n, s, xi) for n in range(1, max_n + 1) for s in range(1, n + 1)
+            for xi in lambda_ns_elements(n, s, max_part)]
+
+
+def test_theorem_terms_match_reference():
+    keys = _all_relations()
+    assert len(keys) == 126
+    for n, s, xi in keys:
+        rel, ref = theorem_terms(n, s, xi), _theorem_terms_reference(n, s, xi)
+        assert rel == ref and rel.terms == ref.terms, (n, s, xi)
+        assert [(c.to_json(), p) for c, p in rel.terms] == \
+            [(c.to_json(), p) for c, p in ref.terms], (n, s, xi)
+        for (c, p), (lau, lp) in zip(rel.terms, rel.laurent_terms):
+            assert lp == p and RatFunc.from_laurent(lau) == c, (n, s, xi)
+
+
+def test_verify_relation_matches_reference_seeded():
+    # lam parts 0..4: 223 of the 378 draws are lam_n = 0 controls, 72 of which
+    # leave a nonzero residual
+    rng = random.Random(2020)
+    eng = HironakaEngine()
+    controls = residuals = 0
+    for n, s, xi in _all_relations():
+        rel = theorem_terms(n, s, xi)
+        for _ in range(3):
+            lam = tuple(sorted((rng.randint(0, 4) for _ in range(n)), reverse=True))
+            got, want = verify_relation(rel, lam, eng), _verify_relation_reference(rel, lam, eng)
+            assert got == want and str(got[1]) == str(want[1]), (n, s, xi, lam)
+            assert got[0] or lam[-1] == 0, (n, s, xi, lam)
+            controls += lam[-1] == 0
+            residuals += not got[0]
+    assert (controls, residuals) == (223, 72)
+
+
+def test_theorem_terms_are_built_once_per_key():
+    rel = theorem_terms(3, 1, (2, 1, 0))
+    assert theorem_terms(3, 1, [2, 1, 0]) is rel
+    # a memoized xi does not let other arguments through unchecked
+    theorem_terms(2, 2, (0, 0))
+    for n, s in ((2, 1), (3, 2), (2, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            theorem_terms(n, s, (0, 0))
+
+
+def test_theorem_terms_across_threads(monkeypatch):
+    import hermdens.relations as relations
+    keys = _all_relations(max_n=4, max_part=3)
+    expected = {k: _theorem_terms_reference(*k) for k in keys}
+    monkeypatch.setattr(relations, "_RELATIONS", {})    # the threads build every relation
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, so that cache writes interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda k: (k, theorem_terms(*k)), keys * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 * len(keys)
+    for key, rel in results:
+        assert rel == expected[key] and rel is theorem_terms(*key), key
+
+
+def test_relation_with_non_laurent_coefficient_raises():
+    with pytest.raises(NotLaurentError):
+        Relation(terms=((ONE, (1, 0)), (ONE / (ONE + Q), (2, 1))), context=(2, 1, (1, 0)))
 
 
 # ---------------------------------------------------------------------------
