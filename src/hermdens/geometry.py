@@ -268,7 +268,7 @@ def conjecture_check(b, engine=None):
 
     def deriv(cls4):
         if cls4 not in deriv_cache:
-            deriv_cache[cls4] = hironaka.derived_density(cls4).as_laurent()
+            deriv_cache[cls4] = hironaka._derived_laurent(cls4)
         return deriv_cache[cls4]
 
     lhs = deriv(b)                      # ValueError on even weight

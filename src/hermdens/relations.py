@@ -41,8 +41,10 @@ the direct formula.  The rewrite loop:
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
 alone.  Each rewrite strictly decreases the measure (|lam|, trailing zeros
-of xi, n), which is checked per rewrite, and for rule (d), whose children
-keep lam, once per label and engine; a violation raises ``RuntimeError``.
+of xi, n).  Rule (d), whose children keep lam, is checked once per label and
+engine; a unit step lowers it by construction (P2.15 lowers |lam|, P2.14
+shortens the labels), which the trace walk still checks per step and the
+evaluator does not.  A violation raises ``RuntimeError``.
 
 ``alpha_via_generic_reduction`` works at the unnormalized alpha level for
 arbitrary n: the reduced normalized density times the closed self-density.
@@ -76,14 +78,20 @@ class Relation:
     for every B = A_lam with all parts >= 1.
 
     Every coefficient lies in ZZ[q, q^-1]; ``laurent_terms`` holds the terms
-    with each coefficient as a shared Laurent dict (never mutate it), and a
-    coefficient outside that ring raises ``NotLaurentError``."""
+    with each coefficient as a shared Laurent dict (never mutate it).  A
+    coefficient that is not a ``RatFunc`` (an ``int``, say) raises
+    ``TypeError`` naming its term, and one outside that ring raises
+    ``NotLaurentError``."""
 
     terms: tuple          # tuple of (RatFunc, partition)
     context: tuple        # (n, s, xi)
     laurent_terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for c, p in self.terms:
+            if not isinstance(c, RatFunc):
+                raise TypeError(f"the coefficient of term {p} must be a RatFunc, "
+                                f"got {type(c).__name__} {c!r}")
         object.__setattr__(self, "laurent_terms",
                            tuple((c.as_laurent(), p) for c, p in self.terms))
 
@@ -388,9 +396,9 @@ def provable_zero(xi, lam):
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
-    ``laurent_value`` is the one evaluator: the memo, then a leaf, then one
-    rewrite (``_expansion``) whose children it values and sums (``_combine``).
-    Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1];
+    ``laurent_value`` is the one evaluator: the memo, then a leaf, then a
+    chain of unit steps to one rule-(d) rewrite whose children it values and
+    sums (``_combine``).  Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1];
     each rule's coefficients are converted once, next to the rule.  The
     geometry sums, which build their own labels, call it directly: it skips
     label validation and returns the memo's dict itself.  ``normalized_value``
@@ -408,9 +416,18 @@ class ReductionEngine:
     Threads that fill one entry at once write equal entries.  The cache is
     per engine, not per process, so a fresh engine sees the rules as they are
     now.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one child,
-    factor 1) in a loop, not by recursion: it checks the memo and the leaves
-    at every node of the chain, and memoizes each node with the value at the
-    chain's end, the same dict ``_combine`` would share.
+    factor 1, both taken from ``_unit_step``) in a loop, not by recursion, and
+    memoizes each node with the value at the chain's end, the same dict
+    ``_combine`` would share.  It tests the zero leaves (``provable_zero``)
+    once, after the memo misses at the chain's start: P2.15 lowers both
+    weights by n and keeps xi_i <= lam_i, and P2.14 drops a trailing (0, 0),
+    so no later node of the chain is a zero leaf.  Along the chain it checks
+    only the rank-1 leaf and the memo.  Nor does it check the measure on unit
+    steps, which lower it by construction: P2.15 lowers |lam| by n >= 1, and
+    P2.14 meets only lam_n = 0, so xi_n = 0 past the support test
+    (``_unit_step`` raises ``RuntimeError`` in O(1) otherwise).  The trace
+    walk ``_record`` tests the leaves at every node and measures every step
+    in ``_expansion``.
     """
 
     def __init__(self):
@@ -424,24 +441,35 @@ class ReductionEngine:
             return _LAU_ZERO, zero
         return (_LAU_ONE, "base-n1") if len(xi) == 1 else None
 
+    @staticmethod
+    def _unit_step(xi, lam):
+        """The unit step of a label pair past the zero leaves, as (rule_id,
+        child_xi, child_lam), or None where rule (d) applies.  P2.15 lowers
+        |lam| by n >= 1; P2.14 drops a trailing (0, 0), which keeps |lam| and
+        shortens the labels, so both lower the measure.  P2.14 with xi_n != 0
+        is support-zero and never reached; it raises ``RuntimeError``."""
+        if lam[-1] == 0:
+            if xi[-1]:
+                raise RuntimeError(
+                    f"non-decreasing step P2.14: {(xi, lam)} -> {(xi[:-1], lam[:-1])}")
+            return "P2.14", xi[:-1], lam[:-1]
+        if xi[-1]:
+            return "P2.15", tuple(x - 1 for x in xi), tuple(x - 1 for x in lam)
+        return None
+
     def _expansion(self, xi, lam):
         """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)]); a
         child that does not lower the measure raises ``RuntimeError``."""
-        if xi[-1] >= 1 and lam[-1] >= 1:
-            rule_id, children = "P2.15", [
-                (_LAU_ONE, tuple(x - 1 for x in xi), tuple(x - 1 for x in lam))]
-        elif lam[-1] == 0:
-            rule_id, children = "P2.14", [(_LAU_ONE, xi[:-1], lam[:-1])]
-        else:
+        step = self._unit_step(xi, lam)
+        if step is None:
             # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
             rule_id, rewrites = self._rules.get(xi) or self._rewrite(xi, lam)
             return rule_id, [(c, p, lam) for c, p in rewrites]
-        here = (weight(lam), trailing_zeros(xi), len(xi))      # the measure
-        for _, cxi, clam in children:
-            if not (weight(clam), trailing_zeros(cxi), len(cxi)) < here:
-                raise RuntimeError(
-                    f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
-        return rule_id, children
+        rule_id, cxi, clam = step
+        if not (weight(clam), trailing_zeros(cxi), len(cxi)) < \
+                (weight(lam), trailing_zeros(xi), len(xi)):     # the measure
+            raise RuntimeError(f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
+        return rule_id, [(_LAU_ONE, cxi, clam)]
 
     def _rewrite(self, xi, lam):
         """Rule (d) for xi, checked and cached: its children keep lam, so the
@@ -460,26 +488,31 @@ class ReductionEngine:
     def laurent_value(self, xi, lam):
         """The value alone as the memo's Laurent dict, which callers must never
         mutate; the labels are not validated (callers build them)."""
-        memo, chain = self._memo, []
-        while True:
+        memo = self._memo
+        val = memo.get((xi, lam))
+        if val is not None:
+            return val
+        if provable_zero(xi, lam) is not None:
+            return _LAU_ZERO
+        # the unit steps keep the labels past the zero leaves, so along their
+        # chain only the rank-1 leaf and the memo can end it
+        chain = []
+        while len(xi) > 1:
+            step = self._unit_step(xi, lam)
+            if step is None:
+                rewrites = (self._rules.get(xi) or self._rewrite(xi, lam))[1]
+                terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
+                for factor, cxi in rewrites:
+                    terms.append((factor, self.laurent_value(cxi, lam)))
+                val = self._combine(xi, lam, terms)
+                break
+            chain.append((xi, lam))
+            _, xi, lam = step
             val = memo.get((xi, lam))
             if val is not None:
                 break
-            leaf = self._leaf(xi, lam)
-            if leaf is not None:
-                val = leaf[0]
-                break
-            children = self._expansion(xi, lam)[1]
-            if len(children) == 1 and children[0][0] is _LAU_ONE:
-                # a P2.15 or P2.14 step: its value is its child's
-                chain.append((xi, lam))
-                _, xi, lam = children[0]
-                continue
-            terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
-            for factor, cxi, clam in children:
-                terms.append((factor, self.laurent_value(cxi, clam)))
-            val = self._combine(xi, lam, terms)
-            break
+        else:
+            val = _LAU_ONE
         for key in reversed(chain):
             memo[key] = val     # shared along the chain, as _combine shares it
         return val

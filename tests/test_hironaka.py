@@ -12,6 +12,7 @@ from hermdens.hironaka import (
     _coefficient_bound,
     _column_chain,
     _divide_one_minus_t,
+    _paired_transform,
     _qbinomial_transform,
     _unpack,
     alpha,
@@ -253,25 +254,36 @@ def _random_laurent(rng):
 def test_qbinomial_transform_matches_its_slow_form():
     # S_v = sum_{u >= v} [u; v] a_u, against gauss_laurent products; some a_u
     # are None, some are zero, exponents run negative, and the frames s
-    # differ from term to term
+    # differ from term to term.  The paired transform takes two lanes in one
+    # frame per term, each checked on its own
     rng = random.Random(161)
     width = 16
     for size in range(9):
         for _ in range(12):
-            terms, dicts = [], []
+            terms, pairs, lanes = [], [], ([], [])
             for _u in range(size + 1):
                 kind = rng.random()
-                d = {} if kind < 0.3 else _random_laurent(rng)
-                dicts.append(d)
-                terms.append(None if kind < 0.2 else _pack(d, max(d, default=0) + rng.randint(0, 3), width))
-            got = _qbinomial_transform(terms, width)
-            assert len(got) == size + 1
+                ds = [{} if kind < 0.3 or rng.random() < 0.2 else _random_laurent(rng)
+                      for _lane in lanes]
+                for lane, d in zip(lanes, ds):
+                    lane.append(d)
+                s = max(max(d, default=0) for d in ds) + rng.randint(0, 3)
+                (p, _), (pt, _) = (_pack(d, s, width) for d in ds)
+                terms.append(None if kind < 0.2 else (p, s))
+                pairs.append(None if kind < 0.2 else (p, pt, s))
+            got, paired = _qbinomial_transform(terms, width), _paired_transform(pairs, width)
+            assert len(got) == len(paired) == size + 1
             for v in range(size + 1):
-                want = {}
+                want = [{}, {}]
                 for u in range(v, size + 1):
-                    lau_iadd_scaled(want, lau_mul(gauss_laurent(u, v), dicts[u]))
-                assert (got[v] is None) == (not want), "an empty S_v is None"
-                assert got[v] is None or _unpack(*got[v], width) == want, (terms, v)
+                    for acc, lane in zip(want, lanes):
+                        lau_iadd_scaled(acc, lau_mul(gauss_laurent(u, v), lane[u]))
+                assert (got[v] is None) == (not want[0]), "an empty S_v is None"
+                assert got[v] is None or _unpack(*got[v], width) == want[0], (terms, v)
+                assert (paired[v] is None) == (not any(want)), "S_v is None when both lanes are"
+                for k in (0, 1):
+                    assert paired[v] is None or \
+                        _unpack(paired[v][k], paired[v][2], width) == want[k], (pairs, v, k)
 
 
 def test_unpack_reads_balanced_digits():
@@ -330,6 +342,35 @@ def test_derived_density_rank2_kudla_rapoport():
                 assert derived_density((l, k)) == want, (l, k)
                 cases += 1
     assert cases == 420
+
+
+def test_derived_density_cancels_unimodular_parts():
+    # alpha(1_N, B + 1) = alpha(1_N, 1) alpha(1_{N-1}, B), so Den(X, B + 1) =
+    # Den(X, B): appending unimodular parts (zeros) to lam leaves dDen as it
+    # is, at every rank; seeded odd-weight classes of ranks 1-6, parts <= 8
+    rng = random.Random(2103)
+    classes = set()
+    while len(classes) < 60:
+        lam = _random_label(rng, rng.randint(1, 6), 8)
+        if weight(lam) % 2:
+            classes.add(lam)
+    for lam in sorted(classes):
+        want = derived_density(lam)
+        for k in (1, 2):
+            assert derived_density(lam + (0,) * k) == want, (lam, k)
+
+
+def test_derived_density_with_two_unimodular_parts_is_kudla_rapoport():
+    # (a, l, 0, 0) cancels to the rank-2 class (a, l), whose dDen is the
+    # Kudla-Rapoport form of test_derived_density_rank2_kudla_rapoport
+    cases = 0
+    for a in range(21):
+        for l in range(a + 1):
+            if (a + l) % 2:
+                want = sum((Q ** i * ((a + l + 1 - 2 * i) // 2) for i in range(l + 1)), ZERO)
+                assert derived_density((a, l, 0, 0)) == want, (a, l)
+                cases += 1
+    assert cases == 110
 
 
 def test_derived_density_rank1():

@@ -32,6 +32,7 @@ from hermdens.relations import (
     reduce_normalized,
     theorem_terms,
     verify_relation,
+    _LAU_ONE,
 )
 
 
@@ -211,6 +212,30 @@ def test_theorem_terms_across_threads(monkeypatch):
 def test_relation_with_non_laurent_coefficient_raises():
     with pytest.raises(NotLaurentError):
         Relation(terms=((ONE, (1, 0)), (ONE / (ONE + Q), (2, 1))), context=(2, 1, (1, 0)))
+
+
+def test_relation_with_int_coefficient_raises():
+    with pytest.raises(TypeError, match=r"term \(2, 1\).*int 2"):
+        Relation(terms=((ONE, (1, 0)), (2, (2, 1))), context=(2, 1, (1, 0)))
+
+
+def test_relation_with_int_coefficient_raises_without_asserts():
+    # the same check in an interpreter that strips assert statements
+    script = "\n".join((
+        "import sys",
+        "from hermdens.qalgebra import ONE",
+        "from hermdens.relations import Relation",
+        "assert False, 'assert statements are on'",
+        "try:",
+        "    Relation(terms=((ONE, (1, 0)), (2, (2, 1))), context=(2, 1, (1, 0)))",
+        "except TypeError as exc:",
+        "    sys.exit(0 if '(2, 1)' in str(exc) else 1)",
+        "sys.exit(1)",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +625,84 @@ def test_unit_chain_memoizes_every_node():
              ((2, 0), (4, 2))]
     assert val and all(eng._memo[key] is val for key in chain)
     assert RatFunc.from_laurent(val) == HironakaEngine().normalized((4, 2, 2), (6, 4, 2))
+
+
+def _laurent_value_reference(eng, xi, lam):
+    """``ReductionEngine.laurent_value`` node by node: the memo, then a leaf,
+    then one ``_expansion``, at every node of a unit-step chain.  The
+    reference for the evaluator, which tests the zero leaves once per chain
+    and takes the unit steps without ``_expansion``."""
+    memo, chain = eng._memo, []
+    while True:
+        val = memo.get((xi, lam))
+        if val is not None:
+            break
+        leaf = eng._leaf(xi, lam)
+        if leaf is not None:
+            val = leaf[0]
+            break
+        children = eng._expansion(xi, lam)[1]
+        if len(children) == 1 and children[0][0] is _LAU_ONE:
+            # a P2.15 or P2.14 step: its value is its child's
+            chain.append((xi, lam))
+            _, xi, lam = children[0]
+            continue
+        terms = [(factor, _laurent_value_reference(eng, cxi, clam))
+                 for factor, cxi, clam in children]
+        val = eng._combine(xi, lam, terms)
+        break
+    for key in reversed(chain):
+        memo[key] = val
+    return val
+
+
+def test_laurent_value_matches_reference_seeded():
+    # one engine of each through the same seeded labels: the same values, and
+    # memos with the same keys, in the same order, and the same values
+    rng = random.Random(2121)
+    eng, ref = ReductionEngine(), ReductionEngine()
+    nonzero = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        lam = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
+        if rng.random() < 0.7:
+            xi = tuple(sorted((rng.randint(0, l) for l in lam), reverse=True))
+        else:
+            xi = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
+        val = eng.laurent_value(xi, lam)
+        assert val == _laurent_value_reference(ref, xi, lam), (xi, lam)
+        nonzero += bool(val)
+    assert nonzero >= 150
+    assert list(eng._memo) == list(ref._memo)
+    assert all(eng._memo[key] == val for key, val in ref._memo.items())
+
+
+def test_unit_chain_tests_the_zero_leaves_once(monkeypatch):
+    # A_(50,50)(A_(50,50)): 50 P2.15 steps and one P2.14 step to a rank-1
+    # leaf, and one zero-leaf test at the chain's start
+    import hermdens.relations as relations
+    calls = []
+
+    def counting(xi, lam):
+        calls.append((xi, lam))
+        return relations_provable_zero(xi, lam)
+
+    relations_provable_zero = relations.provable_zero
+    monkeypatch.setattr(relations, "provable_zero", counting)
+    eng = ReductionEngine()
+    assert eng.laurent_value((50, 50), (50, 50)) == {0: 1}
+    assert calls == [((50, 50), (50, 50))]
+    assert len(eng._memo) == 51
+
+
+def test_unit_step_refuses_a_support_zero_drop():
+    # P2.14 with xi_n != 0 would keep |lam| and the trailing zeros of xi;
+    # the evaluators never reach it past the support test, and it raises
+    with pytest.raises(RuntimeError, match="non-decreasing step P2.14"):
+        ReductionEngine._unit_step((1, 1), (2, 0))
+    assert ReductionEngine._unit_step((1, 0), (2, 0)) == ("P2.14", (1,), (2,))
+    assert ReductionEngine._unit_step((2, 1), (3, 1)) == ("P2.15", (1, 0), (2, 0))
+    assert ReductionEngine._unit_step((2, 0), (3, 1)) is None
 
 
 def test_rule_d_expands_each_label_once(monkeypatch):
