@@ -25,8 +25,8 @@ from direct evaluation for cross-checking; either way through the engine's
 ``laurent_value``, which returns a Laurent dict {exponent: coefficient}
 (every density here lies in ZZ[q, q^-1]).  A call without ``engine`` builds
 a fresh ``ReductionEngine``; pass one engine to several calls to share its
-memo.  Before an engine is asked, a screen answers 0 for labels that
-``relations.provable_zero`` rules out (weight parity and componentwise
+memo.  Both engines answer {} at once for the labels that
+``partitions.provable_zero`` rules out (weight parity and componentwise
 support), as many labels in these sums are.  The sums, their weights and
 the term functions stay in Laurent form, and each public function builds
 one exact ``RatFunc`` per value it returns.
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 from . import hironaka
 from .partitions import check_partition, partitions_first_part
-from .qalgebra import RatFunc, lau_iadd_scaled, lau_mul
-from .relations import ReductionEngine, provable_zero
+from .qalgebra import RatFunc, lau_dot, lau_iadd_scaled, lau_mul
+from .relations import ReductionEngine
 
 
 @dataclass
@@ -103,27 +103,6 @@ def make_engine(kind="reduce"):
     raise ValueError(f"unknown engine kind {kind!r}")
 
 
-def _screened(engine):
-    """A_xi(A_lam) as a Laurent dict for labels built here: {} where
-    ``provable_zero`` applies, else the engine's ``laurent_value``.  The
-    returned dicts may be shared and are never mutated."""
-    value = engine.laurent_value
-
-    def screened(xi, lam):
-        return {} if provable_zero(xi, lam) else value(xi, lam)
-    return screened
-
-
-def _combine(pairs):
-    """sum of coeff * value over (Laurent coeff, Laurent value) pairs, as a new
-    dict; an empty value, a screened-out zero, costs no product."""
-    acc = {}
-    for coeff, val in pairs:
-        if val:
-            lau_iadd_scaled(acc, lau_mul(coeff, val))
-    return acc
-
-
 # Laurent constants of the sums below
 _LAU_ONE = {0: 1}
 _ONE_MINUS_Q = {0: 1, 1: -1}
@@ -166,7 +145,7 @@ def sankaran_intersection_report(b, engine=None):
     b = check_partition(b)
     if len(b) != 2:
         raise ValueError(f"need a length-2 class, got {b}")
-    nv = _screened(engine or ReductionEngine())
+    nv = (engine or ReductionEngine()).laurent_value
 
     total = lau_mul(_ONE_MINUS_Q, nv((1, 1), b))
     reports = []
@@ -195,19 +174,19 @@ def difference_identity_check(b, engine=None):
     b = check_partition(b)
     if len(b) != 2 or b[1] < 2:
         raise ValueError(f"need a length-2 class with both parts >= 2, got {b}")
-    nv = _screened(engine or ReductionEngine())
+    nv = (engine or ReductionEngine()).laurent_value
     b_mixed = (b[0], b[1] - 2)
 
-    lhs = _combine(((_MINUS_Q, nv((1, 1), b)), (_LAU_ONE, nv((0, 0), b_mixed)),
-                    (_MINUS_Q, nv((1, 1), b_mixed)), (_LAU_ONE, nv((2, 2), b))))
+    lhs = lau_dot(((_MINUS_Q, nv((1, 1), b)), (_LAU_ONE, nv((0, 0), b_mixed)),
+                   (_MINUS_Q, nv((1, 1), b_mixed)), (_LAU_ONE, nv((2, 2), b))))
 
-    rhs = _combine(((_ONE_MINUS_Q, nv((1, 1), b)), (_ONE_MINUS_Q2, nv((2, 2), b)),
-                    (_Q_MINUS_Q2, nv((3, 3), b)), (_LAU_ONE, nv((2, 0), b)),
-                    (_LAU_ONE, nv((3, 1), b))))
+    rhs = lau_dot(((_ONE_MINUS_Q, nv((1, 1), b)), (_ONE_MINUS_Q2, nv((2, 2), b)),
+                   (_Q_MINUS_Q2, nv((3, 3), b)), (_LAU_ONE, nv((2, 0), b)),
+                   (_LAU_ONE, nv((3, 1), b))))
     for tail, scaled_tail in ((0, 2), (1, 3)):
         def term(part, _t=tail, _s=scaled_tail):
             lead = part[0]
-            return _combine(((_LAU_ONE, nv((lead, _t), b)), (_MINUS_Q2, nv((lead, _s), b))))
+            return lau_dot(((_LAU_ONE, nv((lead, _t), b)), (_MINUS_Q2, nv((lead, _s), b))))
         val, _ = truncated_partition_sum(f"tail-{tail}-minus-{scaled_tail}", 1, 4, term, b[:1])
         lau_iadd_scaled(rhs, val)
     residual = lau_iadd_scaled(lhs, rhs, scale=-1)
@@ -260,7 +239,7 @@ def conjecture_check(b, engine=None):
     if alpha_part % 2:
         raise ValueError(f"need an even dominant part, got {b}")
     tail3 = b[1:]
-    nv = _screened(engine or ReductionEngine())
+    nv = (engine or ReductionEngine()).laurent_value
 
     reports = []
     terms = []

@@ -41,19 +41,20 @@ multiply-add.  ``alpha`` keeps the single-lane transform: run through the
 paired one with a zero twin, a seed-1 ``alpha-direct`` benchmark pass took
 10-24% longer (min of 15 passes, Python 3.11, a noisy 2-CPU host).
 
-``HironakaEngine.alpha`` memoizes its value on (xi, lam) keys.  Results are
-reduced ``RatFunc`` values (densities lie in ZZ[q, q^-1]).  The inner
-factors, memoized on their four conjugate values, serve only ``I_j``.
+``HironakaEngine`` memoizes alpha on (xi, lam) keys as ``_column_chain``'s
+Laurent dict (densities lie in ZZ[q, q^-1]), which ``laurent_alpha`` returns
+itself; ``alpha`` checks its labels and builds a ``RatFunc`` from it.  The
+inner factors, memoized on their four conjugate values, serve only ``I_j``.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
-vanish whenever |xi| and |lam| have different parities (the determinant
-valuations differ mod 2).  ``self_density_closed`` gives the self-density
+are 0 where ``partitions.provable_zero`` applies (weight parity or support:
+A_xi cannot represent A_lam).  ``self_density_closed`` gives the self-density
 alpha(A_xi, A_xi) in closed form for every label; ``normalized`` still
 divides by the direct alpha(A_xi, A_xi), so the two stay independent.
 
-Concurrency: all values are immutable and computations are pure; the memo
-caches may be shared across threads (concurrent calls return identical
-values) or confined to one engine instance per thread.
+Concurrency: computations are pure and no stored value (no memo dict) is
+ever mutated; the memo caches may be shared across threads (concurrent calls
+return identical values) or confined to one engine instance per thread.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .partitions import check_partition, conjugate, conjugate_part, tilde, weight
+from .partitions import check_partition, conjugate, conjugate_part, provable_zero, tilde, weight
 from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_iadd_scaled, lau_mul
 
 
@@ -291,32 +292,35 @@ class HironakaEngine:
 
     # -- the density itself -------------------------------------------------
 
+    def laurent_alpha(self, xi, lam):
+        """alpha(A_xi, A_lam) as the memo's Laurent dict, which callers must
+        never mutate; the labels are not validated (callers check them)."""
+        val = self._alpha.get((xi, lam))
+        if val is None:
+            val = self._alpha[xi, lam] = _column_chain(xi, lam, False)[0]
+        return val
+
     def alpha(self, xi, lam):
         """alpha(A_xi, A_lam) for len(xi) = m >= n = len(lam), exact."""
         xi = check_partition(xi)
         lam = check_partition(lam)
-        key = (xi, lam)
-        cached = self._alpha.get(key)
-        if cached is not None:
-            return cached
         if len(xi) < len(lam):
             raise ValueError(f"need len(xi) >= len(lam), got {len(xi)} < {len(lam)}")
-        val = RatFunc.from_laurent(_column_chain(xi, lam, False)[0])
-        self._alpha[key] = val
-        return val
+        return RatFunc.from_laurent(self.laurent_alpha(xi, lam))
 
     def normalized(self, xi, lam):
-        """alpha(A_xi, A_lam) / alpha(A_xi, A_xi); zero on weight-parity mismatch."""
+        """alpha(A_xi, A_lam) / alpha(A_xi, A_xi); zero where ``provable_zero`` applies."""
         xi = check_partition(xi)
         lam = check_partition(lam)
         if len(xi) != len(lam):
             raise ValueError("normalized density needs labels of equal length")
-        if (weight(xi) - weight(lam)) % 2:
+        if provable_zero(xi, lam) is not None:
             return ZERO
         return self.alpha(xi, lam) / self.alpha(xi, xi)
 
     def laurent_value(self, xi, lam):
-        """``normalized`` as a Laurent dict, the form the geometry sums add."""
+        """``normalized`` as a Laurent dict, the form the geometry sums add;
+        {} without a division where ``provable_zero`` applies."""
         return self.normalized(xi, lam).as_laurent()
 
 

@@ -6,7 +6,8 @@ diagonal hermitian matrices diag(pi^3, 1) and diag(pi^3)).  Text syntax is
 comma-separated parts, e.g. "8,3,2"; JSON form is an array of integers.
 
 Besides the basic statistics (weight, the n-statistic sum (i-1)*lambda_i,
-conjugates and the conjugate inner product), this module builds the special
+conjugates and the conjugate inner product) and the one rule that makes a
+density provably zero (``provable_zero``), this module builds the special
 constructions used by the density relations: the zero-tail promotions
 ``xi_plus``, the two-one paddings ``mu_lk``, and the coefficient family
 ``d_coefficients`` read off the product (1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
@@ -20,6 +21,7 @@ substitutes bindings back.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -27,8 +29,12 @@ from .qalgebra import RatFunc, neg_q_power
 
 
 def check_partition(parts, allow_empty=False):
-    """Validate and normalize to a tuple of non-increasing, non-negative ints."""
-    t = tuple(int(x) for x in parts)
+    """Validate and normalize to a tuple of non-increasing, non-negative ints;
+    a part that is no integer (2.7, Fraction(5, 2)) raises ``ValueError``."""
+    try:
+        t = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError(f"partition parts must be integers, got {parts!r}") from None
     if not t and not allow_empty:
         raise ValueError("partition must have at least one part")
     for i, x in enumerate(t):
@@ -42,7 +48,7 @@ def check_partition(parts, allow_empty=False):
 def parse_partition(text):
     """Parse comma-separated text like '8,3,2' (trailing zeros explicit)."""
     try:
-        return check_partition(text.split(","))
+        return check_partition([int(x) for x in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"bad partition {text!r}: {exc}") from None
 
@@ -71,6 +77,18 @@ Stats = namedtuple("Stats", ["weight", "n_stat", "tilde"])
 def stats(parts):
     parts = check_partition(parts)
     return Stats(weight(parts), n_stat(parts), tilde(parts))
+
+
+def provable_zero(xi, lam):
+    """The rule that makes A_xi(A_lam) zero for labels of equal length, or None:
+    "parity-zero" when the weights differ in parity, "support-zero" when
+    xi_i > lam_i for some i (Newman, Thm II.15).  Labels are not validated."""
+    if (weight(xi) - weight(lam)) % 2:
+        return "parity-zero"
+    for x, l in zip(xi, lam):
+        if x > l:
+            return "support-zero"
+    return None
 
 
 def conjugate_part(parts, i):

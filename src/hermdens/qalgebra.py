@@ -324,6 +324,16 @@ def lau_iadd_scaled(acc, a, shift=0, scale=1):
     return acc
 
 
+def lau_dot(pairs):
+    """sum of a * b over (a, b) pairs of Laurent dicts, as a new dict; a pair
+    with an empty factor costs nothing, and a unit a = {0: 1} no product."""
+    acc = {}
+    for a, b in pairs:
+        if a and b:
+            lau_iadd_scaled(acc, b if a == {0: 1} else lau_mul(a, b))
+    return acc
+
+
 def lau_neg_q(e):
     """(-q)^e as a Laurent dictionary."""
     return {e: 1 if e % 2 == 0 else -1}

@@ -7,11 +7,11 @@ alpha(A_., B) whenever pi^{-1}B is still integral: for a label xi ending in
 s zeros it combines the promotions xi_plus(xi, a, b) with the coefficients
 d_{n,s,i}, and the whole combination annihilates alpha(., B).  Its
 arguments are checked on every call, but each relation is built once per
-process, summed as Laurent dicts.  A ``Relation`` keeps every coefficient as
-a ``RatFunc`` and as a Laurent dict, so one outside ZZ[q, q^-1] raises
-``NotLaurentError``.  ``verify_relation`` checks a relation by direct
-evaluation: it adds coefficient times alpha in one Laurent dict and builds a
-single ``RatFunc`` residual.
+process, summed as Laurent dicts.  A ``Relation`` checks its parts once and
+keeps every coefficient as a ``RatFunc`` and as a Laurent dict, so one
+outside ZZ[q, q^-1] raises ``NotLaurentError``.  ``verify_relation`` checks a
+relation by direct evaluation: one ``lau_dot`` of the coefficients with the
+engine's memoized Laurent alphas, and a single ``RatFunc`` residual.
 
 ``ReductionEngine.reduce_normalized`` evaluates normalized densities
 A_xi(A_lam) by rewriting instead of direct summation, in Laurent form
@@ -61,11 +61,12 @@ from .partitions import (
     d_coefficients,
     fill_pattern,
     match_pattern,
+    provable_zero,
     trailing_zeros,
     weight,
     xi_plus,
 )
-from .qalgebra import ONE, RatFunc, ZERO, lau_iadd_scaled, lau_mul
+from .qalgebra import ONE, RatFunc, ZERO, lau_dot, lau_iadd_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +78,11 @@ class Relation:
     """A finite combination sum_i coeff_i * alpha(A_{part_i}, B) that vanishes
     for every B = A_lam with all parts >= 1.
 
-    Every coefficient lies in ZZ[q, q^-1]; ``laurent_terms`` holds the terms
-    with each coefficient as a shared Laurent dict (never mutate it).  A
-    coefficient that is not a ``RatFunc`` (an ``int``, say) raises
-    ``TypeError`` naming its term, and one outside that ring raises
+    The parts are partitions of one length and every coefficient lies in
+    ZZ[q, q^-1]; ``laurent_terms`` holds the terms with each part checked and
+    each coefficient as a shared Laurent dict (never mutate it).  A bad part
+    raises ``ValueError``, a coefficient that is not a ``RatFunc`` (an
+    ``int``, say) ``TypeError`` naming its term, and one outside that ring
     ``NotLaurentError``."""
 
     terms: tuple          # tuple of (RatFunc, partition)
@@ -92,8 +94,10 @@ class Relation:
             if not isinstance(c, RatFunc):
                 raise TypeError(f"the coefficient of term {p} must be a RatFunc, "
                                 f"got {type(c).__name__} {c!r}")
-        object.__setattr__(self, "laurent_terms",
-                           tuple((c.as_laurent(), p) for c, p in self.terms))
+        laurent_terms = tuple((c.as_laurent(), check_partition(p)) for c, p in self.terms)
+        if len({len(p) for _, p in laurent_terms}) > 1:
+            raise ValueError(f"the parts {self.partitions()} differ in length")
+        object.__setattr__(self, "laurent_terms", laurent_terms)
 
     def partitions(self):
         return tuple(p for _, p in self.terms)
@@ -144,18 +148,19 @@ def _build_relation(n, s, xi):
 def verify_relation(rel, lam, engine=None):
     """Evaluate the relation against B = A_lam; returns (is_zero, residual).
 
-    The terms are summed as Laurent dicts and the residual built once.  Valid
+    The residual is one dot product of the Laurent coefficients with the
+    engine's memoized Laurent alphas, made a ``RatFunc`` once; lam is checked
+    here, the parts when the relation was built.  A lam longer than the parts
+    raises ``ValueError``.  Valid
     instances require all parts of lam >= 1; calls with lam_n = 0 are
     deliberate negative controls and generally leave a nonzero residual.
     """
     lam = check_partition(lam)
-    engine = engine or hironaka.default_engine()
-    acc = {}
-    for coeff, part in rel.laurent_terms:
-        value = engine.alpha(part, lam)
-        if value:
-            lau_iadd_scaled(acc, lau_mul(coeff, value.as_laurent()))
-    residual = RatFunc.from_laurent(acc)
+    terms = rel.laurent_terms
+    if terms and len(lam) > len(terms[0][1]):
+        raise ValueError(f"lambda {lam} is longer than the relation's parts")
+    value = (engine or hironaka.default_engine()).laurent_alpha
+    residual = RatFunc.from_laurent(lau_dot((coeff, value(part, lam)) for coeff, part in terms))
     return residual.is_zero, residual
 
 
@@ -378,21 +383,6 @@ _LAU_ZERO = {}
 _LAU_ONE = {0: 1}
 
 
-def provable_zero(xi, lam):
-    """The rule that makes A_xi(A_lam) zero for labels of equal length, or None.
-
-    "parity-zero" when the weights differ in parity, "support-zero" when
-    xi_i > lam_i for some i (Newman, Thm II.15).  The labels are not
-    validated.
-    """
-    if (weight(xi) - weight(lam)) % 2:
-        return "parity-zero"
-    for x, l in zip(xi, lam):
-        if x > l:
-            return "support-zero"
-    return None
-
-
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
@@ -522,10 +512,7 @@ class ReductionEngine:
         if len(terms) == 1 and terms[0][0] is _LAU_ONE:
             val = terms[0][1]   # shared with the child, as both are never mutated
         else:
-            val = {}
-            for factor, sub in terms:
-                if sub:         # a zero leaf's empty value adds nothing
-                    lau_iadd_scaled(val, sub if factor == _LAU_ONE else lau_mul(factor, sub))
+            val = lau_dot(terms)
         self._memo[xi, lam] = val
         return val
 

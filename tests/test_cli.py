@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -248,8 +249,11 @@ def test_truncation_options_are_usage_errors(capsys):
 
 
 def test_module_entry_point():
+    # the child sees this interpreter's path, so pytest's pythonpath setting
+    # serves a checkout without PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     proc = subprocess.run([sys.executable, "-m", "hermdens", "alpha", "4,0", "4,2"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "q^6+2q^5+q^4"
 

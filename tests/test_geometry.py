@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hermdens import geometry, hironaka
+from hermdens import geometry, hironaka, relations
 from hermdens.geometry import (
     conjecture_check,
     derivative_0000,
@@ -84,10 +84,10 @@ def _derivative_lattice_reference(b, engine):
     with weights w = 1, (1+q), (1+q)(1-q^2), (1+q)(1-q^2)(1+q^3), parts >= 1,
     and each A read through ``engine``.  It is -d/dX Den(X, B) at X = 1 for
     odd |B| only (for even |B| it is +d/dX).  Returns (value, reports).
-    ``geometry.truncated_partition_sum`` and ``geometry._screened`` are read
-    at call time, so that a test's patches of them apply.
+    ``geometry.truncated_partition_sum`` is read at call time, so that a
+    test's patch of it applies.
     """
-    nv = geometry._screened(engine)
+    nv = engine.laurent_value
     total, reports = {}, []
     for k, coeff in enumerate(_LATTICE_WEIGHTS, 1):
         def term(part, _k=k):
@@ -291,14 +291,14 @@ def test_geometry_golden():
 
 
 def test_zero_screen_is_sound(monkeypatch):
-    # every label pair the geometry sums answer 0 without asking the engine is
-    # 0 by the direct formula: the pairs the screen sees inside each sum's
-    # support box, and the pairs of the terms outside it, which the sums do
-    # not build, at every level from the sum's start to ``top``, four above
-    # the largest part of the class
+    # every label pair the reduction engine's zero screen answers 0 is 0 by
+    # the direct formula: the pairs the screen sees from each sum's support
+    # box and the rule-(d) children under them, and the pairs of the terms
+    # outside the box, which the sums do not build, at every level from the
+    # sum's start to ``top``, four above the largest part of the class
     screened, skipped = {}, {}
     sink = [screened]
-    rule = geometry.provable_zero
+    rule = relations.provable_zero
     top = None
 
     def recording(xi, lam):
@@ -334,7 +334,7 @@ def test_zero_screen_is_sound(monkeypatch):
         assert RatFunc.from_laurent(value) == _derivative_lattice_reference(lam, engine)[0], lam
         return value
 
-    monkeypatch.setattr(geometry, "provable_zero", recording)
+    monkeypatch.setattr(relations, "provable_zero", recording)
     monkeypatch.setattr(geometry, "truncated_partition_sum", replaying)
     monkeypatch.setattr(hironaka, "_derived_laurent", with_lattice_reference)
     rng = random.Random(11)
@@ -360,11 +360,11 @@ def test_zero_screen_is_sound(monkeypatch):
         kinds = list(pairs.values())
         return len(kinds), kinds.count("parity-zero"), kinds.count("support-zero")
 
-    # inside the boxes the screen sees parity zeros only; the replay reaches
-    # the support zeros
-    assert census(screened) == (234, 234, 0)
+    # the box terms themselves are parity zeros only; the support zeros
+    # inside come from rule-(d) children, and the replay reaches the rest
+    assert census(screened) == (252, 234, 18)
     checked = {**skipped, **screened}
-    assert census(checked) == (6146, 3260, 2886)
+    assert census(checked) == (6162, 3260, 2902)
     direct = make_engine("direct")
     for xi, lam in checked:
         assert direct.normalized(xi, lam) == ZERO, (xi, lam)

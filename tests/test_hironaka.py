@@ -32,7 +32,7 @@ from hermdens.partitions import (
     weight,
 )
 from hermdens.qalgebra import (
-    ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul)
+    ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul, neg_q_power)
 from hermdens.relations import theorem_terms, verify_relation
 
 
@@ -371,6 +371,68 @@ def test_derived_density_with_two_unimodular_parts_is_kudla_rapoport():
                 assert derived_density((a, l, 0, 0)) == want, (a, l)
                 cases += 1
     assert cases == 110
+
+
+def _density_polynomial(lam):
+    """Den(X, B) for B = A_lam as its coefficients a_0..a_|B| in X, sharing no
+    code with the twin: Newton divided differences, in RatFunc, of
+    Den(X_k, B) = alpha(1_{n+k}, B) / alpha(1_{n+k}, 1_n) at X_k = (-q)^-k
+    (Li-Zhang, in the form of Cho-Yamauchi).  The nodes run to k = |B| + 1,
+    and the top difference must vanish: the degree is at most |B|.
+    """
+    n, top = len(lam), weight(lam)
+    eng = HironakaEngine()
+    nodes = [neg_q_power(-k) for k in range(top + 2)]
+    table = [eng.alpha((0,) * (n + k), lam) / eng.alpha((0,) * (n + k), (0,) * n)
+             for k in range(top + 2)]
+    newton = [table[0]]
+    for j in range(1, top + 2):
+        table = [(b - a) / (nodes[i + j] - nodes[i]) for i, (a, b) in enumerate(zip(table, table[1:]))]
+        newton.append(table[0])
+    assert newton.pop() == ZERO, lam
+    # the Newton form in powers of X, by Horner's scheme: P <- P (X - X_j) + c_j
+    poly = [newton[-1]]
+    for j in range(top - 1, -1, -1):
+        poly = [ZERO] + poly
+        for i in range(len(poly) - 1):
+            poly[i] = poly[i] - nodes[j] * poly[i + 1]
+        poly[0] = poly[0] + newton[j]
+    return poly
+
+
+def _derivative_interpolation_reference(lam):
+    """dDen(B) = -Den'(1, B), from the interpolated density polynomial."""
+    return -sum((a * i for i, a in enumerate(_density_polynomial(lam))), ZERO)
+
+
+def _interpolation_classes(rng, parity):
+    # two seeded classes of each rank 1-6 with the given weight parity, parts <= 3
+    classes = []
+    for n in range(1, 7):
+        while len(classes) < 2 * n:
+            lam = _random_label(rng, n, 3)
+            if weight(lam) % 2 == parity and lam not in classes:
+                classes.append(lam)
+    return classes
+
+
+def test_derived_density_matches_interpolation_reference():
+    # a second path for dDen at every rank: plain alphas at |B| + 2 nodes
+    classes = _interpolation_classes(random.Random(2201), 1) + [(3, 3, 2, 1, 1, 1)]
+    for lam in classes:
+        assert derived_density(lam) == _derivative_interpolation_reference(lam), lam
+
+
+def test_density_polynomial_functional_equation():
+    # on both parities Den(X, B) has degree |B| and constant term 1, and
+    # Den(X, B) = (-X)^|B| Den(1/X, B), that is a_(|B|-i) = (-1)^|B| a_i
+    rng = random.Random(2202)
+    for parity in (0, 1):
+        for lam in _interpolation_classes(rng, parity)[::2]:
+            poly = _density_polynomial(lam)
+            sign = -1 if weight(lam) % 2 else 1
+            assert len(poly) == weight(lam) + 1 and poly[0] == ONE, lam
+            assert poly == [a * sign for a in reversed(poly)], lam
 
 
 def test_derived_density_rank1():

@@ -4,8 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
+from hermdens.hironaka import alpha
 from hermdens.partitions import (
     check_partition,
     conj_inner_product,
@@ -33,6 +35,21 @@ def test_validation():
         check_partition((2, -1))
     with pytest.raises(ValueError):
         check_partition(())
+
+
+def test_non_integer_parts_raise():
+    # a part is converted by operator.index, never truncated to another label
+    for parts in ([2.7, 0], (Fraction(5, 2), 1), (3.0,), ("3",)):
+        with pytest.raises(ValueError, match="integers"):
+            check_partition(parts)
+    with pytest.raises(ValueError):
+        alpha((2.7, 0), (3, 1))
+    assert check_partition([True, 0]) == (1, 0)
+    assert check_partition(numpy.array([3, 1])) == (3, 1)
+    assert parse_partition(" 3, 1") == (3, 1)
+    for text in ("2.5,1", "3,", "a"):
+        with pytest.raises(ValueError, match="bad partition"):
+            parse_partition(text)
 
 
 def test_text_roundtrip():

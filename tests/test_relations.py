@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from hermdens.hironaka import HironakaEngine
+from hermdens.hironaka import HironakaEngine, _column_chain
 from hermdens.partitions import (
     d_coefficients,
     fill_pattern,
@@ -217,6 +217,72 @@ def test_relation_with_non_laurent_coefficient_raises():
 def test_relation_with_int_coefficient_raises():
     with pytest.raises(TypeError, match=r"term \(2, 1\).*int 2"):
         Relation(terms=((ONE, (1, 0)), (2, (2, 1))), context=(2, 1, (1, 0)))
+
+
+def test_relation_checks_its_parts_once():
+    for part in ((1, 2), (2, -1), (2.5, 1), ()):
+        with pytest.raises(ValueError):
+            Relation(terms=((ONE, (1, 0)), (ONE, part)), context=(2, 1, (1, 0)))
+    with pytest.raises(ValueError, match="differ in length"):
+        Relation(terms=((ONE, (1, 0)), (ONE, (2, 1, 0))), context=(2, 1, (1, 0)))
+    rel = Relation(terms=((ONE, [1, 0]),), context=(2, 1, (1, 0)))
+    assert rel.laurent_terms == (({0: 1}, (1, 0)),)
+    # a lam longer than the parts raises; alpha(A_xi, A_lam) needs m >= n
+    with pytest.raises(ValueError, match="longer"):
+        verify_relation(theorem_terms(2, 1, (1, 0)), (2, 2, 1), HironakaEngine())
+
+
+def test_verify_relation_reads_the_laurent_memo(monkeypatch):
+    # no RatFunc round trip and no label check per term: verify_relation
+    # calls neither RatFunc.as_laurent nor HironakaEngine.alpha
+    calls = {"as_laurent": 0, "alpha": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    rels = [theorem_terms(*key) for key in _all_relations(max_n=3, max_part=3)]
+    monkeypatch.setattr(RatFunc, "as_laurent", counting("as_laurent", RatFunc.as_laurent))
+    monkeypatch.setattr(HironakaEngine, "alpha", counting("alpha", HironakaEngine.alpha))
+    eng = HironakaEngine()
+    for rel in rels:
+        for lam in partitions_fixed_length(len(rel.context[2]), 1, 3):
+            assert verify_relation(rel, lam, eng)[0], (rel.context, lam)
+    assert calls == {"as_laurent": 0, "alpha": 0}
+
+
+def test_hironaka_memo_holds_fresh_values_after_threads():
+    # one shared engine under a seeded 4-thread sweep of every entry point
+    # that reads its memo: each stored dict still equals a fresh
+    # _column_chain value, so no caller mutated a shared dict
+    rng = random.Random(2207)
+    keys = _all_relations(max_n=3, max_part=3)
+    jobs = []
+    for _ in range(160):
+        n, s, xi = rng.choice(keys)
+        lam = tuple(sorted((rng.randint(0, 4) for _ in range(n)), reverse=True))
+        jobs.append((rng.randrange(4), theorem_terms(n, s, xi), lam))
+    shared = HironakaEngine()
+
+    def run(job):
+        kind, rel, lam = job
+        xi = rel.context[2]
+        if kind == 0:
+            return verify_relation(rel, lam, shared)
+        return (shared.alpha, shared.normalized, shared.laurent_value)[kind - 1](xi, lam)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, so that cache writes interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(jobs) and len(shared._alpha) > 100
+    for (xi, lam), val in shared._alpha.items():
+        assert val == _column_chain(xi, lam, False)[0], (xi, lam)
 
 
 def test_relation_with_int_coefficient_raises_without_asserts():
