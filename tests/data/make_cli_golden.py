@@ -32,6 +32,8 @@ COMMANDS = [
     "verify conjecture 8,6,4,2",
     # nonzero residuals: the lam_n = 0 controls of a theorem sweep (exit 1)
     "verify theorem --n 2 --s 2 --lambda-min 0 --lambda-max 2",
+    # a sampled rank-4 sweep: one engine answers many xi against each lambda
+    "verify theorem --n 4 --s 2 --max-part 3 --lambda-max 3 --sample 40 --seed 1",
 ]
 
 
