@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import geometry, hironaka, oracle, relations
 from .oracle import BudgetExceededError, GaloisRingParams
-from .partitions import fill_pattern, format_partition, parse_partition, partitions_fixed_length
+from .partitions import (
+    fill_pattern, format_partition, parse_partition, parse_parts, partitions_fixed_length)
 from .qalgebra import PoleError, ZERO
 
 
@@ -29,6 +30,13 @@ def _partition(text):
         return parse_partition(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _values(text):
+    try:
+        return parse_parts(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad values {text!r}: {exc}")
 
 
 def _rational(text):
@@ -97,7 +105,7 @@ def build_parser():
     v = vsub.add_parser("corollary", help="normalized rewrite-rule sweep")
     v.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
     v.add_argument("--b-max", type=int, default=3)
-    v.add_argument("--params", type=str, default="3,4",
+    v.add_argument("--params", type=_values, default="3,4",
                    help="values substituted for large-part placeholders")
     v.add_argument("--sample", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
@@ -226,7 +234,7 @@ def _verify_theorem(args):
 
 
 def _verify_corollary(args):
-    values = sorted({int(x) for x in args.params.split(",")}, reverse=True)
+    values = sorted(set(args.params), reverse=True)
     engine = hironaka.HironakaEngine()
     cases = []
     for rule in relations.REWRITE_RULES[args.n]:

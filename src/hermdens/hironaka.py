@@ -45,6 +45,12 @@ paired one with a zero twin, a seed-1 ``alpha-direct`` benchmark pass took
 Laurent dict (densities lie in ZZ[q, q^-1]), which ``laurent_alpha`` returns
 itself; ``alpha`` checks its labels and builds a ``RatFunc`` from it.  The
 inner factors, memoized on their four conjugate values, serve only ``I_j``.
+Column j reads xi only through m = len(xi) and xi'_j, so the engine also
+keeps the packed chain states in one prefix tree per (lam, m), keyed on
+xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs only the
+columns below the deepest state it shares with an earlier one.  On a seed-1
+``relation-sweep`` benchmark pass the 1,558 alphas run 2,527 columns instead
+of 6,740.  ``derived_density`` asks one chain per label and keeps no tree.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 are 0 where ``partitions.provable_zero`` applies (weight parity or support:
@@ -52,9 +58,10 @@ A_xi cannot represent A_lam).  ``self_density_closed`` gives the self-density
 alpha(A_xi, A_xi) in closed form for every label; ``normalized`` still
 divides by the direct alpha(A_xi, A_xi), so the two stay independent.
 
-Concurrency: computations are pure and no stored value (no memo dict) is
-ever mutated; the memo caches may be shared across threads (concurrent calls
-return identical values) or confined to one engine instance per thread.
+Concurrency: computations are pure and no stored value (no memo dict, no
+tree state) is ever mutated, and the tree's nodes only grow by ``setdefault``;
+the caches may be shared across threads (concurrent calls return identical
+values) or confined to one engine instance per thread.
 """
 
 from __future__ import annotations
@@ -192,7 +199,13 @@ def _unpack(p, s, width):
     return out
 
 
-def _column_chain(xi, lam, twin):
+def _frame(lam, twin):
+    """What the chain reads of lam alone: (lam+1)'_j indexed from j = 1 and
+    padded with zeros, and the packing width ``_coefficient_bound`` proves."""
+    return (0,) + conjugate(tilde(lam)) + (0,), _coefficient_bound(lam, twin).bit_length() + 2
+
+
+def _column_chain(xi, lam, twin, root=None):
     """Hironaka's sum for alpha(A_xi, A_lam), and with ``twin`` the same sum
     with each summand weighted by |mu| (else None), as Laurent dicts.
 
@@ -214,15 +227,28 @@ def _column_chain(xi, lam, twin):
     pt + c p, exactly, with no alignment.  Without ``twin`` entries stay pairs
     (p, s) through the single-lane transform, which alpha runs faster than the
     paired one (see the module docstring).
+
+    ``root`` is None, or the root (cols, width, node) of a ``HironakaEngine``
+    prefix tree for (lam, m), holding ``_frame(lam, False)``.  Column j reads
+    xi only through xi'_j, so the state after column j is fixed by
+    (lam, m, xi'_{lam_1+1}, ..., xi'_j): a node maps xi'_j to that state and
+    the node of column j - 1.  The loop takes every state it finds and fills
+    the rest in with ``setdefault``, down to column 2; the state after column
+    1 is never stored, since reaching it again means asking for an alpha that
+    the engine's memo holds, bar xi'_j for j > lam_1 + 1, which no column
+    reads.  Stored states are never mutated.
     """
     m, n = len(xi), len(lam)
-    # (lam+1)'_j and xi'_j, indexed from j = 1
-    cols = (0,) + conjugate(tilde(lam)) + (0,)
-    xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)
-    width = _coefficient_bound(lam, twin).bit_length() + 2
+    cols, width, node = root or _frame(lam, twin) + (None,)
+    xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
     transform = _paired_transform if twin else _qbinomial_transform
     chain = [(1, 0, 0)] if twin else [(1, 0)]
     for j in range(lam[0] + 1, 0, -1):
+        if node is not None:
+            hit = node.get(xi_cols[j])
+            if hit is not None:
+                chain, node = hit
+                continue
         l1, l2 = cols[j], cols[j + 1]
         x = n - m - 1 + xi_cols[j]
         # the chain holds c2 = 0..l2, the heights of column j + 1, and
@@ -247,6 +273,8 @@ def _column_chain(xi, lam, twin):
                     chain[c] = (p, pt + c * p, term[2] + e)
                 else:
                     chain[c] = (p, term[1] + e)
+        if node is not None and j > 1:
+            node = node.setdefault(xi_cols[j], (chain, {}))[1]
     terms = [term for term in chain if term is not None]
     top = max((term[-1] for term in terms), default=0)
     sums = [_unpack(sum(term[k] << (top - term[-1]) * width for term in terms), top, width)
@@ -255,10 +283,21 @@ def _column_chain(xi, lam, twin):
 
 
 class HironakaEngine:
-    """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization."""
+    """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization.
+
+    Besides the alpha memo on (xi, lam), the engine holds one prefix tree of
+    ``_column_chain`` states per (lam, len(xi)) (see there): alphas whose xi'
+    agree on the columns j..lam_1+1 share the state after column j, so a sweep
+    of many xi against one lam runs each distinct column once.  The tree holds
+    at most lam_1 states per memoized alpha.  Nodes only grow, by
+    ``setdefault``, and a stored state is never mutated, so an engine may be
+    shared across threads: two threads that race on one state compute equal
+    values, and both go on with the one that was stored first.
+    """
 
     def __init__(self):
         self._alpha = {}
+        self._prefix = {}
         self._inner = {}
 
     # -- inner factor -------------------------------------------------------
@@ -297,7 +336,10 @@ class HironakaEngine:
         never mutate; the labels are not validated (callers check them)."""
         val = self._alpha.get((xi, lam))
         if val is None:
-            val = self._alpha[xi, lam] = _column_chain(xi, lam, False)[0]
+            root = self._prefix.get((lam, len(xi)))
+            if root is None:
+                root = self._prefix.setdefault((lam, len(xi)), _frame(lam, False) + ({},))
+            val = self._alpha[xi, lam] = _column_chain(xi, lam, False, root)[0]
         return val
 
     def alpha(self, xi, lam):

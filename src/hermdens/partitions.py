@@ -45,10 +45,23 @@ def check_partition(parts, allow_empty=False):
     return t
 
 
+def parse_parts(text):
+    """The integers of comma-separated text: each part is ASCII digits, with
+    surrounding spaces allowed, so '1_0', '+2', '-1', '' and non-ASCII digits
+    raise ``ValueError`` naming the part."""
+    parts = []
+    for part in text.split(","):
+        digits = part.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"part {part!r} is not a number in ASCII digits")
+        parts.append(int(digits))
+    return parts
+
+
 def parse_partition(text):
     """Parse comma-separated text like '8,3,2' (trailing zeros explicit)."""
     try:
-        return check_partition([int(x) for x in text.split(",")])
+        return check_partition(parse_parts(text))
     except ValueError as exc:
         raise ValueError(f"bad partition {text!r}: {exc}") from None
 

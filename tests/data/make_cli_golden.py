@@ -34,6 +34,8 @@ COMMANDS = [
     "verify theorem --n 2 --s 2 --lambda-min 0 --lambda-max 2",
     # a sampled rank-4 sweep: one engine answers many xi against each lambda
     "verify theorem --n 4 --s 2 --max-part 3 --lambda-max 3 --sample 40 --seed 1",
+    # a part is ASCII digits: '1_0' is a usage error, not the part 10 (exit 2)
+    "alpha 1_0,2 2,1",
 ]
 
 

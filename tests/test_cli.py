@@ -121,6 +121,21 @@ def test_verify_corollary_rejects_small_placeholder(capsys):
     assert out == "" and "'*' slot" in err
 
 
+def test_labels_and_params_take_ascii_digits_only(capsys):
+    # '1_0,2' is no longer read as (10, 2): the usage error names the text
+    for text in ("1_0,2", "\u0661,0", "+2,1"):
+        code, out, err = _capture(capsys, ["alpha", text, "2,1"])
+        assert code == 2 and out == "", text
+        assert "argument xi" in err and repr(text) in err, text
+    for params in ("", "3_0", "4,+5"):
+        code, out, err = _capture(capsys, ["verify", "corollary", "--n", "2", "--params", params])
+        assert code == 2 and out == "", params
+        assert "argument --params" in err and repr(params) in err, params
+    code, out, _ = _capture(capsys, ["verify", "corollary", "--n", "2", "--params", " 4 ",
+                                     "--b-max", "1"])
+    assert code == 0 and out.endswith("identities verified\n")
+
+
 def test_verify_corollary_ignores_repeated_params(capsys):
     # a value given twice fills the placeholders once, not once per copy
     argv = ["verify", "corollary", "--n", "2", "--b-max", "2", "--params"]

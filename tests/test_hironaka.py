@@ -2,16 +2,19 @@
 
 import itertools
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermdens import hironaka
 from hermdens.hironaka import (
     HironakaEngine,
     _coefficient_bound,
     _column_chain,
     _divide_one_minus_t,
+    _frame,
     _paired_transform,
     _qbinomial_transform,
     _unpack,
@@ -23,10 +26,13 @@ from hermdens.hironaka import (
     self_density_closed,
 )
 from hermdens.partitions import (
+    conjugate,
     conjugate_part,
     fill_pattern,
+    lambda_ns_elements,
     match_pattern,
     n_stat,
+    partitions_fixed_length,
     partitions_in_box,
     tilde,
     weight,
@@ -596,3 +602,108 @@ def test_concurrent_alpha_calls_are_consistent():
 
 def test_default_engine_is_shared():
     assert default_engine() is default_engine()
+
+
+# -- the engine's prefix trees of column states ----------------------------
+
+def _sweep_labels(seed):
+    # a few lam per rank n <= 6, each against many xi of length n, n + 1 and
+    # n + 2 whose parts reach past lam_1 + 1, so that xi' often agrees on the
+    # last columns; shuffled, with repeats
+    rng = random.Random(seed)
+    pairs = []
+    for n in range(1, 7):
+        for _ in range(3):
+            lam = _random_label(rng, n, 3 if n > 4 else 4)
+            for m in (n, n + 1, n + 2):
+                pairs += [(_random_label(rng, m, lam[0] + 2), lam) for _ in range(6)]
+    pairs += rng.sample(pairs, 30)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _theorem_grid_labels():
+    # every (part, lam) that a `verify theorem` sweep over n = 3, 4, every s,
+    # xi parts <= 3 and lam parts 1..4 asks of its engine
+    labels = set()
+    for n in (3, 4):
+        lams = list(partitions_fixed_length(n, 1, 4))
+        for s in range(1, n + 1):
+            for xi in lambda_ns_elements(n, s, 3):
+                labels.update((part, lam) for _, part in theorem_terms(n, s, xi).laurent_terms
+                              for lam in lams)
+    return sorted(labels)
+
+
+def _tree_states(prefix):
+    """Every stored state of an engine's prefix trees, keyed on
+    (lam, m, xi'_{lam_1+1}, ..., xi'_j) for the state after column j."""
+    out = {}
+    stack = [((lam, m), root[2]) for (lam, m), root in prefix.items()]
+    while stack:
+        key, node = stack.pop()
+        for x, (state, child) in node.items():
+            out[key + (x,)] = state
+            stack.append((key + (x,), child))
+    return out
+
+
+def _column_suffixes(xi, lam):
+    """The keys of the states a chain for (xi, lam) passes, column lam_1 + 1 first."""
+    xi_cols = conjugate(xi) + (0,) * (lam[0] + 1)
+    return [(lam, len(xi)) + tuple(xi_cols[j - 1:lam[0] + 1][::-1])
+            for j in range(lam[0] + 1, 0, -1)]
+
+
+def test_shared_prefix_sweep_matches_unshared_chain():
+    for seed in (1, 2):
+        eng = HironakaEngine()
+        for xi, lam in _sweep_labels(seed):
+            got = eng.laurent_alpha(xi, lam)
+            assert got == _column_chain(xi, lam, False)[0], (xi, lam)
+            want = _chain_dict_reference(xi, lam, False)[0]
+            assert RatFunc.from_laurent(got) == RatFunc.from_laurent(want), (xi, lam)
+
+
+def test_shared_prefixes_run_each_column_state_once(monkeypatch):
+    calls = []
+    transform = hironaka._qbinomial_transform
+    monkeypatch.setattr(hironaka, "_qbinomial_transform",
+                        lambda terms, width: calls.append(1) or transform(terms, width))
+    labels = _theorem_grid_labels()
+    eng = HironakaEngine()
+    for xi, lam in labels:
+        eng.laurent_alpha(xi, lam)
+    # a column is two transforms; the states after columns >= 2 are stored
+    # once per distinct key, and column 1 runs once per memoized alpha
+    stored = {key for xi, lam in labels for key in _column_suffixes(xi, lam)[:-1]}
+    columns = sum(lam[0] + 1 for _, lam in labels)
+    assert len(calls) <= 2 * (len(stored) + len(labels)) < 2 * columns
+    assert len(calls) < columns
+    assert _tree_states(eng._prefix).keys() == stored
+    assert len(stored) <= sum(lam[0] for _, lam in labels)
+
+
+def test_concurrent_sweep_leaves_every_tree_state_exact():
+    # threads switched often race on the same nodes; a state stored under a
+    # node that lost its race would be missing from the tree below
+    labels = _sweep_labels(3)
+    eng = HironakaEngine()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda pair: (pair, eng.laurent_alpha(*pair)), labels * 3,
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (xi, lam), val in results:
+        assert val == _column_chain(xi, lam, False)[0], (xi, lam)
+    # each label's prefix recomputed alone, in a tree of its own
+    fresh = {}
+    for xi, lam in labels:
+        tree = {(lam, len(xi)): _frame(lam, False) + ({},)}
+        _column_chain(xi, lam, False, tree[lam, len(xi)])
+        fresh.update(_tree_states(tree))
+    assert _tree_states(eng._prefix) == fresh
+    assert all(root[:2] == _frame(lam, False) for (lam, _), root in eng._prefix.items())

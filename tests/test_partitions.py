@@ -52,6 +52,18 @@ def test_non_integer_parts_raise():
             parse_partition(text)
 
 
+def test_parse_partition_reads_ascii_digits_only():
+    # int() would read '1_0' as 10 and accept signs and non-ASCII digits;
+    # a part is ASCII digits, with surrounding spaces allowed
+    assert parse_partition(" 10 ,2 ") == (10, 2)
+    assert parse_partition("\t3,0") == (3, 0)
+    for text in ("1_0,2", "\u0661,0", "+2,1", "-0", "2,-1", "3,,1", "", " ", "1 0",
+                 "\u00b2", "0x3", "3e0"):
+        with pytest.raises(ValueError, match="bad partition") as err:
+            parse_partition(text)
+        assert repr(text) in str(err.value), text
+
+
 def test_text_roundtrip():
     assert parse_partition("8,3,2") == (8, 3, 2)
     assert format_partition((3, 0)) == "3,0"
