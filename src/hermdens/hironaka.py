@@ -233,13 +233,13 @@ def _column_chain(xi, lam, twin, root=None):
     xi only through xi'_j, so the state after column j is fixed by
     (lam, m, xi'_{lam_1+1}, ..., xi'_j): a node maps xi'_j to that state and
     the node of column j - 1.  The loop takes every state it finds and fills
-    the rest in with ``setdefault``, down to column 2; the state after column
-    1 is never stored, since reaching it again means asking for an alpha that
-    the engine's memo holds, bar xi'_j for j > lam_1 + 1, which no column
-    reads.  Stored states are never mutated.
+    the rest in with ``setdefault``, down to column 2.  The state after
+    column 1 is never stored: it is fixed by all of xi' that the chain reads,
+    so an alpha that reaches it again is a memo hit unless its xi differs
+    only in parts above lam_1 + 1.  Stored states are never mutated.
     """
     m, n = len(xi), len(lam)
-    cols, width, node = root or _frame(lam, twin) + (None,)
+    cols, width, node = _frame(lam, twin) + (None,) if root is None else root
     xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
     transform = _paired_transform if twin else _qbinomial_transform
     chain = [(1, 0, 0)] if twin else [(1, 0)]
