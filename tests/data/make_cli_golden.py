@@ -36,6 +36,10 @@ COMMANDS = [
     "verify theorem --n 4 --s 2 --max-part 3 --lambda-max 3 --sample 40 --seed 1",
     # a part is ASCII digits: '1_0' is a usage error, not the part 10 (exit 2)
     "alpha 1_0,2 2,1",
+    # the direct engine's normalized densities, beside the reducer's above
+    "normalized 3,0,0 8,3,2 --engine direct",
+    "normalized 2,0,0 3,3,2 --engine direct",
+    "intersect 4,2 --engine direct",
 ]
 
 
