@@ -33,10 +33,13 @@ def _partition(text):
 
 
 def _values(text):
+    """``--params``: the parts that fill '*' slots, each >= 3, checked here."""
     try:
-        return parse_parts(text)
+        values = parse_parts(text)
+        fill_pattern(("*",) * len(values), values)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad values {text!r}: {exc}")
+    return values
 
 
 def _rational(text):

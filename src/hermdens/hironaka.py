@@ -54,9 +54,11 @@ of 6,740.  ``derived_density`` asks one chain per label and keeps no tree.
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 are 0 where ``partitions.provable_zero`` applies (weight parity or support:
-A_xi cannot represent A_lam).  ``self_density_closed`` gives the self-density
-alpha(A_xi, A_xi) in closed form for every label; ``normalized`` still
-divides by the direct alpha(A_xi, A_xi), so the two stay independent.
+A_xi cannot represent A_lam).  ``self_density_closed`` gives alpha(A_xi, A_xi)
+in closed form, q^e prod_k (1 - (-q)^-k), for every label; ``laurent_value``
+divides both direct alphas by those factors with additions only and no gcd
+(``_over_self_density``), and the direct self-density must give exactly 1,
+so the two stay independent.
 
 Concurrency: computations are pure and no stored value (no memo dict, no
 tree state) is ever mutated, and the tree's nodes only grow by ``setdefault``;
@@ -69,8 +71,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .partitions import check_partition, conjugate, conjugate_part, provable_zero, tilde, weight
-from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_iadd_scaled, lau_mul
+from .partitions import (
+    check_pair, check_partition, conjugate, conjugate_part, provable_zero, tilde, weight)
+from .qalgebra import RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul
 
 
 class NotTabulated(LookupError):
@@ -352,18 +355,16 @@ class HironakaEngine:
 
     def normalized(self, xi, lam):
         """alpha(A_xi, A_lam) / alpha(A_xi, A_xi); zero where ``provable_zero`` applies."""
-        xi = check_partition(xi)
-        lam = check_partition(lam)
-        if len(xi) != len(lam):
-            raise ValueError("normalized density needs labels of equal length")
-        if provable_zero(xi, lam) is not None:
-            return ZERO
-        return self.alpha(xi, lam) / self.alpha(xi, xi)
+        return RatFunc.from_laurent(self.laurent_value(*check_pair(xi, lam)))
 
     def laurent_value(self, xi, lam):
-        """``normalized`` as a Laurent dict, the form the geometry sums add;
-        {} without a division where ``provable_zero`` applies."""
-        return self.normalized(xi, lam).as_laurent()
+        """``normalized`` as a new Laurent dict, for checked labels; a closed
+        self-density that the direct one disputes raises ArithmeticError."""
+        if provable_zero(xi, lam) is not None:
+            return {}
+        if _over_self_density(self.laurent_alpha(xi, xi), xi) != {0: 1}:
+            raise ArithmeticError(f"the direct self-density of {xi} is not its closed form")
+        return _over_self_density(self.laurent_alpha(xi, lam), xi)
 
 
 _DEFAULT = HironakaEngine()
@@ -385,6 +386,13 @@ def I_j(mu, lam, j):
     return _DEFAULT.I_j(mu, lam, j)
 
 
+def _self_density_factors(xi):
+    """(e, [k, ...]) with alpha(A_xi, A_xi) = q^e prod_k (1 - (-q)^-k)."""
+    # for non-increasing xi, min(xi_i, xi_j) = xi_max(i,j)
+    return (sum(x * (2 * i + 1) for i, x in enumerate(xi)),
+            [k for v in set(xi) for k in range(1, xi.count(v) + 1)])
+
+
 def self_density_closed(xi, engine=None):
     """alpha(A_xi, A_xi) in closed form, for every label.
 
@@ -394,12 +402,10 @@ def self_density_closed(xi, engine=None):
     contributes |U_m(F_q)| / q^(m^2) for its multiplicity m.  ``engine`` is
     accepted for compatibility and not used.
     """
-    xi = check_partition(xi)
-    # for non-increasing xi, min(xi_i, xi_j) = xi_max(i,j)
-    val = {sum(x * (2 * i + 1) for i, x in enumerate(xi)): 1}
-    for v in set(xi):
-        for k in range(1, xi.count(v) + 1):
-            val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
+    e, factors = _self_density_factors(check_partition(xi))
+    val = {e: 1}
+    for k in factors:
+        val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
     return RatFunc.from_laurent(val)
 
 
@@ -422,6 +428,17 @@ def _divide_one_minus_t(d, k):
     return quo
 
 
+def _over_self_density(d, xi):
+    """The new Laurent dict d / alpha(A_xi, A_xi), by a shift and one
+    ``_divide_one_minus_t`` per closed-form factor; a remainder raises
+    ArithmeticError."""
+    e, factors = _self_density_factors(xi)
+    d = {k - e: c for k, c in d.items()}
+    for k in factors:
+        d = _divide_one_minus_t(d, k)
+    return d
+
+
 def derived_density(lam):
     """dDen(B) = -d/dX Den(X, B) at X = 1 for B = A_lam of odd weight, any rank n:
     -sum_mu |mu| (-1)^|mu| (-q)^(-n(mu)-|mu|) prod_j I_j(mu, lam) / alpha(1_n, 1_n).
@@ -439,7 +456,5 @@ def _derived_laurent(lam):
     lam = check_partition(lam)
     if weight(lam) % 2 == 0:
         raise ValueError(f"need an odd weight, got {lam} of weight {weight(lam)}")
-    twin = _column_chain((0,) * len(lam), lam, True)[1]
-    for k in range(1, len(lam) + 1):
-        twin = _divide_one_minus_t(twin, k)
+    twin = _over_self_density(_column_chain((0,) * len(lam), lam, True)[1], (0,) * len(lam))
     return {e: -c for e, c in twin.items()}

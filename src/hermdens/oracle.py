@@ -69,13 +69,27 @@ class BudgetExceededError(RuntimeError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    """Deterministic Miller-Rabin over the 13 primes 2..41 as bases, in
+    O(log n) multiplications per base.  It is exact for n below
+    3,317,044,064,679,887,385,961,981 (about 3.3 * 10^24), the least strong
+    pseudoprime to all 13 bases; above that bound a composite that is a
+    strong pseudoprime to every base would be taken for a prime."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

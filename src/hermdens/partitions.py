@@ -45,6 +45,15 @@ def check_partition(parts, allow_empty=False):
     return t
 
 
+def check_pair(xi, lam):
+    """Both labels of a normalized density, checked by ``check_partition``;
+    labels of unequal length raise ``ValueError``."""
+    xi, lam = check_partition(xi), check_partition(lam)
+    if len(xi) != len(lam):
+        raise ValueError("normalized density needs labels of equal length")
+    return xi, lam
+
+
 def parse_parts(text):
     """The integers of comma-separated text: each part is ASCII digits, with
     surrounding spaces allowed, so '1_0', '+2', '-1', '' and non-ASCII digits

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 
 from . import hironaka
 from .partitions import (
+    check_pair,
     check_partition,
     d_coefficients,
     fill_pattern,
@@ -538,20 +539,13 @@ class ReductionEngine:
         step.value = RatFunc.from_laurent(val)
         return None, val
 
-    @staticmethod
-    def _labels(xi, lam):
-        xi, lam = check_partition(xi), check_partition(lam)
-        if len(xi) != len(lam):
-            raise ValueError("normalized density needs labels of equal length")
-        return xi, lam
-
     def normalized_value(self, xi, lam):
         """The value alone, with memoization but no trace."""
-        return RatFunc.from_laurent(self.laurent_value(*self._labels(xi, lam)))
+        return RatFunc.from_laurent(self.laurent_value(*check_pair(xi, lam)))
 
     def reduce_normalized(self, xi, lam):
         """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace)."""
-        xi, lam = self._labels(xi, lam)
+        xi, lam = check_pair(xi, lam)
         trace = ReductionTrace(root=(xi, lam))
         note, val = self._record(xi, lam, trace)
         if note is not None:

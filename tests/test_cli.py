@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hermdens.cli import run
@@ -119,6 +120,29 @@ def test_verify_corollary_rejects_small_placeholder(capsys):
     code, out, err = _capture(capsys, ["verify", "corollary", "--n", "2", "--params", "2"])
     assert code == 2
     assert out == "" and "'*' slot" in err
+
+
+def test_small_params_are_refused_when_parsed(capsys):
+    # the '*' slot rule is checked by the option's type, so the usage error
+    # names --params and the text given, before any case is built
+    for params in ("2", "3,2", "0"):
+        code, out, err = _capture(capsys, ["verify", "corollary", "--n", "2", "--params", params])
+        assert code == 2 and out == "", params
+        assert "argument --params" in err and repr(params) in err, params
+        assert "part >= 3" in err and err.startswith("usage:"), params
+
+
+def test_oracle_refuses_a_huge_prime_at_once():
+    # the budget gate refuses p^2 enumerations, after a primality test whose
+    # cost grows with log p, not with sqrt(p)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    argv = [sys.executable, "-m", "hermdens", "oracle", "0", "0",
+            "--p", "1000000000000000003", "--d", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3 and "exceeds budget" in proc.stderr
+    start = time.perf_counter()
+    assert run(argv[3:]) == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_labels_and_params_take_ascii_digits_only(capsys):

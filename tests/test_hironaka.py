@@ -1,14 +1,16 @@
 """Direct density evaluation: fixtures, inner factors, normalization, self-densities."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermdens import hironaka
+from hermdens import hironaka, qalgebra
 from hermdens.hironaka import (
     HironakaEngine,
     _coefficient_bound,
@@ -39,7 +41,7 @@ from hermdens.partitions import (
 )
 from hermdens.qalgebra import (
     ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul, neg_q_power)
-from hermdens.relations import theorem_terms, verify_relation
+from hermdens.relations import ReductionEngine, theorem_terms, verify_relation
 
 
 def _unit(k):
@@ -441,6 +443,77 @@ def test_density_polynomial_functional_equation():
             assert poly == [a * sign for a in reversed(poly)], lam
 
 
+def _times_t_power(d, a, scale=1):
+    """scale * t^a * d as a new Laurent dict in q, t = (-q)^-1 = -q^-1."""
+    return lau_iadd_scaled({}, d, shift=-a, scale=-scale if a % 2 else scale)
+
+
+def _den_node_laurent(eng, lam, k):
+    """Den(X_k, B) = alpha(1_{n+k}, B) / alpha(1_{n+k}, 1_n) at X_k = t^k, as a
+    Laurent dict: the denominator must equal prod_{i=k+1..n+k} (1 - t^i), which
+    is checked first; the numerator is then divided by those factors."""
+    n = len(lam)
+    factors = range(k + 1, n + k + 1)
+    den = {0: 1}
+    for i in factors:
+        den = lau_mul(den, lau_iadd_scaled({0: 1}, _times_t_power({0: 1}, i), scale=-1))
+    if eng.laurent_alpha((0,) * (n + k), (0,) * n) != den:
+        raise ArithmeticError(f"alpha(1_{n + k}, 1_{n}) is not prod (1 - t^i)")
+    val = eng.laurent_alpha((0,) * (n + k), lam)
+    for i in factors:
+        val = _divide_one_minus_t(val, i)
+    return val
+
+
+def _density_polynomial_laurent(lam):
+    """``_density_polynomial`` in Laurent form, with no RatFunc: the Newton
+    divisor X_{i+j} - X_i = -t^i (1 - t^j) is a shift and one
+    ``_divide_one_minus_t``, which raises on a remainder, and the top
+    difference must vanish.  Returns a_0..a_|B| as Laurent dicts."""
+    top = weight(lam)
+    eng = HironakaEngine()
+    table = [_den_node_laurent(eng, lam, k) for k in range(top + 2)]
+    newton = [table[0]]
+    for j in range(1, top + 2):
+        table = [_times_t_power(_divide_one_minus_t(lau_iadd_scaled(dict(b), a, scale=-1), j),
+                                -i, scale=-1)
+                 for i, (a, b) in enumerate(zip(table, table[1:]))]
+        newton.append(table[0])
+    assert newton.pop() == {}, lam
+    # the Newton form in powers of X, by Horner's scheme: P <- P (X - X_j) + c_j
+    poly = [newton[-1]]
+    for j in range(top - 1, -1, -1):
+        poly = [{}] + poly
+        for i in range(len(poly) - 1):
+            poly[i] = lau_iadd_scaled(dict(poly[i]), _times_t_power(poly[i + 1], j), scale=-1)
+        poly[0] = lau_iadd_scaled(poly[0], newton[j])
+    return poly
+
+
+def _derivative_laurent_reference(lam):
+    """dDen(B) = -Den'(1, B) from ``_density_polynomial_laurent``."""
+    acc = {}
+    for i, a in enumerate(_density_polynomial_laurent(lam)):
+        lau_iadd_scaled(acc, a, scale=-i)
+    return acc
+
+
+def test_derived_density_matches_laurent_interpolation_reference():
+    # ranks 7-8 and a rank-4 class with a >= 30 (37 nodes), cheap in Laurent
+    # form; on small classes the Laurent form meets the RatFunc one
+    rng = random.Random(2404)
+    classes = [(31, 2, 1, 1), (3, 1, 1, 0), (2, 1)]
+    for n in (7, 8):
+        drawn = (_random_label(rng, n, 4) for _ in range(40))
+        classes += [lam for lam in drawn if weight(lam) % 2][:2]
+    for lam in classes:
+        ref = _derivative_laurent_reference(lam)
+        assert derived_density(lam) == RatFunc.from_laurent(ref), lam
+    for lam in classes[1:3]:
+        assert [RatFunc.from_laurent(a) for a in _density_polynomial_laurent(lam)] == \
+            _density_polynomial(lam), lam
+
+
 def test_derived_density_rank1():
     for a in (1, 3, 5, 7, 9):
         assert derived_density((a,)) == ONE * ((a + 1) // 2), a
@@ -497,6 +570,79 @@ def test_normalized_parity_shortcut_agrees_with_full_evaluation():
         assert eng.normalized(xi, lam) == ZERO
         assert eng.alpha(xi, lam) == ZERO  # full evaluation agrees
         found += 1
+
+
+def _normalized_pairs(rng, count):
+    # equal-length pairs with n <= 5 and parts <= 8: three in four with xi <= lam
+    # componentwise (no support zero), the rest drawn independently
+    pairs = []
+    for k in range(count):
+        n = rng.randint(1, 5)
+        xi, lam = _random_label(rng, n, 8), _random_label(rng, n, 8)
+        if k % 4:
+            xi, lam = tuple(map(min, xi, lam)), tuple(map(max, xi, lam))
+        pairs.append((xi, lam))
+    return pairs
+
+
+def test_laurent_value_matches_ratfunc_quotient_and_reducer():
+    # the exact division by the closed self-density against the quotient of
+    # two RatFunc alphas through the polynomial gcd, and against the reducer
+    eng, ref, red = HironakaEngine(), HironakaEngine(), ReductionEngine()
+    nonzero = 0
+    for xi, lam in _normalized_pairs(random.Random(2401), 400):
+        val = eng.laurent_value(xi, lam)
+        assert val == (ref.alpha(xi, lam) / ref.alpha(xi, xi)).as_laurent(), (xi, lam)
+        assert val == red.laurent_value(xi, lam), (xi, lam)
+        nonzero += bool(val)
+    assert nonzero > 100
+
+
+def _disagreeing_factors(real):
+    # the closed form with its last factor 1 - (-q)^-k dropped
+    return lambda xi: (real(xi)[0], real(xi)[1][:-1])
+
+
+def test_normalized_refuses_a_closed_form_the_direct_alpha_disputes(monkeypatch):
+    real = hironaka._self_density_factors
+    for wrong in (_disagreeing_factors(real), lambda xi: (real(xi)[0] + 1, real(xi)[1])):
+        monkeypatch.setattr(hironaka, "_self_density_factors", wrong)
+        for xi, lam in (((2, 0), (4, 2)), ((0,), (6,)), ((1, 1, 1), (1, 1, 1))):
+            with pytest.raises(ArithmeticError, match="closed form"):
+                HironakaEngine().normalized(xi, lam)
+
+
+def test_normalized_refuses_a_disputed_closed_form_without_asserts():
+    # the same check in an interpreter that strips assert statements
+    script = "\n".join((
+        "import sys",
+        "from hermdens import hironaka",
+        "assert False, 'assert statements are on'",
+        "real = hironaka._self_density_factors",
+        "hironaka._self_density_factors = lambda xi: (real(xi)[0], real(xi)[1][:-1])",
+        "try:",
+        "    hironaka.HironakaEngine().normalized((2, 0), (4, 2))",
+        "except ArithmeticError:",
+        "    sys.exit(0)",
+        "sys.exit(1)",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_normalized_takes_no_polynomial_gcd(monkeypatch):
+    calls = []
+    real = qalgebra.poly_gcd
+    monkeypatch.setattr(qalgebra, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    eng = HironakaEngine()
+    for xi, lam in _normalized_pairs(random.Random(2402), 100):
+        eng.normalized(xi, lam)
+    assert calls == []
+    # the counter does see the gcd of a RatFunc quotient
+    eng.alpha((2, 0), (4, 2)) / eng.alpha((2, 0), (2, 0))
+    assert calls
 
 
 def test_alpha_values_are_laurent():

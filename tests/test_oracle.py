@@ -21,6 +21,7 @@ from hermdens.oracle import (
     density_oracle,
     stabilization_check,
     _diagonal_components,
+    _is_prime,
 )
 
 
@@ -111,6 +112,29 @@ def test_params_validation():
         GaloisRingParams(5, 1, 4)  # 4 is a square mod 5
     assert GaloisRingParams(3, 2).c == 2
     assert GaloisRingParams(5, 1).c in (2, 3)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_is_exact_and_fast_on_large_p():
+    # deterministic Miller-Rabin: equal to trial division on small n, and a
+    # 61-bit prime builds at once (trial division would take ~2^30 steps)
+    # (below 5000 are 2047, 3277, 4033 and 4681, strong pseudoprimes to base 2)
+    assert [p for p in range(5000) if _is_prime(p)] == \
+        [p for p in range(5000) if _trial_division_is_prime(p)]
+    for p in (2 ** 61 - 1, 1000000000000000003):
+        start = time.perf_counter()
+        assert GaloisRingParams(p, 1).p == p
+        assert time.perf_counter() - start < 1.0
+    # Carmichael numbers, a product of two large primes, and 318665857834031151167461,
+    # the least strong pseudoprime to the 12 prime bases 2..37 (caught by base 41)
+    for n in (561, 41041, 825265, (2 ** 61 - 1) * (2 ** 31 - 1), 318665857834031151167461):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="odd prime"):
+            GaloisRingParams(n, 1)
+        assert time.perf_counter() - start < 1.0, n
 
 
 def test_count_examples_against_independent_enumeration():
