@@ -40,6 +40,11 @@ COMMANDS = [
     "normalized 3,0,0 8,3,2 --engine direct",
     "normalized 2,0,0 3,3,2 --engine direct",
     "intersect 4,2 --engine direct",
+    # the rewrite rules' coefficients: the named rank-2 and rank-3 tables,
+    # and a rank-6 derived rule with its factors in the trace
+    "verify corollary --n 2",
+    "verify corollary --n 3 --params 3,5",
+    "normalized 2,1,1,0,0,0 3,3,2,2,1,1 --trace",
 ]
 
 
