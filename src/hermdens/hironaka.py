@@ -321,11 +321,15 @@ class HironakaEngine:
         return acc
 
     def I_j(self, mu, lam, j):
-        """The j-th inner factor of the density formula (j >= 1)."""
+        """The j-th inner factor of the density formula (j >= 1), on its domain:
+        mu <= lam + 1 componentwise, at one length; else ``ValueError``."""
         mu = check_partition(mu)
         lam = check_partition(lam)
         if j < 1:
             raise ValueError("j must be >= 1")
+        if len(mu) != len(lam) or any(m > l + 1 for m, l in zip(mu, lam)):
+            raise ValueError(f"I_j needs mu <= lam + 1 componentwise, at one length; "
+                             f"got mu={mu}, lam={lam}")
         lt = tilde(lam)
         items = self._inner_items(
             conjugate_part(lt, j), conjugate_part(lt, j + 1),
@@ -393,6 +397,15 @@ def _self_density_factors(xi):
             [k for v in set(xi) for k in range(1, xi.count(v) + 1)])
 
 
+def _self_density_laurent(xi):
+    """The closed alpha(A_xi, A_xi) of a checked label, as a new Laurent dict."""
+    e, factors = _self_density_factors(xi)
+    val = {e: 1}
+    for k in factors:
+        val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
+    return val
+
+
 def self_density_closed(xi, engine=None):
     """alpha(A_xi, A_xi) in closed form, for every label.
 
@@ -402,11 +415,7 @@ def self_density_closed(xi, engine=None):
     contributes |U_m(F_q)| / q^(m^2) for its multiplicity m.  ``engine`` is
     accepted for compatibility and not used.
     """
-    e, factors = _self_density_factors(check_partition(xi))
-    val = {e: 1}
-    for k in factors:
-        val = lau_mul(val, {0: 1, -k: 1 if k % 2 else -1})
-    return RatFunc.from_laurent(val)
+    return RatFunc.from_laurent(_self_density_laurent(check_partition(xi)))
 
 
 def _divide_one_minus_t(d, k):

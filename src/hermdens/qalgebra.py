@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 
 class PoleError(ZeroDivisionError):
@@ -91,7 +92,8 @@ class IntPoly:
     """Integer polynomial in q with sparse {exponent: coefficient} storage.
 
     Invariants: exponents are non-negative ints, no zero coefficient is
-    stored, and two polynomials are equal iff their maps are equal.
+    stored, and two polynomials are equal iff their maps are equal.  Both
+    convert by ``operator.index``: a float raises ``TypeError``, not truncates.
     """
 
     __slots__ = ("coeffs",)
@@ -100,10 +102,12 @@ class IntPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
+                c = index(c)
                 if c:
+                    e = index(e)
                     if e < 0:
                         raise ValueError("IntPoly exponents must be non-negative")
-                    d[int(e)] = int(c)
+                    d[e] = c
         self.coeffs = d
 
     @classmethod
@@ -115,13 +119,14 @@ class IntPoly:
 
     @classmethod
     def const(cls, c):
-        return cls._raw({0: int(c)} if c else {})
+        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, c, e):
+        c, e = index(c), index(e)
         if e < 0:
             raise ValueError("IntPoly exponents must be non-negative")
-        return cls._raw({e: int(c)} if c else {})
+        return cls._raw({e: c} if c else {})
 
     @property
     def is_zero(self):

@@ -34,7 +34,8 @@ the direct formula.  The rewrite loop:
       for xi solved for its xi term (coefficient 1), with the terms of the
       other weight parity dropped, every coefficient scaled by the ratio of
       closed self-densities, and children still ending in 0 rewritten in
-      turn.  Rules are derived on first use and kept for the process; ranks
+      turn, all in Laurent form with one exact division per coefficient and
+      no gcd.  Rules are derived on first use and kept for the process; ranks
       2-4 carry the ids "C2.17.*", "C2.19.*", "C2.20.*" of
       ``REWRITE_RULES``, larger ranks ids "derived:<signature>".
 
@@ -67,7 +68,7 @@ from .partitions import (
     weight,
     xi_plus,
 )
-from .qalgebra import ONE, RatFunc, ZERO, lau_dot, lau_iadd_scaled
+from .qalgebra import RatFunc, ZERO, lau_dot, lau_iadd_scaled, lau_mul
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +186,18 @@ class RewriteRule:
     @property
     def rhs(self):
         """Tuple of (RatFunc coefficient, target template), derived on first use."""
-        return _derived_rhs(self.pattern)[0]
+        return tuple((RatFunc.from_laurent(c), tpl) for c, tpl in _derived_rhs(self.pattern))
 
     def match(self, xi):
         """Positional placeholder bindings, or None; () means a literal match."""
         return match_pattern(self.pattern, xi)
 
     def instantiate(self, bind):
-        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in self.rhs]
+        return [(RatFunc.from_laurent(c), p) for c, p in self.instantiate_laurent(bind)]
 
     def instantiate_laurent(self, bind):
         """``instantiate`` with each coefficient as a shared Laurent dict (never mutate it)."""
-        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in _derived_rhs(self.pattern)[1]]
+        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in _derived_rhs(self.pattern)]
 
 
 # The named rules of ranks 2-4 (ids from the source's corollaries 2.17, 2.19
@@ -229,35 +230,31 @@ _RHS = {}
 
 
 def _derived_rhs(sig):
-    """(rhs, laurent rhs) of a signature: the same right-hand side with RatFunc
-    and with Laurent-dict coefficients; ``NotLaurentError`` if one is not Laurent."""
-    entry = _RHS.get(sig)
-    if entry is None:
-        rhs = _derive_rhs(sig)
-        entry = _RHS[sig] = (rhs, tuple((c.as_laurent(), tpl) for c, tpl in rhs))
-    return entry
-
-
-def _derive_rhs(sig):
-    """Solve theorem_terms for the xi term, normalized, with zero-tailed children
-    rewritten in turn; children in ascending label order."""
+    """A signature's (shared Laurent coefficient, template) pairs, children in
+    ascending label order, derived on first use: a kept term (c, p) adds
+    -c alpha(A_p, A_p) c2 to each child's numerator, which is then divided
+    once by alpha(A_xi, A_xi); a remainder raises ``ArithmeticError``."""
+    rhs = _RHS.get(sig)
+    if rhs is not None:
+        return rhs
     # The "*" parts lead, no promotion changes them, and they cancel in every
-    # self-density ratio below, so 3 stands for all of them.
+    # self-density ratio, so 3 stands for all of them.
     stars = (3,) * sig.count("*")
     xi = fill_pattern(sig, stars)
-    own = hironaka.self_density_closed(xi)
     acc = {}
-    for c, p in theorem_terms(len(xi), trailing_zeros(xi), xi).terms:
+    for c, p in theorem_terms(len(xi), trailing_zeros(xi), xi).laurent_terms:
         # terms of the other weight parity vanish wherever A_xi(B) can be nonzero
         if p == xi or (weight(p) - weight(xi)) % 2:
             continue
-        c = -c * hironaka.self_density_closed(p) / own
+        c = lau_mul(c, hironaka._self_density_laurent(p))
         # p has fewer trailing zeros than xi, so this recursion ends
-        subs = _derived_rhs(_signature(p))[0] if p[-1] == 0 else ((ONE, _signature(p)),)
+        subs = _derived_rhs(_signature(p)) if p[-1] == 0 else (({0: 1}, _signature(p)),)
         for c2, tpl in subs:
-            child = fill_pattern(tpl, stars)
-            acc[child] = acc.get(child, ZERO) + c * c2
-    return tuple((c, _signature(p)) for p, c in sorted(acc.items()) if not c.is_zero)
+            lau_iadd_scaled(acc.setdefault(fill_pattern(tpl, stars), {}), lau_mul(c, c2), scale=-1)
+    rhs = tuple((hironaka._over_self_density(num, xi), _signature(p))
+                for p, num in sorted(acc.items()) if num)
+    # threads that derive one signature at once keep the first stored, an equal value
+    return _RHS.setdefault(sig, rhs)
 
 
 def match_rewrite(xi):
@@ -389,8 +386,8 @@ class ReductionEngine:
 
     ``laurent_value`` is the one evaluator: the memo, then a leaf, then a
     chain of unit steps to one rule-(d) rewrite whose children it values and
-    sums (``_combine``).  Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1];
-    each rule's coefficients are converted once, next to the rule.  The
+    sums (``_combine``).  Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1],
+    and so is every rule coefficient, derived once in that form.  The
     geometry sums, which build their own labels, call it directly: it skips
     label validation and returns the memo's dict itself.  ``normalized_value``
     and ``reduce_normalized`` return a ``RatFunc``; the latter records its
@@ -398,8 +395,8 @@ class ReductionEngine:
     it with the same ``_combine``.  The leaves are constants ("parity-zero"
     and "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so
     only rewritten values are memoized.  A rule coefficient outside
-    ZZ[q, q^-1] raises ``NotLaurentError``.  Stored values are never mutated,
-    so one engine may be shared by threads.
+    ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is derived.  Stored
+    values are never mutated, so one engine may be shared by threads.
 
     Each engine expands a label's rule (d) once: ``_rewrite`` matches it,
     fills it, checks the measure and caches (rule id, [(factor, child_xi)])

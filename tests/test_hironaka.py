@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -524,6 +525,14 @@ def test_inner_factor_examples():
     assert I_j((2, 1), (3, 1), 9) == ONE
     assert I_j((0,), (0,), 1) == ONE
     assert I_j((1,), (0,), 1) == ONE
+
+
+def test_inner_factor_refuses_labels_outside_its_domain():
+    # mu <= lam + 1 componentwise, at one length: outside the box, a longer
+    # mu and a shorter lam each raise, naming both labels
+    for mu, lam in (((3,), (1,)), ((1, 1), (1,)), ((0, 0), (0,))):
+        with pytest.raises(ValueError, match=re.escape(f"mu={mu}, lam={lam}")):
+            I_j(mu, lam, 1)
 
 
 def test_inner_factor_is_one_beyond_cutoff():

@@ -46,6 +46,19 @@ def test_gauss_binomial_rejects_bad_args():
         gauss_binomial(2, 3)
 
 
+def test_intpoly_refuses_non_integers():
+    # exponents and coefficients convert by operator.index: a float or a
+    # Fraction raises instead of truncating to another polynomial
+    for build in (lambda: IntPoly({0: 0.5}), lambda: IntPoly({1.5: 2}),
+                  lambda: IntPoly({1: 2.7}), lambda: IntPoly({1: Fraction(5, 2)}),
+                  lambda: IntPoly.const(2.5), lambda: IntPoly.monomial(0.5, 1),
+                  lambda: IntPoly.monomial(1, 1.0)):
+        with pytest.raises(TypeError):
+            build()
+    assert IntPoly({0: 0, 2: 3}) == IntPoly.monomial(3, 2) and str(IntPoly({2: 3})) == "3q^2"
+    assert IntPoly.const(0).is_zero and IntPoly.const(-2) == IntPoly({0: -2})
+
+
 def test_arith_examples():
     assert arith(ONE, -ONE, "add") == ZERO
     assert arith(ONE - ONE / Q, Q, "mul") == Q - 1

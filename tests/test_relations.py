@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from hermdens.hironaka import HironakaEngine, _column_chain
+from hermdens.hironaka import HironakaEngine, _column_chain, self_density_closed
 from hermdens.partitions import (
     d_coefficients,
     fill_pattern,
@@ -33,6 +33,7 @@ from hermdens.relations import (
     theorem_terms,
     verify_relation,
     _LAU_ONE,
+    _signature,
 )
 
 
@@ -614,41 +615,96 @@ def test_derived_rule_coefficients_are_laurent():
                 assert coeff.as_laurent() == lau and RatFunc.from_laurent(lau) == coeff, xi
 
 
-_POISON_C2_17_3 = """
-import hermdens.relations as relations
-from hermdens.qalgebra import ONE, Q
+def _rhs_reference(sig, cache):
+    """The right-hand side of a signature derived in RatFunc arithmetic: each
+    kept term's coefficient times the ratio of closed self-densities, through
+    the polynomial gcd of ``RatFunc`` division, and zero-tailed children
+    rewritten by this reference itself, memoized in ``cache``."""
+    if sig not in cache:
+        stars = (3,) * sig.count("*")
+        xi = fill_pattern(sig, stars)
+        own = self_density_closed(xi)
+        acc = {}
+        for c, p in theorem_terms(len(xi), trailing_zeros(xi), xi).terms:
+            if p == xi or (weight(p) - weight(xi)) % 2:
+                continue
+            c = -c * self_density_closed(p) / own
+            subs = _rhs_reference(_signature(p), cache) if p[-1] == 0 else ((ONE, _signature(p)),)
+            for c2, tpl in subs:
+                child = fill_pattern(tpl, stars)
+                acc[child] = acc.get(child, ZERO) + c * c2
+        cache[sig] = tuple((c, _signature(p)) for p, c in sorted(acc.items()) if not c.is_zero)
+    return cache[sig]
 
-def _poisoned(derive):
-    # rule C2.17.3, (2, 0), gets the coefficient 1/(1+q), outside ZZ[q, q^-1]
-    def inner(sig):
-        rhs = derive(sig)
-        if sig == (2, 0):
-            rhs = ((ONE / (ONE + Q), rhs[0][1]),) + rhs[1:]
-        return rhs
+
+# every zero-tailed signature of ranks 2-7
+_SIGNATURES = [head + (0,) for n in range(2, 8)
+               for head in itertools.combinations_with_replacement(("*", 2, 1, 0), n - 1)]
+
+
+def test_derived_rules_match_the_ratfunc_reference():
+    named = {rule.pattern: rule.rule_id for rules in REWRITE_RULES.values() for rule in rules}
+    cache = {}
+    assert len(_SIGNATURES) == 209
+    for sig in _SIGNATURES:
+        rule, bind = match_rewrite(fill_pattern(sig, (3,) * sig.count("*")))
+        want_id = named.get(sig, "derived:" + ",".join(map(str, sig)))
+        assert (rule.rule_id, rule.pattern) == (want_id, sig)
+        assert rule.rhs == _rhs_reference(sig, cache), sig
+
+
+def test_rule_derivation_takes_no_polynomial_gcd(monkeypatch):
+    import hermdens.qalgebra as qalgebra
+    import hermdens.relations as relations
+    calls = []
+    real = qalgebra.poly_gcd
+    monkeypatch.setattr(qalgebra, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(relations, "_RHS", {})          # derive the rules afresh
+    monkeypatch.setattr(relations, "_RELATIONS", {})    # and build their relations
+    for sig in _SIGNATURES:
+        relations._derived_rhs(sig)
+    assert len(relations._RHS) == 209 and calls == []
+    # the counter does see the gcd of the RatFunc reference's divisions
+    _rhs_reference((2, 0), {})
+    assert calls
+
+
+_POISON_SELF_DENSITY_2_2 = """
+import hermdens.hironaka as hironaka
+import hermdens.relations as relations
+
+def _poisoned(closed):
+    # the closed self-density of (2, 2) loses its factor 1 - (-q)^-2, so rule
+    # C2.17.3, (2, 0), gets a coefficient outside ZZ[q, q^-1]
+    def inner(xi):
+        val = closed(xi)
+        return hironaka._divide_one_minus_t(val, 2) if xi == (2, 2) else val
     return inner
 """
 
 
 def test_non_laurent_coefficient_raises(monkeypatch):
+    import hermdens.hironaka as hironaka
     import hermdens.relations as relations
     scope = {}
-    exec(_POISON_C2_17_3, scope)
+    exec(_POISON_SELF_DENSITY_2_2, scope)
     monkeypatch.setattr(relations, "_RHS", {})
-    monkeypatch.setattr(relations, "_derive_rhs", scope["_poisoned"](relations._derive_rhs))
-    with pytest.raises(NotLaurentError):
+    monkeypatch.setattr(hironaka, "_self_density_laurent",
+                        scope["_poisoned"](hironaka._self_density_laurent))
+    with pytest.raises(ArithmeticError, match="does not divide"):
         ReductionEngine().normalized_value((2, 0), (3, 1))
+    assert (2, 0) not in relations._RHS
 
 
 def test_non_laurent_coefficient_raises_without_asserts():
     # the same check in an interpreter that strips assert statements
-    script = _POISON_C2_17_3 + "\n".join((
+    script = _POISON_SELF_DENSITY_2_2 + "\n".join((
         "import sys",
-        "from hermdens.qalgebra import NotLaurentError",
         "assert False, 'assert statements are on'",
-        "relations._derive_rhs = _poisoned(relations._derive_rhs)",
+        "hironaka._self_density_laurent = _poisoned(hironaka._self_density_laurent)",
         "try:",
         "    relations.ReductionEngine().normalized_value((2, 0), (3, 1))",
-        "except NotLaurentError:",
+        "except ArithmeticError:",
         "    sys.exit(0)",
         "sys.exit(1)",
     ))
@@ -662,7 +718,7 @@ def test_non_decreasing_rewrite_raises(monkeypatch):
     # rule C2.17.3, (2, 0), rewritten to its own template: the child does not
     # lower the measure, and both evaluation paths refuse it
     import hermdens.relations as relations
-    monkeypatch.setitem(relations._RHS, (2, 0), (((ONE, (2, 0)),), (({0: 1}, (2, 0)),)))
+    monkeypatch.setitem(relations._RHS, (2, 0), (({0: 1}, (2, 0)),))
     with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
         ReductionEngine().normalized_value((2, 0), (3, 1))
     with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
