@@ -17,14 +17,11 @@ from .qalgebra import (
 )
 from .partitions import (
     check_partition,
-    conj_inner_product,
     conjugate,
     conjugate_part,
     d_coefficients,
     format_partition,
-    mu_lk,
     parse_partition,
-    stats,
     xi_plus,
 )
 from .hironaka import (
@@ -40,8 +37,6 @@ from .relations import (
     ReductionEngine,
     ReductionTrace,
     Relation,
-    alpha_via_generic_reduction,
-    reduce_normalized,
     theorem_terms,
     verify_relation,
 )

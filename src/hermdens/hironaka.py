@@ -44,7 +44,8 @@ paired one with a zero twin, a seed-1 ``alpha-direct`` benchmark pass took
 ``HironakaEngine`` memoizes alpha on (xi, lam) keys as ``_column_chain``'s
 Laurent dict (densities lie in ZZ[q, q^-1]), which ``laurent_alpha`` returns
 itself; ``alpha`` checks its labels and builds a ``RatFunc`` from it.  The
-inner factors, memoized on their four conjugate values, serve only ``I_j``.
+module function ``I_j`` builds one inner factor from a cache of its own,
+keyed on the four conjugate values, for readers and as the tests' reference.
 Column j reads xi only through m = len(xi) and xi'_j, so the engine also
 keeps the packed chain states in one prefix tree per (lam, m), keyed on
 xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs only the
@@ -288,55 +289,20 @@ def _column_chain(xi, lam, twin, root=None):
 class HironakaEngine:
     """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization.
 
-    Besides the alpha memo on (xi, lam), the engine holds one prefix tree of
-    ``_column_chain`` states per (lam, len(xi)) (see there): alphas whose xi'
-    agree on the columns j..lam_1+1 share the state after column j, so a sweep
-    of many xi against one lam runs each distinct column once.  The tree holds
-    at most lam_1 states per memoized alpha.  Nodes only grow, by
-    ``setdefault``, and a stored state is never mutated, so an engine may be
-    shared across threads: two threads that race on one state compute equal
-    values, and both go on with the one that was stored first.
+    The engine holds what ``alpha`` reads and nothing else: the alpha memo on
+    (xi, lam) and one prefix tree of ``_column_chain`` states per
+    (lam, len(xi)) (see there).  Alphas whose xi' agree on the columns
+    j..lam_1+1 share the state after column j, so a sweep of many xi against
+    one lam runs each distinct column once.  The tree holds at most lam_1
+    states per memoized alpha.  Nodes only grow, by ``setdefault``, and a
+    stored state is never mutated, so an engine may be shared across threads:
+    two threads that race on one state compute equal values, and both go on
+    with the one that was stored first.
     """
 
     def __init__(self):
         self._alpha = {}
         self._prefix = {}
-        self._inner = {}
-
-    # -- inner factor -------------------------------------------------------
-
-    def _inner_items(self, l1, l2, m1, m2):
-        """I_j as a Laurent dict, keyed on ((lam~)'_j, (lam~)'_{j+1}, mu'_j, mu'_{j+1})."""
-        key = (l1, l2, m1, m2)
-        cached = self._inner.get(key)
-        if cached is not None:
-            return cached
-        acc = {}
-        for i in range(m2, min(l2, m1) + 1):
-            # i and 2*l2 + 1 - i have opposite parity, so the product is even
-            e = i * (2 * l2 + 1 - i) // 2
-            term = lau_mul(gauss_laurent(l2 - m2, l2 - i), gauss_laurent(l1 - i, l1 - m1))
-            lau_iadd_scaled(acc, term, shift=e, scale=1 if e % 2 == 0 else -1)
-        self._inner[key] = acc
-        return acc
-
-    def I_j(self, mu, lam, j):
-        """The j-th inner factor of the density formula (j >= 1), on its domain:
-        mu <= lam + 1 componentwise, at one length; else ``ValueError``."""
-        mu = check_partition(mu)
-        lam = check_partition(lam)
-        if j < 1:
-            raise ValueError("j must be >= 1")
-        if len(mu) != len(lam) or any(m > l + 1 for m, l in zip(mu, lam)):
-            raise ValueError(f"I_j needs mu <= lam + 1 componentwise, at one length; "
-                             f"got mu={mu}, lam={lam}")
-        lt = tilde(lam)
-        items = self._inner_items(
-            conjugate_part(lt, j), conjugate_part(lt, j + 1),
-            conjugate_part(mu, j), conjugate_part(mu, j + 1))
-        return RatFunc.from_laurent(items)
-
-    # -- the density itself -------------------------------------------------
 
     def laurent_alpha(self, xi, lam):
         """alpha(A_xi, A_lam) as the memo's Laurent dict, which callers must
@@ -386,8 +352,33 @@ def normalized(xi, lam):
     return _DEFAULT.normalized(xi, lam)
 
 
+@lru_cache(maxsize=None)
+def _inner_laurent(l1, l2, m1, m2):
+    """I_j as a shared Laurent dict (never mutate it), on its four conjugate
+    values l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1}, m1 = mu'_j and m2 = mu'_{j+1}."""
+    acc = {}
+    for i in range(m2, min(l2, m1) + 1):
+        # i and 2*l2 + 1 - i have opposite parity, so the product is even
+        e = i * (2 * l2 + 1 - i) // 2
+        term = lau_mul(gauss_laurent(l2 - m2, l2 - i), gauss_laurent(l1 - i, l1 - m1))
+        lau_iadd_scaled(acc, term, shift=e, scale=1 if e % 2 == 0 else -1)
+    return acc
+
+
 def I_j(mu, lam, j):
-    return _DEFAULT.I_j(mu, lam, j)
+    """The j-th inner factor of the density formula, on its domain: mu <= lam + 1
+    componentwise, at one length, and a conjugate index j (``conjugate_part``);
+    else ``ValueError``.  The chain never calls it: it is the paper's factor,
+    and the slow reference that the chain's transforms are checked against."""
+    mu = check_partition(mu)
+    lam = check_partition(lam)
+    if len(mu) != len(lam) or any(m > l + 1 for m, l in zip(mu, lam)):
+        raise ValueError(f"I_j needs mu <= lam + 1 componentwise, at one length; "
+                         f"got mu={mu}, lam={lam}")
+    lt = tilde(lam)
+    return RatFunc.from_laurent(_inner_laurent(
+        conjugate_part(lt, j), conjugate_part(lt, j + 1),
+        conjugate_part(mu, j), conjugate_part(mu, j + 1)))
 
 
 def _self_density_factors(xi):

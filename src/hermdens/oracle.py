@@ -199,14 +199,16 @@ def _read(f, g, target, dims):
     return total
 
 
-def count_solutions_matrix(ga, gb, ba, bb, m, n, params, budget=DEFAULT_BUDGET):
+def count_solutions_matrix(ga, gb, ba, bb, params, budget=DEFAULT_BUDGET):
     """Exact solution count for conj(X)^T A X == B with component matrices given.
 
     ``ga``/``gb`` are the m x m integer component matrices of A, which must
     be diagonal and hermitian (ValueError otherwise); ``ba``/``bb`` are the
     n x n components of B, and a B that is not hermitian mod p^d has no
-    solutions.  A negative ``budget`` raises ``ValueError``.
+    solutions.  m and n are the sizes of ``ga`` and ``ba``.  A negative
+    ``budget`` raises ``ValueError``.
     """
+    m, n = len(ga), len(ba)
     if budget < 0:
         raise ValueError(f"the oracle budget must be >= 0, got {budget}")
     modulus = params.modulus
@@ -257,8 +259,7 @@ def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET):
         raise ValueError(f"need d > max part of lam_b = {max(lam_b)}, got d = {params.d}")
     ga, gb = _diagonal_components(lam_a, params)
     ba, bb = _diagonal_components(lam_b, params)
-    return count_solutions_matrix(ga, gb, ba, bb, len(lam_a), len(lam_b), params,
-                                  budget=budget)
+    return count_solutions_matrix(ga, gb, ba, bb, params, budget=budget)
 
 
 def denominator_exponent(m, n, d):

@@ -5,12 +5,12 @@ length is significant, so (3, 0) and (3,) label different classes (the
 diagonal hermitian matrices diag(pi^3, 1) and diag(pi^3)).  Text syntax is
 comma-separated parts, e.g. "8,3,2"; JSON form is an array of integers.
 
-Besides the basic statistics (weight, the n-statistic sum (i-1)*lambda_i,
-conjugates and the conjugate inner product) and the one rule that makes a
-density provably zero (``provable_zero``), this module builds the special
-constructions used by the density relations: the zero-tail promotions
-``xi_plus``, the two-one paddings ``mu_lk``, and the coefficient family
-``d_coefficients`` read off the product (1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
+Besides the basic statistics (weight, the n-statistic sum (i-1)*lambda_i
+and conjugates) and the one rule that makes a density provably zero
+(``provable_zero``), this module builds the special constructions used by
+the density relations: the zero-tail promotions ``xi_plus`` and the
+coefficient family ``d_coefficients`` read off the product
+(1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
 
 It also holds the label-pattern language of the rewrite rules: a pattern is
 a tuple of slots, where an int matches that part exactly and ``"*"``
@@ -22,20 +22,19 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import namedtuple
 from functools import lru_cache
 
 from .qalgebra import RatFunc, neg_q_power
 
 
-def check_partition(parts, allow_empty=False):
+def check_partition(parts):
     """Validate and normalize to a tuple of non-increasing, non-negative ints;
     a part that is no integer (2.7, Fraction(5, 2)) raises ``ValueError``."""
     try:
         t = tuple(map(operator.index, parts))
     except TypeError:
         raise ValueError(f"partition parts must be integers, got {parts!r}") from None
-    if not t and not allow_empty:
+    if not t:
         raise ValueError("partition must have at least one part")
     for i, x in enumerate(t):
         if x < 0:
@@ -93,14 +92,6 @@ def tilde(parts):
     return tuple(x + 1 for x in parts)
 
 
-Stats = namedtuple("Stats", ["weight", "n_stat", "tilde"])
-
-
-def stats(parts):
-    parts = check_partition(parts)
-    return Stats(weight(parts), n_stat(parts), tilde(parts))
-
-
 def provable_zero(xi, lam):
     """The rule that makes A_xi(A_lam) zero for labels of equal length, or None:
     "parity-zero" when the weights differ in parity, "support-zero" when
@@ -114,10 +105,16 @@ def provable_zero(xi, lam):
 
 
 def conjugate_part(parts, i):
-    """The i-th part of the conjugate: the number of parts >= i (i >= 1)."""
-    if i < 1:
-        raise ValueError("conjugate index must be >= 1")
-    return sum(1 for x in parts if x >= i)
+    """The i-th part of the conjugate: the number of parts >= i, for i >= 1
+    converted by ``operator.index``; 1.5 or Fraction(3, 2), like 0, raises
+    ``ValueError`` naming it."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValueError(f"a conjugate index must be an integer >= 1, got {i!r}")
+    return sum(1 for x in parts if x >= k)
 
 
 def conjugate(parts):
@@ -127,12 +124,6 @@ def conjugate(parts):
     for i in range(len(parts), 0, -1):
         out += [i] * (parts[i - 1] - len(out))
     return tuple(out)
-
-
-def conj_inner_product(xi, mu):
-    """sum_{i>=1} xi'_i * mu'_i, a finite sum up to max(xi_1, mu_1)."""
-    top = min(xi[0] if xi else 0, mu[0] if mu else 0)
-    return sum(conjugate_part(xi, i) * conjugate_part(mu, i) for i in range(1, top + 1))
 
 
 def trailing_zeros(parts):
@@ -157,18 +148,6 @@ def xi_plus(xi, a, b):
         raise ValueError(f"need a, b >= 0 with a + b <= {s} trailing zeros, got a={a}, b={b}")
     head = xi[: len(xi) - s]
     return tuple(sorted(head + (2,) * a + (1,) * b + (0,) * (s - a - b), reverse=True))
-
-
-def mu_lk(mu_bar, l, k, n):
-    """Concatenate mu_bar (all parts >= 2, length n-l) with k ones and l-k zeros."""
-    mu_bar = check_partition(mu_bar, allow_empty=True)
-    if any(x < 2 for x in mu_bar):
-        raise ValueError(f"all parts of {mu_bar} must be >= 2")
-    if len(mu_bar) != n - l:
-        raise ValueError(f"expected length {n - l}, got {len(mu_bar)}")
-    if not 0 <= k <= l:
-        raise ValueError(f"need 0 <= k <= {l}, got {k}")
-    return mu_bar + (1,) * k + (0,) * (l - k)
 
 
 @lru_cache(maxsize=None)

@@ -339,11 +339,6 @@ def lau_dot(pairs):
     return acc
 
 
-def lau_neg_q(e):
-    """(-q)^e as a Laurent dictionary."""
-    return {e: 1 if e % 2 == 0 else -1}
-
-
 @lru_cache(maxsize=None)
 def gauss_laurent(u, v):
     """Gaussian binomial [u; v] as a Laurent dict, shared: never mutate it.
@@ -580,7 +575,7 @@ Q = RatFunc(IntPoly._raw({1: 1}))
 
 def neg_q_power(e):
     """(-q)^e as a reduced RatFunc, for any integer e (negative allowed)."""
-    return RatFunc.from_laurent(lau_neg_q(e))
+    return RatFunc.from_laurent({e: -1 if e % 2 else 1})
 
 
 @lru_cache(maxsize=None)

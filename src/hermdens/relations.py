@@ -47,8 +47,8 @@ engine; a unit step lowers it by construction (P2.15 lowers |lam|, P2.14
 shortens the labels), which the trace walk still checks per step and the
 evaluator does not.  A violation raises ``RuntimeError``.
 
-``alpha_via_generic_reduction`` works at the unnormalized alpha level for
-arbitrary n: the reduced normalized density times the closed self-density.
+``GenericAlphaReducer`` works at the unnormalized alpha level for arbitrary
+n: the reduced normalized density times the closed self-density.
 """
 
 from __future__ import annotations
@@ -98,11 +98,8 @@ class Relation:
                                 f"got {type(c).__name__} {c!r}")
         laurent_terms = tuple((c.as_laurent(), check_partition(p)) for c, p in self.terms)
         if len({len(p) for _, p in laurent_terms}) > 1:
-            raise ValueError(f"the parts {self.partitions()} differ in length")
+            raise ValueError(f"the parts {tuple(p for _, p in laurent_terms)} differ in length")
         object.__setattr__(self, "laurent_terms", laurent_terms)
-
-    def partitions(self):
-        return tuple(p for _, p in self.terms)
 
 
 # Relations by (n, s, xi), each built once per process; never mutate one.
@@ -233,7 +230,8 @@ def _derived_rhs(sig):
     """A signature's (shared Laurent coefficient, template) pairs, children in
     ascending label order, derived on first use: a kept term (c, p) adds
     -c alpha(A_p, A_p) c2 to each child's numerator, which is then divided
-    once by alpha(A_xi, A_xi); a remainder raises ``ArithmeticError``."""
+    once by alpha(A_xi, A_xi); a remainder raises ``ArithmeticError`` naming
+    the signature, and its rule id once the signature has a rule."""
     rhs = _RHS.get(sig)
     if rhs is not None:
         return rhs
@@ -251,8 +249,14 @@ def _derived_rhs(sig):
         subs = _derived_rhs(_signature(p)) if p[-1] == 0 else (({0: 1}, _signature(p)),)
         for c2, tpl in subs:
             lau_iadd_scaled(acc.setdefault(fill_pattern(tpl, stars), {}), lau_mul(c, c2), scale=-1)
-    rhs = tuple((hironaka._over_self_density(num, xi), _signature(p))
-                for p, num in sorted(acc.items()) if num)
+    try:
+        rhs = tuple((hironaka._over_self_density(num, xi), _signature(p))
+                    for p, num in sorted(acc.items()) if num)
+    except ArithmeticError as exc:
+        rule = _RULES.get(sig)
+        named = f" {rule.rule_id}" if rule else ""
+        raise ArithmeticError(f"the rewrite rule{named} of signature {sig} leaves a "
+                              f"remainder: {exc}") from exc
     # threads that derive one signature at once keep the first stored, an equal value
     return _RHS.setdefault(sig, rhs)
 
@@ -551,11 +555,6 @@ class ReductionEngine:
         return trace.steps[0].value, trace      # the root's step comes first
 
 
-def reduce_normalized(xi, lam, engine=None):
-    engine = engine or ReductionEngine()
-    return engine.reduce_normalized(xi, lam)
-
-
 # ---------------------------------------------------------------------------
 # generic unnormalized reduction
 # ---------------------------------------------------------------------------
@@ -571,8 +570,3 @@ class GenericAlphaReducer:
 
     def alpha_value(self, xi, lam):
         return self.reducer.normalized_value(xi, lam) * hironaka.self_density_closed(xi)
-
-
-def alpha_via_generic_reduction(xi, lam, reducer=None):
-    reducer = reducer or GenericAlphaReducer()
-    return reducer.alpha_value(xi, lam)

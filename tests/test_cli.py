@@ -1,12 +1,15 @@
-"""Command-line interface: outputs, formats, and exit codes."""
+"""The contract: the command line's outputs, formats and exit codes, and the
+package's public names."""
 
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
+import hermdens
 from hermdens.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -285,6 +288,28 @@ def test_truncation_options_are_usage_errors(capsys):
     # the derived density asks no engine
     for engine in ("reduce", "direct"):
         _assert_rejects(capsys, ["derivative", "4,1,0,0"], ["--engine", engine])
+
+
+# The public names of ``hermdens``, as the ROADMAP's contract list records
+# them; a change here is a contract decision, with its reason there.
+PUBLIC_NAMES = {
+    "BudgetExceededError", "GaloisRingParams", "GenericAlphaReducer", "HironakaEngine", "I_j",
+    "IntPoly", "NotLaurentError", "NotTabulated", "PoleError", "Q", "RatFunc",
+    "ReductionEngine", "ReductionTrace", "Relation", "alpha", "arith", "as_laurent",
+    "check_partition", "conjecture_check", "conjugate", "conjugate_part",
+    "count_representations", "d_coefficients", "density_oracle", "derivative_0000",
+    "difference_identity_check", "evaluate_at", "format_partition", "gauss_binomial",
+    "neg_q_power", "normalized", "parse_partition", "sankaran_intersection",
+    "self_density_closed", "stabilization_check", "theorem_terms", "verify_relation",
+    "xi_plus",
+}
+
+
+def test_public_names_are_the_contract_list():
+    names = {name for name, value in vars(hermdens).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(PUBLIC_NAMES) == 38
+    assert names == PUBLIC_NAMES
 
 
 def test_module_entry_point():

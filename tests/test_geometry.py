@@ -17,7 +17,7 @@ from hermdens.geometry import (
     sankaran_intersection_report,
     truncated_partition_sum,
 )
-from hermdens.hironaka import HironakaEngine, derived_density, self_density_closed
+from hermdens.hironaka import derived_density, self_density_closed
 from hermdens.partitions import (
     conjugate_part,
     n_stat,
@@ -380,7 +380,6 @@ def _derivative_box_reference(b):
     the X-derivative at X = 1 of Den(X, B) = alpha(1_{4+k}, B) / alpha(1_{4+k}, 1_4)
     at X = (-q)^-k, which vanishes at X = 1 for odd |B|.
     """
-    engine = HironakaEngine()
     lt = tilde(b)
     jmax = b[0] + 1                     # every factor beyond is 1 on the box
     lt_conj = [0] + [conjugate_part(lt, j) for j in range(1, jmax + 2)]
@@ -392,7 +391,7 @@ def _derivative_box_reference(b):
         mu_conj = [0] + [conjugate_part(mu, j) for j in range(1, jmax + 2)]
         prod = {0: 1}
         for j in range(1, jmax + 1):
-            prod = lau_mul(prod, engine._inner_items(
+            prod = lau_mul(prod, hironaka._inner_laurent(
                 lt_conj[j], lt_conj[j + 1], mu_conj[j], mu_conj[j + 1]))
             if not prod:
                 break

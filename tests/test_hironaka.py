@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +69,7 @@ def test_alpha_rank2_self_fixtures():
     assert alpha((2, 2), (2, 2)) == Q ** 8 * _unit(1) * _unit(-2)
 
 
-def _alpha_box_reference(engine, xi, lam):
+def _alpha_box_reference(xi, lam):
     """Hironaka's formula summed once per mu in the box tilde(lam): the reference for alpha."""
     m, n = len(xi), len(lam)
     lt = tilde(lam)
@@ -83,7 +84,7 @@ def _alpha_box_reference(engine, xi, lam):
         mu_conj = [0] + [conjugate_part(mu, j) for j in range(1, jmax + 2)]
         prod = {0: 1}
         for j in range(1, jmax + 1):
-            prod = lau_mul(prod, engine._inner_items(
+            prod = lau_mul(prod, hironaka._inner_laurent(
                 lt_conj[j], lt_conj[j + 1], mu_conj[j], mu_conj[j + 1]))
             if not prod:
                 break
@@ -111,8 +112,7 @@ def _label_pairs(draw):
 @given(_label_pairs())
 def test_alpha_chain_sum_matches_box_reference(pair):
     xi, lam = pair
-    eng = HironakaEngine()
-    assert eng.alpha(xi, lam).to_json() == _alpha_box_reference(eng, xi, lam).to_json()
+    assert HironakaEngine().alpha(xi, lam).to_json() == _alpha_box_reference(xi, lam).to_json()
 
 
 def test_alpha_chain_sum_matches_box_reference_on_larger_labels():
@@ -126,8 +126,7 @@ def test_alpha_chain_sum_matches_box_reference_on_larger_labels():
                    for k in (rng.randint(n, n + 2), n))
         if sum(1 for _ in itertools.islice(partitions_in_box(tilde(lam)), 5001)) > 5000:
             continue
-        eng = HironakaEngine()
-        assert eng.alpha(xi, lam) == _alpha_box_reference(eng, xi, lam), (xi, lam)
+        assert HironakaEngine().alpha(xi, lam) == _alpha_box_reference(xi, lam), (xi, lam)
         checked += 1
 
 
@@ -224,7 +223,6 @@ def test_coefficient_bound_holds():
     # balanced digits; on small boxes the bound is at least the sum over mu
     # of the norms of the summands, the quantity it bounds
     rng = random.Random(1919)
-    eng = HironakaEngine()
     boxed = 0
     for xi, lam in _chain_labels():
         for twin, sums in enumerate(_chain_dict_reference(xi, lam, True)):
@@ -241,8 +239,8 @@ def test_coefficient_bound_holds():
         for mu in box:
             norm = 1
             for j in range(1, lam[0] + 2):
-                inner = eng._inner_items(conjugate_part(lt, j), conjugate_part(lt, j + 1),
-                                         conjugate_part(mu, j), conjugate_part(mu, j + 1))
+                inner = hironaka._inner_laurent(conjugate_part(lt, j), conjugate_part(lt, j + 1),
+                                                conjugate_part(mu, j), conjugate_part(mu, j + 1))
                 norm *= sum(abs(c) for c in inner.values())
             norms[0] += norm
             norms[1] += weight(mu) * norm
@@ -533,6 +531,16 @@ def test_inner_factor_refuses_labels_outside_its_domain():
     for mu, lam in (((3,), (1,)), ((1, 1), (1,)), ((0, 0), (0,))):
         with pytest.raises(ValueError, match=re.escape(f"mu={mu}, lam={lam}")):
             I_j(mu, lam, 1)
+
+
+def test_non_integer_indices_raise():
+    # an index is converted by operator.index, as a part is: 1.5 and
+    # Fraction(3, 2) raise, naming it, instead of reading as another index
+    for j in (1.5, Fraction(3, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"got {j!r}")):
+            I_j((1,), (1,), j)
+        with pytest.raises(ValueError, match=re.escape(f"got {j!r}")):
+            conjugate_part((3, 1), j)
 
 
 def test_inner_factor_is_one_beyond_cutoff():

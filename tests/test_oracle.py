@@ -249,16 +249,25 @@ def test_unit_change_invariance():
         for _ in range(2):
             ba, bb = _gram_image(lam, _rand_unimodular(rng, params), params)
             ga, gb = _diagonal_components(lam, params)
-            assert count_solutions_matrix(ga, gb, ba, bb, 2, 2, params) == want
+            assert count_solutions_matrix(ga, gb, ba, bb, params) == want
 
 
 def test_count_rejects_non_diagonal_a():
     params = GaloisRingParams(3, 1)
     ba, bb = _diagonal_components((0,), params)
     with pytest.raises(ValueError):
-        count_solutions_matrix([[1, 1], [1, 1]], [[0, 0], [0, 0]], ba, bb, 2, 1, params)
+        count_solutions_matrix([[1, 1], [1, 1]], [[0, 0], [0, 0]], ba, bb, params)
     with pytest.raises(ValueError):
-        count_solutions_matrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], ba, bb, 2, 1, params)
+        count_solutions_matrix([[1, 0], [0, 1]], [[1, 0], [0, 0]], ba, bb, params)
+
+
+def test_count_reads_its_shapes_off_the_components():
+    # A of (0, 0) is 2 x 2, so against B of (0,) it counts the x in R^2 with
+    # N(x_1) + N(x_2) = 1 over F_9: q^3 - q = 24 at p = 3, d = 1
+    params = GaloisRingParams(3, 1)
+    ga, gb = _diagonal_components((0, 0), params)
+    ba, bb = _diagonal_components((0,), params)
+    assert count_solutions_matrix(ga, gb, ba, bb, params) == 24
 
 
 def test_count_is_exact_past_int64():
@@ -367,9 +376,9 @@ def test_row_convolution_matches_column_reference(case):
     ba, bb = _unit_change(lam_b, unit, params)
     # the reference visits modulus^(2m) columns per solution of each leading block of B
     prefixes = 1 + sum(
-        count_solutions_matrix(ga, gb, [r[:k] for r in ba[:k]], [r[:k] for r in bb[:k]],
-                               m, k, params) for k in range(1, n))
+        count_solutions_matrix(ga, gb, [r[:k] for r in ba[:k]], [r[:k] for r in bb[:k]], params)
+        for k in range(1, n))
     assume(prefixes * params.modulus ** (2 * m) <= _REFERENCE_COLUMNS)
-    got = count_solutions_matrix(ga, gb, ba, bb, m, n, params)
+    got = count_solutions_matrix(ga, gb, ba, bb, params)
     assert got == _column_count_reference(ga, gb, ba, bb, m, n, params)
     assert got == count_representations(lam_a, lam_b, params)

@@ -10,16 +10,15 @@ import pytest
 from hermdens.hironaka import alpha
 from hermdens.partitions import (
     check_partition,
-    conj_inner_product,
     conjugate,
     conjugate_part,
     d_coefficients,
     format_partition,
-    mu_lk,
+    n_stat,
     parse_partition,
     partitions_first_part,
     partitions_fixed_length,
-    stats,
+    tilde,
     trailing_zeros,
     weight,
     xi_plus,
@@ -77,16 +76,9 @@ def test_conjugate_part_examples():
 
 
 def test_stats_examples():
-    assert stats((4, 3)) == (7, 3, (5, 4))
-    assert stats((0, 0)) == (0, 0, (1, 1))
-    assert stats((2, 1, 0)) == (3, 1, (3, 2, 1))
-
-
-def test_conj_inner_product_examples():
-    assert conj_inner_product((1,), (1,)) == 1
-    assert conj_inner_product((0, 0), (3, 2)) == 0
-    # (2,1)' = (2,1), (2,2)' = (2,2): 2*2 + 1*2 = 6
-    assert conj_inner_product((2, 1), (2, 2)) == 6
+    for parts, want in (((4, 3), (7, 3, (5, 4))), ((0, 0), (0, 0, (1, 1))),
+                        ((2, 1, 0), (3, 1, (3, 2, 1)))):
+        assert (weight(parts), n_stat(parts), tilde(parts)) == want, parts
 
 
 def test_xi_plus_examples():
@@ -95,14 +87,6 @@ def test_xi_plus_examples():
     assert xi_plus((4, 3, 0, 0), 0, 0) == (4, 3, 0, 0)
     with pytest.raises(ValueError):
         xi_plus((4, 3, 0, 0), 2, 1)
-
-
-def test_mu_lk_examples():
-    assert mu_lk((3, 2), 2, 1, 4) == (3, 2, 1, 0)
-    assert mu_lk((), 2, 2, 2) == (1, 1)
-    assert mu_lk((2,), 0, 0, 1) == (2,)
-    with pytest.raises(ValueError):
-        mu_lk((1, 2), 1, 0, 3)
 
 
 def test_d_coefficients_examples():
