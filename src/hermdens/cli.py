@@ -6,7 +6,8 @@ numeric evaluation at a rational q, reduction traces, batch verification
 sweeps, and the counting oracle.
 
 Exit codes: 0 success / all verified, 1 verification failure (nonzero
-residual or mismatch), 2 usage error, 3 budget failure.
+residual or mismatch), 2 usage error or an input whose reduction nests past
+the recursion limit, 3 budget failure.
 """
 
 from __future__ import annotations
@@ -360,6 +361,10 @@ def run(argv):
         return handlers[args.command](args)
     except (UsageError, ValueError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: the computation nests deeper than the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

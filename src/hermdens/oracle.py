@@ -205,22 +205,31 @@ def count_solutions_matrix(ga, gb, ba, bb, params, budget=DEFAULT_BUDGET):
     ``ga``/``gb`` are the m x m integer component matrices of A, which must
     be diagonal and hermitian (ValueError otherwise); ``ba``/``bb`` are the
     n x n components of B, and a B that is not hermitian mod p^d has no
-    solutions.  m and n are the sizes of ``ga`` and ``ba``.  A negative
-    ``budget`` raises ``ValueError``.
+    solutions.  m and n are the sizes of ``ga`` and ``ba``, both >= 1; other
+    shapes, and a negative ``budget``, raise ``ValueError``.
     """
     m, n = len(ga), len(ba)
+    shapes = [(len(x), *sorted({len(row) for row in x})) for x in (ga, gb, ba, bb)]
+    if not m or not n or shapes != [(m, m), (m, m), (n, n), (n, n)]:
+        raise ValueError(f"need ga, gb of shape m x m and ba, bb of n x n with m, n >= 1; "
+                         f"got (rows, row lengths) {shapes}")
+    diag = _diagonal_of(ga, gb, m, params.modulus)
+    return _count(diag, _hermitian_coords(ba, bb, n, params.modulus), n, params, budget)
+
+
+def _count(diag, target, n, params, budget):
+    """The count for A = diag(diag) and B at the coordinates ``target`` of
+    ``_row_histogram`` (None if B is not hermitian), behind both gates."""
     if budget < 0:
         raise ValueError(f"the oracle budget must be >= 0, got {budget}")
     modulus = params.modulus
-    estimate = modulus ** (2 * m * n)
+    estimate = modulus ** (2 * len(diag) * n)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    diag = _diagonal_of(ga, gb, m, modulus)
     histogram_bytes = (len(set(diag)) + 2) * modulus ** (n * n) * 8
     if histogram_bytes > HISTOGRAM_BYTES_CEILING:
         raise BudgetExceededError(histogram_bytes, HISTOGRAM_BYTES_CEILING,
                                   unit="bytes of row histograms")
-    target = _hermitian_coords(ba, bb, n, modulus)
     if target is None:
         return 0
     # every partial count is at most the nominal work, so int64 is exact below 2^63
@@ -232,16 +241,6 @@ def count_solutions_matrix(ga, gb, ba, bb, params, budget=DEFAULT_BUDGET):
     for v in diag[:-1]:
         acc = _convolve(acc, hists[v], dims)
     return _read(acc, hists[diag[-1]], target, dims)
-
-
-def _diagonal_components(parts, params):
-    parts = check_partition(parts)
-    m = len(parts)
-    ga = [[0] * m for _ in range(m)]
-    for i, e in enumerate(parts):
-        ga[i][i] = pow(params.p, e, params.modulus)
-    gb = [[0] * m for _ in range(m)]
-    return ga, gb
 
 
 def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET):
@@ -257,9 +256,10 @@ def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET):
         raise ValueError("need len(lam_a) >= len(lam_b)")
     if params.d <= max(lam_b):
         raise ValueError(f"need d > max part of lam_b = {max(lam_b)}, got d = {params.d}")
-    ga, gb = _diagonal_components(lam_a, params)
-    ba, bb = _diagonal_components(lam_b, params)
-    return count_solutions_matrix(ga, gb, ba, bb, params, budget=budget)
+    diag, n = [pow(params.p, e, params.modulus) for e in lam_a], len(lam_b)
+    # B's diagonal, then the two zero components of each entry above it
+    target = [pow(params.p, e, params.modulus) for e in lam_b] + [0] * (n * (n - 1))
+    return _count(diag, target, n, params, budget)
 
 
 def denominator_exponent(m, n, d):

@@ -41,11 +41,13 @@ the direct formula.  The rewrite loop:
 
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
-alone.  Each rewrite strictly decreases the measure (|lam|, trailing zeros
-of xi, n).  Rule (d), whose children keep lam, is checked once per label and
-engine; a unit step lowers it by construction (P2.15 lowers |lam|, P2.14
-shortens the labels), which the trace walk still checks per step and the
-evaluator does not.  A violation raises ``RuntimeError``.
+alone; both value through ``laurent_value``, and the trace reads each
+step's value off its memo.  Each rewrite strictly decreases the measure
+(|lam|, trailing zeros of xi, n), so the replay values the steps in
+ascending measure.  Rule (d), whose children keep lam, is checked once per
+label and engine; a unit step lowers it by construction (P2.15 lowers
+|lam|, P2.14 shortens the labels), which the trace still checks per step
+and the evaluator does not.  A violation raises ``RuntimeError``.
 
 ``GenericAlphaReducer`` works at the unnormalized alpha level for arbitrary
 n: the reduced normalized density times the closed self-density.
@@ -276,6 +278,11 @@ def match_rewrite(xi):
 # reduction traces
 # ---------------------------------------------------------------------------
 
+def _measure(xi, lam):
+    """(|lam|, trailing zeros of xi, n), which every rewrite strictly lowers."""
+    return weight(lam), trailing_zeros(xi), len(xi)
+
+
 @dataclass
 class TraceChild:
     factor: RatFunc
@@ -302,24 +309,19 @@ class TraceStep:
     value: RatFunc = None      # value of this node (terminal steps carry it alone)
 
     def to_json(self):
+        first = self.children[0] if self.children else None
         d = {
             "rule_id": self.rule_id,
             "xi_before": list(self.xi_before),
             "lambda_before": list(self.lam_before),
-            "xi_after": None,
-            "lambda_after": None,
-            "factor": None,
+            "xi_after": first and list(first.xi),
+            "lambda_after": first and list(first.lam),
+            "factor": first and first.factor.to_json(),
             "additive_siblings": [c.to_json() for c in self.children[1:]],
         }
-        if self.children:
-            first = self.children[0]
-            d["xi_after"] = list(first.xi)
-            d["lambda_after"] = list(first.lam)
-            d["factor"] = first.factor.to_json()
-            if first.value is not None:
-                d["value"] = first.value.to_json()
-        elif self.value is not None:
-            d["value"] = self.value.to_json()
+        value = first.value if first else self.value     # a terminal step carries its own
+        if value is not None:
+            d["value"] = value.to_json()
         return d
 
 
@@ -327,18 +329,6 @@ class TraceStep:
 class ReductionTrace:
     root: tuple
     steps: list = field(default_factory=list)
-    _expanded: set = field(default_factory=set, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._expanded.update((s.xi_before, s.lam_before) for s in self.steps)
-
-    def add(self, step):
-        self.steps.append(step)
-        self._expanded.add((step.xi_before, step.lam_before))
-        return step
-
-    def has_expanded(self, key):
-        return key in self._expanded
 
     def __len__(self):
         return len(self.steps)
@@ -347,26 +337,16 @@ class ReductionTrace:
         return [s.rule_id for s in self.steps]
 
     def replay(self):
-        """Recompute the root value from the recorded steps alone."""
-        by_key = {(s.xi_before, s.lam_before): s for s in self.steps}
-        memo = {}
-
-        def value_of(key):
-            if key in memo:
-                return memo[key]
-            step = by_key[key]
-            if not step.children:
-                val = step.value
-            else:
-                val = ZERO
-                for child in step.children:
-                    sub = child.value if child.value is not None \
-                        else value_of((child.xi, child.lam))
-                    val = val + child.factor * sub
-            memo[key] = val
-            return val
-
-        return value_of(self.root)
+        """Recompute the root value from the recorded steps alone.  Every step
+        lowers the measure, so in ascending measure each child is valued first."""
+        values = {}
+        for step in sorted(self.steps, key=lambda s: _measure(s.xi_before, s.lam_before)):
+            val = step.value if not step.children else ZERO
+            for child in step.children:
+                sub = child.value if child.value is not None else values[child.xi, child.lam]
+                val = val + child.factor * sub
+            values[step.xi_before, step.lam_before] = val
+        return values[self.root]
 
     def to_json(self):
         return [s.to_json() for s in self.steps]
@@ -394,10 +374,10 @@ class ReductionEngine:
     and so is every rule coefficient, derived once in that form.  The
     geometry sums, which build their own labels, call it directly: it skips
     label validation and returns the memo's dict itself.  ``normalized_value``
-    and ``reduce_normalized`` return a ``RatFunc``; the latter records its
-    trace by a separate depth-first walk that expands each node once and sums
-    it with the same ``_combine``.  The leaves are constants ("parity-zero"
-    and "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so
+    and ``reduce_normalized`` return a ``RatFunc``; the latter's trace pass
+    records each label's rewrite once, with no arithmetic, and reads the
+    values off the memo.  The leaves are constants ("parity-zero" and
+    "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so
     only rewritten values are memoized.  A rule coefficient outside
     ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is derived.  Stored
     values are never mutated, so one engine may be shared by threads.
@@ -418,8 +398,9 @@ class ReductionEngine:
     steps, which lower it by construction: P2.15 lowers |lam| by n >= 1, and
     P2.14 meets only lam_n = 0, so xi_n = 0 past the support test
     (``_unit_step`` raises ``RuntimeError`` in O(1) otherwise).  The trace
-    walk ``_record`` tests the leaves at every node and measures every step
-    in ``_expansion``.
+    pass tests the leaves at every node and measures every step in
+    ``_expansion``.  Rule-(d) rewrites nested past the recursion limit raise
+    ``RecursionError``: ``laurent_value`` takes a frame for each.
     """
 
     def __init__(self):
@@ -458,8 +439,7 @@ class ReductionEngine:
             rule_id, rewrites = self._rules.get(xi) or self._rewrite(xi, lam)
             return rule_id, [(c, p, lam) for c, p in rewrites]
         rule_id, cxi, clam = step
-        if not (weight(clam), trailing_zeros(cxi), len(cxi)) < \
-                (weight(lam), trailing_zeros(xi), len(xi)):     # the measure
+        if not _measure(cxi, clam) < _measure(xi, lam):
             raise RuntimeError(f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
         return rule_id, [(_LAU_ONE, cxi, clam)]
 
@@ -518,40 +498,40 @@ class ReductionEngine:
         self._memo[xi, lam] = val
         return val
 
-    def _record(self, xi, lam, trace):
-        """(note, Laurent value) of (xi, lam).  A parent step inlines the value
-        under its leaf rule, or "memo" if valued before the trace began; else
-        the note is None, once its subtree is in the trace, depth first."""
-        leaf = self._leaf(xi, lam)
-        if leaf is not None:
-            return leaf[1], leaf[0]
-        if (xi, lam) in self._memo:     # entries are never removed
-            note = None if trace.has_expanded((xi, lam)) else "memo"
-            return note, self._memo[xi, lam]
-        rule_id, children = self._expansion(xi, lam)
-        step, terms = trace.add(TraceStep(rule_id, xi, lam)), []
-        for factor, cxi, clam in children:
-            note, sub = self._record(cxi, clam, trace)
-            terms.append((factor, sub))
-            step.children.append(TraceChild(
-                RatFunc.from_laurent(factor), cxi, clam, note=note,
-                value=None if note is None else RatFunc.from_laurent(sub)))
-        val = self._combine(xi, lam, terms)
-        step.value = RatFunc.from_laurent(val)
-        return None, val
-
     def normalized_value(self, xi, lam):
         """The value alone, with memoization but no trace."""
         return RatFunc.from_laurent(self.laurent_value(*check_pair(xi, lam)))
 
     def reduce_normalized(self, xi, lam):
-        """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace)."""
+        """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace).
+        The trace pass ends a branch at a leaf, a label valued before the call
+        ("memo") or one already recorded; the values are read off the memo."""
         xi, lam = check_pair(xi, lam)
+        memo, expanded = self._memo, {}     # (xi, lam) -> its step
         trace = ReductionTrace(root=(xi, lam))
-        note, val = self._record(xi, lam, trace)
-        if note is not None:
-            # a leaf or a warm memo at the root: one terminal step with the value
-            trace.add(TraceStep(note, xi, lam, value=RatFunc.from_laurent(val)))
+        stack = [(None, None, xi, lam)]     # (parent step, Laurent factor, label pair)
+        while stack:
+            parent, factor, cxi, clam = stack.pop()
+            key = (cxi, clam)
+            leaf = self._leaf(cxi, clam)
+            if leaf is None and key not in expanded:
+                if key in memo:             # entries are never removed
+                    leaf = memo[key], "memo"
+                else:
+                    rule_id, children = self._expansion(cxi, clam)
+                    step = expanded[key] = TraceStep(rule_id, cxi, clam)
+                    trace.steps.append(step)
+                    stack.extend((step, *child) for child in reversed(children))
+            value = leaf and RatFunc.from_laurent(leaf[0])
+            if parent is not None:
+                parent.children.append(TraceChild(
+                    RatFunc.from_laurent(factor), cxi, clam, value=value, note=leaf and leaf[1]))
+            elif leaf is not None:
+                # a leaf or a warm memo at the root: one terminal step with the value
+                trace.steps.append(TraceStep(leaf[1], cxi, clam, value=value))
+        self.laurent_value(xi, lam)
+        for key, step in expanded.items():
+            step.value = RatFunc.from_laurent(memo[key])
         return trace.steps[0].value, trace      # the root's step comes first
 
 
@@ -565,8 +545,8 @@ class GenericAlphaReducer:
     self-density.  ``hironaka_engine`` is accepted for compatibility and not
     used: no value comes from the direct formula."""
 
-    def __init__(self, hironaka_engine=None, reduction_engine=None):
-        self.reducer = reduction_engine or ReductionEngine()
+    def __init__(self, hironaka_engine=None):
+        self.reducer = ReductionEngine()
 
     def alpha_value(self, xi, lam):
         return self.reducer.normalized_value(xi, lam) * hironaka.self_density_closed(xi)

@@ -45,6 +45,9 @@ COMMANDS = [
     "verify corollary --n 2",
     "verify corollary --n 3 --params 3,5",
     "normalized 2,1,1,0,0,0 3,3,2,2,1,1 --trace",
+    # about 3,000 nested rule-(d) rewrites, past the default recursion limit: a
+    # usage error (exit 2) with nothing on stdout, not a failed check
+    "normalized 0,0 3000,3000",
 ]
 
 

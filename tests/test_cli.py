@@ -244,6 +244,29 @@ def test_crosscheck_rejects_workers(capsys):
     _assert_rejects(capsys, ["crosscheck", "0", "0", "--p", "3", "--d", "2"], ["--workers", "2"])
 
 
+def test_recursion_limit_is_a_usage_error(capsys):
+    # A_(0,0)(A_(k,k)) nests one rule-(d) rewrite per level, k of them: past
+    # the recursion limit that is an input the evaluator refuses (exit 2),
+    # not a failed check (exit 1), with or without the trace
+    limit = sys.getrecursionlimit()
+    k = 3 * limit
+    for extra in ([], ["--trace"]):
+        code, out, err = _capture(capsys, ["normalized", "0,0", f"{k},{k}"] + extra)
+        assert (code, out) == (2, ""), extra
+        assert err.splitlines() == [
+            f"error: the computation nests deeper than the recursion limit ({limit})"], extra
+
+
+def test_long_unit_chain_traces(capsys):
+    # k P2.15 steps and one P2.14 step, a chain longer than the recursion limit
+    k = 2 * sys.getrecursionlimit()
+    code, out, _ = _capture(capsys, ["normalized", f"{k},{k}", f"{k},{k}", "--trace"])
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "1"
+    assert len(lines) == k + 2
+    assert lines[-1] == f"step {k + 1}: P2.14 A_0,0(A_0,0) -> (1) * [A_0(A_0) = 1]"
+
+
 def test_exit_code_budget(capsys):
     code, _, err = _capture(capsys, ["oracle", "4,0", "4,2", "--p", "3", "--d", "5"])
     assert code == 3

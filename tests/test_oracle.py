@@ -20,9 +20,16 @@ from hermdens.oracle import (
     count_solutions_matrix,
     density_oracle,
     stabilization_check,
-    _diagonal_components,
     _is_prime,
 )
+
+
+def _diagonal_components(parts, params):
+    """The component matrices (ga, gb) of diag(p^parts) mod p^d."""
+    m, modulus = len(parts), params.modulus
+    ga = [[pow(params.p, e, modulus) if j == i else 0 for j in range(m)]
+          for i, e in enumerate(parts)]
+    return ga, [[0] * m for _ in range(m)]
 
 
 def brute_count(lam_a, lam_b, params):
@@ -267,6 +274,22 @@ def test_count_reads_its_shapes_off_the_components():
     params = GaloisRingParams(3, 1)
     ga, gb = _diagonal_components((0, 0), params)
     ba, bb = _diagonal_components((0,), params)
+    assert count_solutions_matrix(ga, gb, ba, bb, params) == 24
+
+
+def test_count_checks_its_shapes():
+    # a gb with fewer rows than ga, a 3 x 3 gb beside a 2 x 2 ga (read only
+    # in part before), and empty components each raise, naming the shapes
+    params = GaloisRingParams(3, 1)
+    ga, gb = _diagonal_components((0, 0), params)
+    ba, bb = _diagonal_components((0,), params)
+    gb3 = _diagonal_components((0, 0, 0), params)[1]
+    for args in ((ga, gb[:1], ba, bb), (ga, gb3, ba, bb), ([], [], ba, bb), (ga, gb, [], []),
+                 (ga, gb, ba, gb)):
+        with pytest.raises(ValueError, match=r"need ga, gb of shape m x m .*got \(rows"):
+            count_solutions_matrix(*args, params)
+    with pytest.raises(ValueError, match=r"\[\(2, 2\), \(3, 3\), \(1, 1\), \(1, 1\)\]"):
+        count_solutions_matrix(ga, gb3, ba, bb, params)
     assert count_solutions_matrix(ga, gb, ba, bb, params) == 24
 
 

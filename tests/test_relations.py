@@ -27,7 +27,10 @@ from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
     ReductionEngine,
+    ReductionTrace,
     Relation,
+    TraceChild,
+    TraceStep,
     match_rewrite,
     theorem_terms,
     verify_relation,
@@ -730,15 +733,18 @@ def test_non_decreasing_rewrite_raises(monkeypatch):
 
 def test_long_rewrite_chain_fits_the_recursion_limit():
     # A_(k,k)(A_(k,k)) is a chain of k P2.15 steps and one P2.14 step.  The
-    # evaluator follows such unit steps in a loop, without a Python frame per
-    # step, so a chain longer than the recursion limit evaluates; the trace
-    # walk still takes one frame per rewrite, and k = 3/5 of the limit fits it
+    # evaluator follows such unit steps in a loop, the trace pass keeps its
+    # own stack and the replay values the steps in ascending measure, none
+    # with a Python frame per step, so a chain longer than the recursion
+    # limit evaluates, traces and replays
     k = sys.getrecursionlimit() * 3 // 5
     long = 2 * sys.getrecursionlimit()
     assert ReductionEngine().normalized_value((long, long), (long, long)) == ONE
     assert ReductionEngine().normalized_value((k, k), (k, k)) == ONE
     val, trace = ReductionEngine().reduce_normalized((k, k), (k, k))
     assert val == ONE and len(trace) == k + 1
+    val, trace = ReductionEngine().reduce_normalized((long, long), (long, long))
+    assert val == ONE == trace.replay() and len(trace) == long + 1
 
 
 def test_unit_chain_memoizes_every_node():
@@ -962,6 +968,75 @@ def test_shared_generic_reducer_across_threads(monkeypatch):
 def test_reduce_normalized_function_wrapper():
     val, trace = ReductionEngine().reduce_normalized((3, 0, 0), (8, 3, 2))
     assert val == Q ** 6 + Q ** 5 + Q ** 4 and len(trace) >= 1
+
+
+def _trace_reference(eng, xi, lam):
+    """``ReductionEngine.reduce_normalized`` as a recursive walk that sums each
+    step itself (``_combine``) and keeps its own set of expanded labels: the
+    reference for the trace, which reads its values off the memo.  A parent
+    step inlines a child's value under its leaf rule, or "memo" if it was
+    valued before the walk began; a child expanded in the walk has no note."""
+    trace, expanded = ReductionTrace(root=(xi, lam)), set()
+
+    def record(xi, lam):
+        leaf = eng._leaf(xi, lam)
+        if leaf is not None:
+            return leaf[1], leaf[0]
+        if (xi, lam) in eng._memo:
+            return (None if (xi, lam) in expanded else "memo"), eng._memo[xi, lam]
+        rule_id, children = eng._expansion(xi, lam)
+        step, terms = TraceStep(rule_id, xi, lam), []
+        trace.steps.append(step)
+        expanded.add((xi, lam))
+        for factor, cxi, clam in children:
+            note, sub = record(cxi, clam)
+            terms.append((factor, sub))
+            step.children.append(TraceChild(
+                RatFunc.from_laurent(factor), cxi, clam, note=note,
+                value=None if note is None else RatFunc.from_laurent(sub)))
+        val = eng._combine(xi, lam, terms)
+        step.value = RatFunc.from_laurent(val)
+        return None, val
+
+    note, val = record(xi, lam)
+    if note is not None:
+        trace.steps.append(TraceStep(note, xi, lam, value=RatFunc.from_laurent(val)))
+    return trace.steps[0].value, trace
+
+
+def test_trace_matches_reference_seeded():
+    # one engine of each through the same seeded labels, about 30% of them
+    # valued first without a trace, so that traces meet "memo" leaves: the
+    # same traces, and memos with the same keys and values
+    rng = random.Random(2727)
+    eng, ref = ReductionEngine(), ReductionEngine()
+    traced = memo_notes = 0
+    for _ in range(280):
+        n = rng.randint(1, 5)
+        lam = tuple(sorted((rng.randint(0, 7) for _ in range(n)), reverse=True))
+        xi = tuple(sorted((rng.randint(0, l) for l in lam), reverse=True))
+        if rng.random() < 0.3:
+            assert eng.normalized_value(xi, lam) == ref.normalized_value(xi, lam), (xi, lam)
+            continue
+        val, trace = eng.reduce_normalized(xi, lam)
+        want, ref_trace = _trace_reference(ref, xi, lam)
+        assert val == want == trace.replay(), (xi, lam)
+        assert trace.to_json() == ref_trace.to_json(), (xi, lam)
+        traced += 1
+        memo_notes += sum(c.note == "memo" for s in trace.steps for c in s.children)
+    assert (traced, memo_notes) == (208, 74)
+    assert eng._memo == ref._memo
+
+
+def test_trace_of_a_partly_warm_engine():
+    # (3,2,2) against (8,3,2), valued first, is the root's second child: a
+    # "memo" leaf, below which the trace records nothing
+    eng = ReductionEngine()
+    eng.normalized_value((3, 2, 2), (8, 3, 2))
+    val, trace = eng.reduce_normalized((3, 0, 0), (8, 3, 2))
+    assert trace.rule_ids() == ["C2.19.7", "P2.15", "C2.19.8"]
+    assert [c.note for c in trace.steps[0].children] == [None, "memo"]
+    assert trace.replay() == val == Q ** 6 + Q ** 5 + Q ** 4
 
 
 def test_warm_engine_traces_are_pinned():
