@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from . import geometry, hironaka, oracle, relations
 from .oracle import BudgetExceededError, GaloisRingParams
-from .partitions import (
-    fill_pattern, format_partition, parse_partition, parse_parts, partitions_fixed_length)
+from .partitions import format_partition, parse_partition, parse_parts, partitions_fixed_length
 from .qalgebra import PoleError, ZERO
 
 
@@ -34,10 +33,10 @@ def _partition(text):
 
 
 def _values(text):
-    """``--params``: the parts that fill '*' slots, each >= 3, checked here."""
+    """``--params``: the parts that fill '*' slots, checked by ``relations.fill_pattern``."""
     try:
         values = parse_parts(text)
-        fill_pattern(("*",) * len(values), values)
+        relations.fill_pattern(("*",) * len(values), values)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad values {text!r}: {exc}")
     return values
@@ -244,7 +243,7 @@ def _verify_corollary(args):
     for rule in relations.REWRITE_RULES[args.n]:
         slots = sum(not isinstance(t, int) for t in rule.pattern)
         for fill in itertools.combinations_with_replacement(values, slots):
-            cases.append((rule, fill, fill_pattern(rule.pattern, fill)))
+            cases.append((rule, fill, relations.fill_pattern(rule.pattern, fill)))
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
     pairs = _sampled([(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams], args)
     failures = 0

@@ -337,19 +337,13 @@ class HironakaEngine:
         return _over_self_density(self.laurent_alpha(xi, lam), xi)
 
 
-_DEFAULT = HironakaEngine()
-
-
-def default_engine():
-    return _DEFAULT
-
-
+# The module functions build a fresh engine, so a call keeps no memo alive.
 def alpha(xi, lam):
-    return _DEFAULT.alpha(xi, lam)
+    return HironakaEngine().alpha(xi, lam)
 
 
 def normalized(xi, lam):
-    return _DEFAULT.normalized(xi, lam)
+    return HironakaEngine().normalized(xi, lam)
 
 
 @lru_cache(maxsize=None)

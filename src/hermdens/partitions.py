@@ -10,12 +10,8 @@ and conjugates) and the one rule that makes a density provably zero
 (``provable_zero``), this module builds the special constructions used by
 the density relations: the zero-tail promotions ``xi_plus`` and the
 coefficient family ``d_coefficients`` read off the product
-(1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).
-
-It also holds the label-pattern language of the rewrite rules: a pattern is
-a tuple of slots, where an int matches that part exactly and ``"*"``
-matches any part >= 3 and binds it (``match_pattern``); ``fill_pattern``
-substitutes bindings back.
+(1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).  The rewrite rules' label patterns
+live in ``relations``.
 """
 
 from __future__ import annotations
@@ -168,39 +164,6 @@ def d_coefficients(n, s):
             nxt[i + 1] = nxt[i + 1] - t * c
         coeffs = nxt
     return tuple(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# label patterns
-# ---------------------------------------------------------------------------
-
-def match_pattern(pattern, parts):
-    """The parts bound by the "*" slots of pattern, in slot order, or None.
-
-    An int slot matches that part exactly and a "*" slot matches any part
-    >= 3; () means a literal match.
-    """
-    bind = []
-    for spec, x in zip(pattern, parts):
-        if spec == "*":
-            if x < 3:
-                return None
-            bind.append(x)
-        elif spec != x:
-            return None
-    return tuple(bind)
-
-
-def fill_pattern(pattern, bind):
-    """Keep the int slots of pattern and fill the others with bind, in order.
-
-    A "*" slot stands for a part >= 3, so a smaller bound value raises
-    ``ValueError``.
-    """
-    if any(v < 3 for v in bind):
-        raise ValueError(f"a '*' slot takes a part >= 3, got {tuple(bind)}")
-    it = iter(bind)
-    return tuple(spec if isinstance(spec, int) else next(it) for spec in pattern)
 
 
 # ---------------------------------------------------------------------------

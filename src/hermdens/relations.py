@@ -30,24 +30,29 @@ the direct formula.  The rewrite loop:
       (rule id "P2.15");
   (c) drop a common trailing zero (rule id "P2.14");
   (d) otherwise xi ends in 0 and lam_n >= 1: apply the rewrite rule of xi's
-      signature (parts >= 3 written "*").  Each rule is ``theorem_terms``
-      for xi solved for its xi term (coefficient 1), with the terms of the
-      other weight parity dropped, every coefficient scaled by the ratio of
-      closed self-densities, and children still ending in 0 rewritten in
-      turn, all in Laurent form with one exact division per coefficient and
-      no gcd.  Rules are derived on first use and kept for the process; ranks
-      2-4 carry the ids "C2.17.*", "C2.19.*", "C2.20.*" of
-      ``REWRITE_RULES``, larger ranks ids "derived:<signature>".
+      signature, xi with every part >= 3 written "*".  Each rule is
+      ``theorem_terms`` for xi solved for its xi term (coefficient 1), with
+      the terms of the other weight parity dropped, every coefficient scaled
+      by the ratio of closed self-densities, and children still ending in 0
+      rewritten in turn, all in Laurent form with one exact division per
+      coefficient and no gcd.  Promotions fill only the zero tail with 1s and
+      2s, so every child of xi is xi's leading "*" parts followed by a tail
+      that the signature fixes: a rule is derived once per process, as
+      (Laurent coefficient, tail) pairs by signature.  Ranks 2-4 carry the
+      ids "C2.17.*", "C2.19.*", "C2.20.*" of ``REWRITE_RULES``, larger ranks
+      ids "derived:<signature>".
 
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
 alone; both value through ``laurent_value``, and the trace reads each
 step's value off its memo.  Each rewrite strictly decreases the measure
 (|lam|, trailing zeros of xi, n), so the replay values the steps in
-ascending measure.  Rule (d), whose children keep lam, is checked once per
-label and engine; a unit step lowers it by construction (P2.15 lowers
-|lam|, P2.14 shortens the labels), which the trace still checks per step
-and the evaluator does not.  A violation raises ``RuntimeError``.
+ascending measure.  Rule (d) keeps lam, and its derivation checks once that
+each relation term it keeps has fewer trailing zeros than xi; its children
+then end in a nonzero part.  A unit step lowers the measure by construction
+(P2.15 lowers |lam|, P2.14 shortens the labels), which the trace still
+checks per step and the evaluator does not.  A violation raises
+``RuntimeError``.
 
 ``GenericAlphaReducer`` works at the unnormalized alpha level for arbitrary
 n: the reduced normalized density times the closed self-density.
@@ -63,8 +68,6 @@ from .partitions import (
     check_pair,
     check_partition,
     d_coefficients,
-    fill_pattern,
-    match_pattern,
     provable_zero,
     trailing_zeros,
     weight,
@@ -160,7 +163,7 @@ def verify_relation(rel, lam, engine=None):
     terms = rel.laurent_terms
     if terms and len(lam) > len(terms[0][1]):
         raise ValueError(f"lambda {lam} is longer than the relation's parts")
-    value = (engine or hironaka.default_engine()).laurent_alpha
+    value = (engine or hironaka.HironakaEngine()).laurent_alpha
     residual = RatFunc.from_laurent(lau_dot((coeff, value(part, lam)) for coeff, part in terms))
     return residual.is_zero, residual
 
@@ -170,8 +173,21 @@ def verify_relation(rel, lam, engine=None):
 # ---------------------------------------------------------------------------
 
 def _signature(xi):
-    """The rewrite-rule key of a label: every part >= 3 becomes "*"."""
+    """The rewrite-rule key of a label: every part >= 3 becomes "*".  A label
+    does not increase, so its "*" slots lead."""
     return tuple("*" if x >= 3 else x for x in xi)
+
+
+def fill_pattern(pattern, bind):
+    """The label of a signature whose leading "*" slots take bind, in order:
+    one part >= 3 per slot, else ``ValueError``."""
+    k = pattern.count("*")
+    if len(bind) != k:
+        raise ValueError(f"the pattern {pattern} has {k} '*' slot(s), got {len(bind)} "
+                         f"part(s) {tuple(bind)}")
+    if any(v < 3 for v in bind):
+        raise ValueError(f"a '*' slot takes a part >= 3, got {tuple(bind)}")
+    return tuple(bind) + pattern[k:]
 
 
 @dataclass(frozen=True)
@@ -185,18 +201,18 @@ class RewriteRule:
     @property
     def rhs(self):
         """Tuple of (RatFunc coefficient, target template), derived on first use."""
-        return tuple((RatFunc.from_laurent(c), tpl) for c, tpl in _derived_rhs(self.pattern))
-
-    def match(self, xi):
-        """Positional placeholder bindings, or None; () means a literal match."""
-        return match_pattern(self.pattern, xi)
+        stars = self.pattern[:self.pattern.count("*")]
+        return tuple((RatFunc.from_laurent(c), stars + tail)
+                     for c, tail in _derived_rhs(self.pattern))
 
     def instantiate(self, bind):
         return [(RatFunc.from_laurent(c), p) for c, p in self.instantiate_laurent(bind)]
 
     def instantiate_laurent(self, bind):
-        """``instantiate`` with each coefficient as a shared Laurent dict (never mutate it)."""
-        return [(coeff, fill_pattern(tpl, bind)) for coeff, tpl in _derived_rhs(self.pattern)]
+        """``instantiate`` with each coefficient as a shared Laurent dict (never
+        mutate it); bind is one part >= 3 per "*" slot, else ``ValueError``."""
+        head = fill_pattern(self.pattern, bind)[:len(bind)]
+        return [(coeff, head + tail) for coeff, tail in _derived_rhs(self.pattern)]
 
 
 # The named rules of ranks 2-4 (ids from the source's corollaries 2.17, 2.19
@@ -229,36 +245,42 @@ _RHS = {}
 
 
 def _derived_rhs(sig):
-    """A signature's (shared Laurent coefficient, template) pairs, children in
-    ascending label order, derived on first use: a kept term (c, p) adds
-    -c alpha(A_p, A_p) c2 to each child's numerator, which is then divided
-    once by alpha(A_xi, A_xi); a remainder raises ``ArithmeticError`` naming
-    the signature, and its rule id once the signature has a rule."""
+    """A signature's (shared Laurent coefficient, tail) pairs, children in
+    ascending label order, derived on first use: a label xi of the signature
+    rewrites to xi[:k] + tail, k its number of "*" slots.  A kept term
+    (c, p) adds -c alpha(A_p, A_p) c2 to each child's numerator, which is then
+    divided once by alpha(A_xi, A_xi).  A kept term with as many trailing
+    zeros as xi raises ``RuntimeError``, and a remainder ``ArithmeticError``,
+    each naming the rule."""
     rhs = _RHS.get(sig)
     if rhs is not None:
         return rhs
     # The "*" parts lead, no promotion changes them, and they cancel in every
     # self-density ratio, so 3 stands for all of them.
-    stars = (3,) * sig.count("*")
-    xi = fill_pattern(sig, stars)
+    k = sig.count("*")
+    xi = fill_pattern(sig, (3,) * k)
+    s = trailing_zeros(xi)
     acc = {}
-    for c, p in theorem_terms(len(xi), trailing_zeros(xi), xi).laurent_terms:
+    for c, p in theorem_terms(len(xi), s, xi).laurent_terms:
         # terms of the other weight parity vanish wherever A_xi(B) can be nonzero
         if p == xi or (weight(p) - weight(xi)) % 2:
             continue
+        # the one check of rule (d): it ends this recursion, and the children,
+        # which end in a nonzero part, lower the engine's measure
+        if trailing_zeros(p) >= s:
+            raise RuntimeError(
+                f"non-decreasing step {match_rewrite(xi)[0].rule_id}: {xi} -> {p}")
         c = lau_mul(c, hironaka._self_density_laurent(p))
-        # p has fewer trailing zeros than xi, so this recursion ends
-        subs = _derived_rhs(_signature(p)) if p[-1] == 0 else (({0: 1}, _signature(p)),)
-        for c2, tpl in subs:
-            lau_iadd_scaled(acc.setdefault(fill_pattern(tpl, stars), {}), lau_mul(c, c2), scale=-1)
+        # p keeps xi's "*" parts, so its children do too, and a tail names a child
+        subs = _derived_rhs(_signature(p)) if p[-1] == 0 else (({0: 1}, p[k:]),)
+        for c2, tail in subs:
+            lau_iadd_scaled(acc.setdefault(tail, {}), lau_mul(c, c2), scale=-1)
     try:
-        rhs = tuple((hironaka._over_self_density(num, xi), _signature(p))
-                    for p, num in sorted(acc.items()) if num)
+        rhs = tuple((hironaka._over_self_density(num, xi), tail)
+                    for tail, num in sorted(acc.items()) if num)
     except ArithmeticError as exc:
-        rule = _RULES.get(sig)
-        named = f" {rule.rule_id}" if rule else ""
-        raise ArithmeticError(f"the rewrite rule{named} of signature {sig} leaves a "
-                              f"remainder: {exc}") from exc
+        raise ArithmeticError(f"the rewrite rule {match_rewrite(xi)[0].rule_id} of signature "
+                              f"{sig} leaves a remainder: {exc}") from exc
     # threads that derive one signature at once keep the first stored, an equal value
     return _RHS.setdefault(sig, rhs)
 
@@ -271,7 +293,7 @@ def match_rewrite(xi):
     rule = _RULES.get(sig)
     if rule is None:
         rule = _RULES.setdefault(sig, RewriteRule("derived:" + ",".join(map(str, sig)), sig))
-    return rule, rule.match(xi)
+    return rule, xi[:sig.count("*")]
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +404,11 @@ class ReductionEngine:
     ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is derived.  Stored
     values are never mutated, so one engine may be shared by threads.
 
-    Each engine expands a label's rule (d) once: ``_rewrite`` matches it,
-    fills it, checks the measure and caches (rule id, [(factor, child_xi)])
-    under xi.  Its children keep lam, so the check depends on xi alone.
-    Threads that fill one entry at once write equal entries.  The cache is
-    per engine, not per process, so a fresh engine sees the rules as they are
-    now.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one child,
-    factor 1, both taken from ``_unit_step``) in a loop, not by recursion, and
+    The engine holds only that memo.  Rule (d) reads the process-wide rule of
+    xi's signature, (Laurent factor, tail) pairs, and puts xi's leading "*"
+    parts before each tail; its measure was checked when the rule was
+    derived.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one
+    child, factor 1, both taken from ``_unit_step``) in a loop, not by recursion, and
     memoizes each node with the value at the chain's end, the same dict
     ``_combine`` would share.  It tests the zero leaves (``provable_zero``)
     once, after the memo misses at the chain's start: P2.15 lowers both
@@ -398,14 +418,13 @@ class ReductionEngine:
     steps, which lower it by construction: P2.15 lowers |lam| by n >= 1, and
     P2.14 meets only lam_n = 0, so xi_n = 0 past the support test
     (``_unit_step`` raises ``RuntimeError`` in O(1) otherwise).  The trace
-    pass tests the leaves at every node and measures every step in
+    pass tests the leaves at every node and measures every unit step in
     ``_expansion``.  Rule-(d) rewrites nested past the recursion limit raise
     ``RecursionError``: ``laurent_value`` takes a frame for each.
     """
 
     def __init__(self):
         self._memo = {}
-        self._rules = {}        # xi -> (rule_id, [(Laurent factor, child_xi)]) of rule (d)
 
     @staticmethod
     def _leaf(xi, lam):
@@ -432,30 +451,16 @@ class ReductionEngine:
 
     def _expansion(self, xi, lam):
         """One rewrite: (rule_id, [(Laurent factor, child_xi, child_lam)]); a
-        child that does not lower the measure raises ``RuntimeError``."""
+        unit step that does not lower the measure raises ``RuntimeError``."""
         step = self._unit_step(xi, lam)
         if step is None:
             # past the leaves (xi <= lam componentwise): xi_n = 0 < lam_n
-            rule_id, rewrites = self._rules.get(xi) or self._rewrite(xi, lam)
-            return rule_id, [(c, p, lam) for c, p in rewrites]
+            rule, head = match_rewrite(xi)
+            return rule.rule_id, [(c, head + tail, lam) for c, tail in _derived_rhs(rule.pattern)]
         rule_id, cxi, clam = step
         if not _measure(cxi, clam) < _measure(xi, lam):
             raise RuntimeError(f"non-decreasing step {rule_id}: {(xi, lam)} -> {(cxi, clam)}")
         return rule_id, [(_LAU_ONE, cxi, clam)]
-
-    def _rewrite(self, xi, lam):
-        """Rule (d) for xi, checked and cached: its children keep lam, so the
-        measure falls exactly when each child_xi has fewer trailing zeros, or
-        as many and fewer parts."""
-        rule, bind = match_rewrite(xi)
-        rewrites = rule.instantiate_laurent(bind)
-        here = (trailing_zeros(xi), len(xi))
-        for _, cxi in rewrites:
-            if not (trailing_zeros(cxi), len(cxi)) < here:
-                raise RuntimeError(
-                    f"non-decreasing step {rule.rule_id}: {(xi, lam)} -> {(cxi, lam)}")
-        entry = self._rules[xi] = (rule.rule_id, rewrites)
-        return entry
 
     def laurent_value(self, xi, lam):
         """The value alone as the memo's Laurent dict, which callers must never
@@ -472,10 +477,11 @@ class ReductionEngine:
         while len(xi) > 1:
             step = self._unit_step(xi, lam)
             if step is None:
-                rewrites = (self._rules.get(xi) or self._rewrite(xi, lam))[1]
+                sig = _signature(xi)
+                head = xi[:sig.count("*")]
                 terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
-                for factor, cxi in rewrites:
-                    terms.append((factor, self.laurent_value(cxi, lam)))
+                for factor, tail in _derived_rhs(sig):
+                    terms.append((factor, self.laurent_value(head + tail, lam)))
                 val = self._combine(xi, lam, terms)
                 break
             chain.append((xi, lam))

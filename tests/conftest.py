@@ -2,11 +2,29 @@
 
 import pytest
 
-from hermdens.partitions import match_pattern
 from hermdens.qalgebra import ONE, Q
 
+
+def match_pattern(pattern, parts):
+    """The parts bound by the "*" slots of pattern, in slot order, or None.
+
+    An int slot matches that part exactly and a "*" slot matches any part
+    >= 3; () means a literal match.  The library reads a rewrite rule by its
+    signature instead; this linear matcher is the tests' reference.
+    """
+    bind = []
+    for spec, x in zip(pattern, parts):
+        if spec == "*":
+            if x < 3:
+                return None
+            bind.append(x)
+        elif spec != x:
+            return None
+    return tuple(bind)
+
+
 # Each row is (shape, E, units):
-#   shape  -- a label pattern (``partitions.match_pattern``): an int matches
+#   shape  -- a label pattern (``match_pattern``): an int matches
 #             exactly, "*" matches any value >= 3;
 #   E      -- the power of q in front;
 #   units  -- signed exponents k encoding the unit factors

@@ -1,11 +1,13 @@
 """Direct density evaluation: fixtures, inner factors, normalization, self-densities."""
 
+import gc
 import itertools
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -23,7 +25,6 @@ from hermdens.hironaka import (
     _qbinomial_transform,
     _unpack,
     alpha,
-    default_engine,
     derived_density,
     I_j,
     normalized,
@@ -32,9 +33,7 @@ from hermdens.hironaka import (
 from hermdens.partitions import (
     conjugate,
     conjugate_part,
-    fill_pattern,
     lambda_ns_elements,
-    match_pattern,
     n_stat,
     partitions_fixed_length,
     partitions_in_box,
@@ -43,7 +42,9 @@ from hermdens.partitions import (
 )
 from hermdens.qalgebra import (
     ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul, neg_q_power)
-from hermdens.relations import ReductionEngine, theorem_terms, verify_relation
+from hermdens.relations import ReductionEngine, fill_pattern, theorem_terms, verify_relation
+
+from conftest import match_pattern
 
 
 def _unit(k):
@@ -763,8 +764,22 @@ def test_concurrent_alpha_calls_are_consistent():
         assert val == expected[case]
 
 
-def test_default_engine_is_shared():
-    assert default_engine() is default_engine()
+def test_module_functions_keep_no_memo():
+    # hermdens.alpha and hermdens.normalized build a fresh engine per call, so
+    # a call's memo and prefix trees go with it; the module-level caches it
+    # also fills are warmed first, so that only what the call keeps is counted
+    xi, lam = (0, 0), (160, 160)
+    HironakaEngine().normalized(xi, lam)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        normalized(xi, lam)
+        alpha(xi, lam)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** 20, kept
 
 
 # -- the engine's prefix trees of column states ----------------------------

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,6 @@ import pytest
 from hermdens.hironaka import HironakaEngine, _column_chain, self_density_closed
 from hermdens.partitions import (
     d_coefficients,
-    fill_pattern,
     lambda_ns_elements,
     partitions_fixed_length,
     trailing_zeros,
@@ -31,12 +31,15 @@ from hermdens.relations import (
     Relation,
     TraceChild,
     TraceStep,
+    fill_pattern,
     match_rewrite,
     theorem_terms,
     verify_relation,
     _LAU_ONE,
     _signature,
 )
+
+from conftest import match_pattern
 
 
 def test_theorem_terms_merges_rank2_s1():
@@ -414,7 +417,7 @@ def test_rewrite_rules_are_disjoint():
     for n in (2, 3, 4):
         for head in partitions_fixed_length(n - 1, 0, 5):
             xi = head + (0,)
-            hits = [r for r in REWRITE_RULES[n] if r.match(xi) is not None]
+            hits = [r for r in REWRITE_RULES[n] if match_pattern(r.pattern, xi) is not None]
             assert [r.rule_id for r in hits] == [match_rewrite(xi)[0].rule_id], xi
 
 
@@ -442,6 +445,21 @@ def test_rewrite_rule_instantiation_two_placeholders():
     assert bind == (5, 4)
     [(coeff, target)] = rule.instantiate(bind)
     assert target == (5, 4, 2) and coeff == Q ** 4
+
+
+def test_instantiate_takes_one_part_per_slot():
+    # a binding is one part >= 3 per "*" slot; any other is refused, naming
+    # both lengths, where a longer one used to lose its extra parts silently
+    rule = match_rewrite((3, 0))[0]
+    assert rule.instantiate((5,)) == [(Q ** 2, (5, 2))]
+    for bad in ((5, 6), ()):
+        for instantiate in (rule.instantiate, rule.instantiate_laurent):
+            with pytest.raises(ValueError, match=rf"has 1 '\*' slot\(s\), got {len(bad)} part"):
+                instantiate(bad)
+    with pytest.raises(ValueError, match=r"has 0 '\*' slot\(s\), got 1 part"):
+        REWRITE_RULES[2][0].instantiate((7,))
+    with pytest.raises(ValueError, match="part >= 3"):
+        rule.instantiate_laurent((2,))
 
 
 def test_corollary_identities_hold_through_direct_evaluation():
@@ -720,15 +738,51 @@ def test_non_laurent_coefficient_raises_without_asserts():
     assert proc.returncode == 0, proc.stderr
 
 
+_POISON_RELATION_2_0 = """
+import hermdens.relations as relations
+from hermdens.qalgebra import ONE
+
+def _poisoned():
+    # the relation of (2, 0) gains a term (4, 0), which keeps its trailing
+    # zero: rule C2.17.3 would rewrite (2, 0) to a label no lower
+    rel = relations.theorem_terms(2, 1, (2, 0))
+    return relations.Relation(terms=rel.terms + ((ONE, (4, 0)),), context=rel.context)
+"""
+
+
 def test_non_decreasing_rewrite_raises(monkeypatch):
-    # rule C2.17.3, (2, 0), rewritten to its own template: the child does not
-    # lower the measure, and both evaluation paths refuse it
+    # the derivation of rule C2.17.3 refuses the poisoned relation, so both
+    # evaluation paths raise, naming the rule and the step
     import hermdens.relations as relations
-    monkeypatch.setitem(relations._RHS, (2, 0), (({0: 1}, (2, 0)),))
-    with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
+    scope = {}
+    exec(_POISON_RELATION_2_0, scope)
+    monkeypatch.setattr(relations, "_RHS", {})
+    monkeypatch.setitem(relations._RELATIONS, (2, 1, (2, 0)), scope["_poisoned"]())
+    message = re.escape("non-decreasing step C2.17.3: (2, 0) -> (4, 0)")
+    with pytest.raises(RuntimeError, match=message):
         ReductionEngine().normalized_value((2, 0), (3, 1))
-    with pytest.raises(RuntimeError, match="non-decreasing step C2.17.3"):
+    with pytest.raises(RuntimeError, match=message):
         ReductionEngine().reduce_normalized((3, 1), (4, 2))
+    assert (2, 0) not in relations._RHS
+
+
+def test_non_decreasing_rewrite_raises_without_asserts():
+    # the same check in an interpreter that strips assert statements
+    script = _POISON_RELATION_2_0 + "\n".join((
+        "import sys",
+        "assert False, 'assert statements are on'",
+        "relations._RHS.clear()",
+        "relations._RELATIONS[2, 1, (2, 0)] = _poisoned()",
+        "try:",
+        "    relations.ReductionEngine().normalized_value((2, 0), (3, 1))",
+        "except RuntimeError as exc:",
+        "    sys.exit(0 if 'non-decreasing step C2.17.3: (2, 0) -> (4, 0)' in str(exc) else 2)",
+        "sys.exit(1)",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_long_rewrite_chain_fits_the_recursion_limit():
@@ -836,29 +890,15 @@ def test_unit_step_refuses_a_support_zero_drop():
     assert ReductionEngine._unit_step((2, 0), (3, 1)) is None
 
 
-def test_rule_d_expands_each_label_once(monkeypatch):
-    # an engine matches and fills the rewrite rule of a label once, whatever
-    # lam it meets the label with; a fresh engine does it again
-    import hermdens.relations as relations
-    matched = []
-
-    def counting(xi):
-        matched.append(xi)
-        return match_rewrite(xi)
-
-    monkeypatch.setattr(relations, "match_rewrite", counting)
-    rng = random.Random(16)
-    cases = []
-    for _ in range(80):
-        n = rng.randint(2, 5)
-        lam = tuple(sorted((rng.randint(1, 6) for _ in range(n)), reverse=True))
-        cases.append((tuple(sorted((rng.randint(0, l) for l in lam), reverse=True)), lam))
+def test_engine_holds_only_its_memo():
+    # rule (d) reads the process-wide rules by signature, so an engine keeps
+    # nothing per label besides its memo of values
     eng, heng = ReductionEngine(), HironakaEngine()
-    for xi, lam in cases:
-        assert eng.normalized_value(xi, lam) == heng.normalized(xi, lam), (xi, lam)
-    assert len(matched) == len(set(matched)) >= 30
-    ReductionEngine().normalized_value(*cases[0])
-    assert len(matched) > len(set(matched))
+    for xi, lam in (((3, 1, 0), (4, 2, 2)), ((5, 2, 0, 0), (6, 3, 1, 1))):
+        val, trace = eng.reduce_normalized(xi, lam)
+        assert trace.rule_ids()[0].startswith("C2.")
+        assert val == trace.replay() == heng.normalized(xi, lam), (xi, lam)
+    assert list(vars(eng)) == ["_memo"]
 
 
 def test_engine_memo_is_never_mutated():
