@@ -48,6 +48,11 @@ COMMANDS = [
     # about 3,000 nested rule-(d) rewrites, past the default recursion limit: a
     # usage error (exit 2) with nothing on stdout, not a failed check
     "normalized 0,0 3000,3000",
+    # the widest chains: a rank-8 alpha, the direct engine at a large rank-2
+    # label, and a derived density with a long first column
+    "alpha 0,0,0,0,0,0,0,0 20,18,16,14,12,10,8,6",
+    "normalized 0,0 300,300 --engine direct",
+    "derivative 31,2,1,1",
 ]
 
 
