@@ -30,7 +30,11 @@ Each partial sum is a Laurent polynomial in t = (-q)^-1 held as one integer
 (Kronecker substitution): t^(-s) P(t) is the pair (P(2^B), s), so a shifted
 addition is one big-integer shift and add, and the twists only add to s.
 The width B is proven from lam alone (``_coefficient_bound``) to hold every
-coefficient of the result, and the height sum is unpacked once, at the end,
+coefficient of the result: it is the exact l1 sum sum_mu prod_j ||I_j||_1
+of the summands, run as the same column recursion over nonnegative
+integers, and cached per label with the conjugate columns (``_frame``).
+Only the result must fit, since evaluation at 2^B is a ring map and every
+right shift divides exactly.  The height sum is unpacked once, at the end,
 into a Laurent dict.  The packed form never leaves the kernel.
 
 ``derived_density`` also takes the |mu|-weighted twin of the sum, in the
@@ -59,10 +63,11 @@ A_xi cannot represent A_lam).  ``self_density_closed`` gives alpha(A_xi, A_xi)
 in closed form, q^e prod_k (1 - (-q)^-k), for every label; ``laurent_value``
 divides both direct alphas by those factors with additions only and no gcd
 (``_over_self_density``), and the direct self-density must give exactly 1,
-so the two stay independent.
+so the two stay independent; an engine checks this once per xi.
 
 Concurrency: computations are pure and no stored value (no memo dict, no
-tree state) is ever mutated, and the tree's nodes only grow by ``setdefault``;
+tree state) is ever mutated, the tree's nodes only grow by ``setdefault``
+and the checked self-densities by ``add``;
 the caches may be shared across threads (concurrent calls return identical
 values) or confined to one engine instance per thread.
 """
@@ -71,6 +76,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .partitions import (
     check_pair, check_partition, conjugate, conjugate_part, provable_zero, tilde, weight)
@@ -151,34 +157,46 @@ def _paired_transform(terms, width):
 
 @lru_cache(maxsize=None)
 def _column_norm(l1, l2):
-    """The largest row sum max_c sum_c2 ||I(l1, l2, c, c2)||_1 of one column.
+    """The matrix N[c][c2] = ||I(l1, l2, c, c2)||_1 of one column, c = 0..l1
+    and c2 = 0..l2, as nested tuples.
 
     In t = (-q)^-1 every coefficient of I = sum_i t^(-e_i) [l2-c2; l2-i]
     [l1-i; l1-c] is nonnegative, and [u; v] at t = 1 is C(u, v), so
-    ||I||_1 = sum_i C(l2-c2, l2-i) C(l1-i, l1-c).
+    ||I||_1 = sum_i C(l2-c2, l2-i) C(l1-i, l1-c), i = c2..min(l2, c); it is 0
+    for c2 > c, as I is.
     """
-    return max(sum(comb(l2 - c2, l2 - i) * comb(l1 - i, l1 - c)
-                   for c2 in range(l2 + 1) for i in range(c2, min(l2, c) + 1))
-               for c in range(l1 + 1))
+    return tuple(tuple(sum(comb(l2 - c2, l2 - i) * comb(l1 - i, l1 - c)
+                           for i in range(c2, min(l2, c) + 1))
+                       for c2 in range(l2 + 1))
+                 for c in range(l1 + 1))
 
 
 def _coefficient_bound(lam, twin):
-    """A bound on every coefficient of ``_column_chain(xi, lam, twin)``, for any xi.
+    """A bound on every coefficient of ``_column_chain(xi, lam, twin)``, for any
+    xi: the l1 norm sum_mu prod_j ||I_j||_1 of the summands, and with ``twin``
+    the same sum weighted by |mu|.
 
     In t every factor of a summand is a monomial of l1 norm 1 or some
-    I_j(c_j, c_{j+1}), so the l1 norm of the sum is at most sum_mu
-    prod_j ||I_j||_1 = sum_c w_1[c], where w_j[c] = sum_c2 ||I_j(c, c2)||_1
-    w_{j+1}[c2] sums the norms of the factors of columns >= j, from w = 1 at
-    height 0 above the last column.  Then w_j[c] <= R_j max_c2 w_{j+1}[c2],
-    R_j the largest row sum of column j (``_column_norm``), and column 1 has
-    n + 1 heights: the bound is (n + 1) prod_j R_j.  The twin weighs each
-    summand by |mu| <= |lam| + n.
+    I_j(c_j, c_{j+1}), and the l1 norm is submultiplicative, so the l1 norm of
+    the sum, and so each of its coefficients, is at most sum_mu
+    prod_j ||I_j||_1.  The column recursion sums this exactly:
+    w_j[c] = sum_c2 N_j[c][c2] w_{j+1}[c2] (``_column_norm``) sums the norms of
+    the factors of columns >= j over c_j = c >= c_{j+1} >= ..., from w = [1]
+    at height 0 above the last column, and the sum is sum_c w_1[c].  The twin
+    lane runs the same recursion and adds c w_j[c] at height c, as the chain's
+    twin adds c p, so it sums the norms weighted by |mu| = c_1 + c_2 + ...
+    Only the result's coefficients need the bound: evaluation at 2^B is a ring
+    map and every right shift of the chain divides exactly, so the packed
+    intermediate sums are exact at any width B.
     """
     cols = conjugate(tilde(lam)) + (0,)
-    bound = len(lam) + 1
-    for l1, l2 in zip(cols, cols[1:]):
-        bound *= _column_norm(l1, l2)
-    return bound * (weight(lam) + len(lam)) if twin else bound
+    w, wt = [1], [0]
+    for j in range(len(cols) - 2, -1, -1):
+        norm = _column_norm(cols[j], cols[j + 1])
+        w = [sum(map(mul, row, w)) for row in norm]
+        if twin:
+            wt = [sum(map(mul, row, wt)) + c * w[c] for c, row in enumerate(norm)]
+    return sum(wt) if twin else sum(w)
 
 
 def _unpack(p, s, width):
@@ -203,9 +221,18 @@ def _unpack(p, s, width):
     return out
 
 
+@lru_cache(maxsize=4096)
 def _frame(lam, twin):
     """What the chain reads of lam alone: (lam+1)'_j indexed from j = 1 and
-    padded with zeros, and the packing width ``_coefficient_bound`` proves."""
+    padded with zeros, and the packing width ``_coefficient_bound`` proves.
+
+    Cached per label: engines are often built per call, and on a small alpha
+    the bound costs more than its narrower width saves.  The cache keeps the
+    most recent labels, so a long sweep does not grow it without limit.  The
+    width leaves a spare bit, so the twin's width also holds the value lane:
+    only mu = 0 has |mu| = 0, and its summand is 1, so the value's l1 sum is
+    at most the twin's plus 1.
+    """
     return (0,) + conjugate(tilde(lam)) + (0,), _coefficient_bound(lam, twin).bit_length() + 2
 
 
@@ -289,20 +316,22 @@ def _column_chain(xi, lam, twin, root=None):
 class HironakaEngine:
     """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization.
 
-    The engine holds what ``alpha`` reads and nothing else: the alpha memo on
-    (xi, lam) and one prefix tree of ``_column_chain`` states per
-    (lam, len(xi)) (see there).  Alphas whose xi' agree on the columns
-    j..lam_1+1 share the state after column j, so a sweep of many xi against
-    one lam runs each distinct column once.  The tree holds at most lam_1
-    states per memoized alpha.  Nodes only grow, by ``setdefault``, and a
-    stored state is never mutated, so an engine may be shared across threads:
-    two threads that race on one state compute equal values, and both go on
-    with the one that was stored first.
+    The engine holds the alpha memo on (xi, lam), one prefix tree of
+    ``_column_chain`` states per (lam, len(xi)) (see there), and the set of
+    labels xi whose direct self-density ``laurent_value`` has checked.
+    Alphas whose xi' agree on the columns j..lam_1+1 share the state after
+    column j, so a sweep of many xi against one lam runs each distinct column
+    once.  The tree holds at most lam_1 states per memoized alpha.  Nodes and
+    the checked set only grow, by ``setdefault`` and ``add``, and a stored
+    state is never mutated, so an engine may be shared across threads: two
+    threads that race on one state compute equal values, and both go on with
+    the one that was stored first.
     """
 
     def __init__(self):
         self._alpha = {}
         self._prefix = {}
+        self._checked = set()
 
     def laurent_alpha(self, xi, lam):
         """alpha(A_xi, A_lam) as the memo's Laurent dict, which callers must
@@ -329,11 +358,15 @@ class HironakaEngine:
 
     def laurent_value(self, xi, lam):
         """``normalized`` as a new Laurent dict, for checked labels; a closed
-        self-density that the direct one disputes raises ArithmeticError."""
+        self-density that the direct one disputes raises ArithmeticError.  The
+        check runs once per xi and engine: xi joins the checked set only after
+        it passes."""
         if provable_zero(xi, lam) is not None:
             return {}
-        if _over_self_density(self.laurent_alpha(xi, xi), xi) != {0: 1}:
-            raise ArithmeticError(f"the direct self-density of {xi} is not its closed form")
+        if xi not in self._checked:
+            if _over_self_density(self.laurent_alpha(xi, xi), xi) != {0: 1}:
+                raise ArithmeticError(f"the direct self-density of {xi} is not its closed form")
+            self._checked.add(xi)
         return _over_self_density(self.laurent_alpha(xi, lam), xi)
 
 

@@ -210,8 +210,11 @@ class RewriteRule:
 
     def instantiate_laurent(self, bind):
         """``instantiate`` with each coefficient as a shared Laurent dict (never
-        mutate it); bind is one part >= 3 per "*" slot, else ``ValueError``."""
+        mutate it); bind is one part >= 3 per "*" slot, non-increasing, else
+        ``ValueError``."""
         head = fill_pattern(self.pattern, bind)[:len(bind)]
+        if any(x < y for x, y in zip(head, head[1:])):
+            raise ValueError(f"a '*' binding must be non-increasing, got {head}")
         return [(coeff, head + tail) for coeff, tail in _derived_rhs(self.pattern)]
 
 

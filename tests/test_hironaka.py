@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from hermdens.partitions import (
     n_stat,
     partitions_fixed_length,
     partitions_in_box,
+    provable_zero,
     tilde,
     weight,
 )
@@ -248,6 +250,66 @@ def test_coefficient_bound_holds():
         assert _coefficient_bound(lam, False) >= norms[0], lam
         assert _coefficient_bound(lam, True) >= norms[1], lam
         boxed += 1
+
+
+def _relaxed_bound_reference(lam, twin):
+    # the width bound before the exact l1 sum: w_j[c] <= R_j max_c2 w_{j+1}[c2],
+    # R_j the largest row sum of column j, over n + 1 heights of column 1,
+    # and a twin weight |mu| <= |lam| + n
+    cols = conjugate(tilde(lam)) + (0,)
+    bound = len(lam) + 1
+    for l1, l2 in zip(cols, cols[1:]):
+        bound *= max(sum(comb(l2 - c2, l2 - i) * comb(l1 - i, l1 - c)
+                         for c2 in range(l2 + 1) for i in range(c2, min(l2, c) + 1))
+                     for c in range(l1 + 1))
+    return bound * (weight(lam) + len(lam)) if twin else bound
+
+
+def test_coefficient_bound_is_the_exact_l1_sum():
+    # on the seeded boxes of test_coefficient_bound_holds the bound is the
+    # sum over mu of the norms of the summands, and the |mu|-weighted twin of
+    # it, exactly; it is never above the relaxed bound
+    rng = random.Random(1919)
+    boxed = 0
+    while boxed < 40:
+        n = rng.randint(1, 5)
+        lam = _random_label(rng, n, 8)
+        lt = tilde(lam)
+        box = list(itertools.islice(partitions_in_box(lt), 5001))
+        if len(box) > 5000:
+            continue
+        norms = [0, 0]
+        for mu in box:
+            norm = 1
+            for j in range(1, lam[0] + 2):
+                inner = hironaka._inner_laurent(conjugate_part(lt, j), conjugate_part(lt, j + 1),
+                                                conjugate_part(mu, j), conjugate_part(mu, j + 1))
+                norm *= sum(abs(c) for c in inner.values())
+            norms[0] += norm
+            norms[1] += weight(mu) * norm
+        for twin in (False, True):
+            assert _coefficient_bound(lam, twin) == norms[twin], (lam, twin)
+        boxed += 1
+    for _, lam in _chain_labels():
+        for twin in (False, True):
+            assert _coefficient_bound(lam, twin) <= _relaxed_bound_reference(lam, twin), lam
+
+
+def test_chain_at_the_exact_width_equals_the_chain_at_the_relaxed_width():
+    # both lanes of the twin share the twin's width, so the value lane is
+    # checked there too
+    rng = random.Random(2929)
+    lams = [(60, 25, 13, 7), (20, 18, 16, 14, 12, 10, 8, 6)]
+    lams += [_random_label(rng, n, rng.choice((4, 12))) for n in range(1, 9) for _ in range(4)]
+    for lam in lams:
+        n = len(lam)
+        for xi in ((0,) * n, _random_label(rng, n + rng.randint(0, 2), lam[0] + 2)):
+            for twin in (False, True):
+                cols, width = _frame(lam, twin)
+                relaxed = _relaxed_bound_reference(lam, twin).bit_length() + 2
+                assert width <= relaxed, lam
+                assert (_column_chain(xi, lam, twin)
+                        == _column_chain(xi, lam, twin, (cols, relaxed, None))), (xi, lam, twin)
 
 
 def _pack(d, s, width):
@@ -648,6 +710,62 @@ def test_normalized_refuses_a_disputed_closed_form_without_asserts():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_engine_checks_each_self_density_once(monkeypatch):
+    # the check divides alpha(xi, xi) by the closed factors; a shared engine
+    # does so once per distinct xi, and the value once per call
+    calls = []
+    real = hironaka._over_self_density
+    monkeypatch.setattr(hironaka, "_over_self_density",
+                        lambda d, xi: calls.append(xi) or real(d, xi))
+    pairs = [(xi, lam) for xi, lam in _normalized_pairs(random.Random(2403), 200)
+             if provable_zero(xi, lam) is None]
+    pairs += pairs[:50]
+    eng = HironakaEngine()
+    for xi, lam in pairs:
+        eng.laurent_value(xi, lam)
+    distinct = {xi for xi, _ in pairs}
+    assert len(calls) == len(pairs) + len(distinct) < 2 * len(pairs)
+    # a check that fails leaves xi unchecked, so the engine refuses it again
+    monkeypatch.setattr(hironaka, "_self_density_factors",
+                        _disagreeing_factors(hironaka._self_density_factors))
+    eng = HironakaEngine()
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="closed form"):
+            eng.laurent_value((2, 0), (4, 2))
+
+
+def test_concurrent_normalized_checks_every_self_density():
+    pairs = _normalized_pairs(random.Random(2404), 80)
+    eng = HironakaEngine()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda pair: (pair, eng.laurent_value(*pair)), pairs * 3,
+                                    timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (xi, lam), val in results:
+        assert val == HironakaEngine().laurent_value(xi, lam), (xi, lam)
+    assert eng._checked == {xi for xi, lam in pairs if provable_zero(xi, lam) is None}
+
+
+def test_direct_engine_values_a_large_label_in_little_memory():
+    # the chain's packed states are as wide as the proven width, so a loose
+    # bound costs memory as well as time: 45 MiB here at the relaxed width
+    xi, lam = (0, 0), (300, 300)
+    HironakaEngine().normalized((0, 0), (2, 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        val = HironakaEngine().normalized(xi, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert val == ReductionEngine().normalized_value(xi, lam)
 
 
 def test_normalized_takes_no_polynomial_gcd(monkeypatch):

@@ -462,6 +462,17 @@ def test_instantiate_takes_one_part_per_slot():
         rule.instantiate_laurent((2,))
 
 
+def test_instantiate_refuses_a_binding_out_of_order():
+    # the bound label is a partition: (3, 5) used to give the child (3, 5, 2)
+    rule, bind = match_rewrite((5, 4, 0))
+    for fill in (bind, (4, 4)):
+        for _, child in rule.instantiate(fill):
+            assert list(child) == sorted(child, reverse=True), (fill, child)
+    for instantiate in (rule.instantiate, rule.instantiate_laurent):
+        with pytest.raises(ValueError, match=r"non-increasing, got \(3, 5\)"):
+            instantiate((3, 5))
+
+
 def test_corollary_identities_hold_through_direct_evaluation():
     eng = HironakaEngine()
     rng = random.Random(31)
