@@ -7,7 +7,8 @@ sweeps, and the counting oracle.
 
 Exit codes: 0 success / all verified, 1 verification failure (nonzero
 residual or mismatch), 2 usage error or an input whose reduction nests past
-the recursion limit, 3 budget failure.
+the recursion limit, 3 budget failure, 141 stdout closed by its reader (a
+shell's code for a tool that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -371,7 +373,14 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # devnull stands in for the reader, so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,21 +29,21 @@ products, where the box of mu has up to prod_i (lam_i + 2) members.
 Each partial sum is a Laurent polynomial in t = (-q)^-1 held as one integer
 (Kronecker substitution): t^(-s) P(t) is the pair (P(2^B), s), so a shifted
 addition is one big-integer shift and add, and the twists only add to s.
-The width B is proven from lam alone (``_coefficient_bound``) to hold every
-coefficient of the result: it is the exact l1 sum sum_mu prod_j ||I_j||_1
-of the summands, run as the same column recursion over nonnegative
-integers, and cached per label with the conjugate columns (``_frame``).
+The width B is the narrowest whose balanced digits hold a bound proven from
+lam alone (``_coefficient_bound``) on every coefficient of the result: the
+exact l1 sum sum_mu prod_j ||I_j||_1 of the summands, run as the same column
+recursion over nonnegative integers.  Only ``_frame`` caches it, per label.
 Only the result must fit, since evaluation at 2^B is a ring map and every
 right shift divides exactly.  The height sum is unpacked once, at the end,
 into a Laurent dict.  The packed form never leaves the kernel.
 
-``derived_density`` also takes the |mu|-weighted twin of the sum, in the
-same kernel: each entry then holds the value and the twin as two packed
-integers in one frame, and one Horner loop (``_paired_transform``) steps
-both, so a column costs two transforms, not four, and the twin update is one
-multiply-add.  ``alpha`` keeps the single-lane transform: run through the
-paired one with a zero twin, a seed-1 ``alpha-direct`` benchmark pass took
-10-24% longer (min of 15 passes, Python 3.11, a noisy 2-CPU host).
+``derived_density`` takes the |mu|-weighted twin of the sum, in the same
+kernel: each entry then holds the value and the twin as two packed integers
+in one frame, one Horner loop (``_paired_transform``) steps both, and only
+the twin is unpacked.  So a column costs two transforms, not four, and the
+twin update is one multiply-add.  ``alpha`` keeps the single-lane transform:
+run through the paired one with a zero twin, a seed-1 ``alpha-direct`` pass
+took 10-24% longer (min of 15 passes, Python 3.11, a noisy 2-CPU host).
 
 ``HironakaEngine`` memoizes alpha on (xi, lam) keys as ``_column_chain``'s
 Laurent dict (densities lie in ZZ[q, q^-1]), which ``laurent_alpha`` returns
@@ -51,8 +51,8 @@ itself; ``alpha`` checks its labels and builds a ``RatFunc`` from it.  The
 module function ``I_j`` builds one inner factor from a cache of its own,
 keyed on the four conjugate values, for readers and as the tests' reference.
 Column j reads xi only through m = len(xi) and xi'_j, so the engine also
-keeps the packed chain states in one prefix tree per (lam, m), keyed on
-xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs only the
+keeps the packed chain states in one prefix tree per (lam, m), a dict keyed
+on xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs only the
 columns below the deepest state it shares with an earlier one.  On a seed-1
 ``relation-sweep`` benchmark pass the 1,558 alphas run 2,527 columns instead
 of 6,740.  ``derived_density`` asks one chain per label and keeps no tree.
@@ -229,16 +229,15 @@ def _frame(lam, twin):
     Cached per label: engines are often built per call, and on a small alpha
     the bound costs more than its narrower width saves.  The cache keeps the
     most recent labels, so a long sweep does not grow it without limit.  The
-    width leaves a spare bit, so the twin's width also holds the value lane:
-    only mu = 0 has |mu| = 0, and its summand is 1, so the value's l1 sum is
-    at most the twin's plus 1.
+    width is the narrowest whose balanced digits hold every coefficient the
+    bound allows.
     """
-    return (0,) + conjugate(tilde(lam)) + (0,), _coefficient_bound(lam, twin).bit_length() + 2
+    return (0,) + conjugate(tilde(lam)) + (0,), _coefficient_bound(lam, twin).bit_length() + 1
 
 
-def _column_chain(xi, lam, twin, root=None):
-    """Hironaka's sum for alpha(A_xi, A_lam), and with ``twin`` the same sum
-    with each summand weighted by |mu| (else None), as Laurent dicts.
+def _column_chain(xi, lam, twin, node=None):
+    """Hironaka's sum for alpha(A_xi, A_lam), or with ``twin`` the same sum
+    with each summand weighted by |mu|, as a Laurent dict.
 
     mu <= lam + 1 exactly when c_j = mu'_j <= (lam+1)'_j for j = 1..lam_1 + 1,
     and c_{lam_1+2} = 0.  The summand is a product over j of
@@ -246,31 +245,32 @@ def _column_chain(xi, lam, twin, root=None):
     I_j(c_j, c_{j+1}), so it is summed from the last column down: after
     column j, chain[c] sums the factors of columns >= j over all
     c_j = c >= c_{j+1} >= ...  Entries are packed as in _qbinomial_transform,
-    at the one width that ``_coefficient_bound`` proves wide enough for the
-    result; the packed form is exact throughout, and only the final height
-    sum is unpacked.
+    at the one width that ``_frame`` proves wide enough for the result; the
+    packed form is exact throughout, and only the final height sum is
+    unpacked.
 
-    With ``twin`` each entry is a triple (p, pt, s): the sum and its twin, the
-    same sum weighted by c_j + c_{j+1} + ..., in one frame s.  Every map of a
-    column is linear, so the twin takes the value's path: ``_paired_transform``
-    steps both lanes in one Horner loop, a twist moves the shared frame once,
-    and column j adds c_j = c to the weight at height c as
-    pt + c p, exactly, with no alignment.  Without ``twin`` entries stay pairs
-    (p, s) through the single-lane transform, which alpha runs faster than the
-    paired one (see the module docstring).
+    With ``twin`` each entry is a triple (p, pt, s): the sum and its twin,
+    the same sum weighted by c_j + c_{j+1} + ..., in one frame s.  Every map
+    of a column is linear, so the twin takes the value's path:
+    ``_paired_transform`` steps both lanes in one Horner loop, a twist moves
+    the shared frame once, and column j adds c_j = c to the weight at height
+    c as pt + c p, exactly, with no alignment; only the twin is unpacked.
+    Without ``twin`` entries stay pairs (p, s) through the single-lane
+    transform, which alpha runs faster than the paired one (see the module
+    docstring).
 
-    ``root`` is None, or the root (cols, width, node) of a ``HironakaEngine``
-    prefix tree for (lam, m), holding ``_frame(lam, False)``.  Column j reads
-    xi only through xi'_j, so the state after column j is fixed by
-    (lam, m, xi'_{lam_1+1}, ..., xi'_j): a node maps xi'_j to that state and
-    the node of column j - 1.  The loop takes every state it finds and fills
-    the rest in with ``setdefault``, down to column 2.  The state after
-    column 1 is never stored: it is fixed by all of xi' that the chain reads,
-    so an alpha that reaches it again is a memo hit unless its xi differs
-    only in parts above lam_1 + 1.  Stored states are never mutated.
+    ``node`` is None, or the root node of a ``HironakaEngine`` prefix tree
+    for (lam, m).  Column j reads xi only through xi'_j, so the state after
+    column j is fixed by (lam, m, xi'_{lam_1+1}, ..., xi'_j): a node maps
+    xi'_j to that state and the node of column j - 1.  The loop takes every
+    state it finds and fills the rest in with ``setdefault``, down to column
+    2.  The state after column 1 is never stored: it is fixed by all of xi'
+    that the chain reads, so an alpha that reaches it again is a memo hit
+    unless its xi differs only in parts above lam_1 + 1.  Stored states are
+    never mutated.
     """
     m, n = len(xi), len(lam)
-    cols, width, node = _frame(lam, twin) + (None,) if root is None else root
+    cols, width = _frame(lam, twin)
     xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
     transform = _paired_transform if twin else _qbinomial_transform
     chain = [(1, 0, 0)] if twin else [(1, 0)]
@@ -308,9 +308,8 @@ def _column_chain(xi, lam, twin, root=None):
             node = node.setdefault(xi_cols[j], (chain, {}))[1]
     terms = [term for term in chain if term is not None]
     top = max((term[-1] for term in terms), default=0)
-    sums = [_unpack(sum(term[k] << (top - term[-1]) * width for term in terms), top, width)
-            for k in range(2 if twin else 1)]
-    return sums[0], sums[1] if twin else None
+    lane = 1 if twin else 0
+    return _unpack(sum(term[lane] << (top - term[-1]) * width for term in terms), top, width)
 
 
 class HironakaEngine:
@@ -338,10 +337,8 @@ class HironakaEngine:
         never mutate; the labels are not validated (callers check them)."""
         val = self._alpha.get((xi, lam))
         if val is None:
-            root = self._prefix.get((lam, len(xi)))
-            if root is None:
-                root = self._prefix.setdefault((lam, len(xi)), _frame(lam, False) + ({},))
-            val = self._alpha[xi, lam] = _column_chain(xi, lam, False, root)[0]
+            root = self._prefix.setdefault((lam, len(xi)), {})
+            val = self._alpha[xi, lam] = _column_chain(xi, lam, False, root)
         return val
 
     def alpha(self, xi, lam):
@@ -483,5 +480,5 @@ def _derived_laurent(lam):
     lam = check_partition(lam)
     if weight(lam) % 2 == 0:
         raise ValueError(f"need an odd weight, got {lam} of weight {weight(lam)}")
-    twin = _over_self_density(_column_chain((0,) * len(lam), lam, True)[1], (0,) * len(lam))
+    twin = _over_self_density(_column_chain((0,) * len(lam), lam, True), (0,) * len(lam))
     return {e: -c for e, c in twin.items()}

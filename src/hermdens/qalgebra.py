@@ -578,12 +578,11 @@ def neg_q_power(e):
     return RatFunc.from_laurent({e: -1 if e % 2 else 1})
 
 
-@lru_cache(maxsize=None)
 def gauss_binomial(u, v):
     """The q-binomial [u; v]; requires u >= v >= 0.
 
-    Always expressible as a polynomial in (-q)^{-1}; in particular
-    [u; 0] = [u; u] = 1 for every u.
+    A polynomial in (-q)^{-1}, with [u; 0] = [u; u] = 1 for every u; its
+    Laurent dict is cached once, by ``gauss_laurent``.
     """
     return RatFunc.from_laurent(gauss_laurent(u, v))
 

@@ -38,9 +38,10 @@ the direct formula.  The rewrite loop:
       coefficient and no gcd.  Promotions fill only the zero tail with 1s and
       2s, so every child of xi is xi's leading "*" parts followed by a tail
       that the signature fixes: a rule is derived once per process, as
-      (Laurent coefficient, tail) pairs by signature.  Ranks 2-4 carry the
-      ids "C2.17.*", "C2.19.*", "C2.20.*" of ``REWRITE_RULES``, larger ranks
-      ids "derived:<signature>".
+      (Laurent coefficient, tail) pairs by signature, and that store is the
+      rule's one table.  Ranks 2-4 carry the ids "C2.17.*", "C2.19.*",
+      "C2.20.*" of ``REWRITE_RULES``, larger ranks ids "derived:<signature>",
+      whose ``RewriteRule`` is built when ``match_rewrite`` is asked for it.
 
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
@@ -241,8 +242,7 @@ REWRITE_RULES = {n: tuple(RewriteRule(rid, pat) for rid, pat in rows)
                  for n, rows in _NAMED_RULES.items()}
 
 # Process-wide, because callers build a fresh ReductionEngine per computation:
-# rules by signature (named ones first, derived ids added on demand) and
-# right-hand sides by signature, each derived once.
+# the named rules, and the right-hand sides (each derived once), by signature.
 _RULES = {rule.pattern: rule for rules in REWRITE_RULES.values() for rule in rules}
 _RHS = {}
 
@@ -293,9 +293,7 @@ def match_rewrite(xi):
     if not xi or xi[-1] != 0:
         return None
     sig = _signature(xi)
-    rule = _RULES.get(sig)
-    if rule is None:
-        rule = _RULES.setdefault(sig, RewriteRule("derived:" + ",".join(map(str, sig)), sig))
+    rule = _RULES.get(sig) or RewriteRule("derived:" + ",".join(map(str, sig)), sig)
     return rule, xi[:sig.count("*")]
 
 
@@ -393,37 +391,38 @@ _LAU_ONE = {0: 1}
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
-    ``laurent_value`` is the one evaluator: the memo, then a leaf, then a
-    chain of unit steps to one rule-(d) rewrite whose children it values and
-    sums (``_combine``).  Every value is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1],
-    and so is every rule coefficient, derived once in that form.  The
-    geometry sums, which build their own labels, call it directly: it skips
-    label validation and returns the memo's dict itself.  ``normalized_value``
-    and ``reduce_normalized`` return a ``RatFunc``; the latter's trace pass
-    records each label's rewrite once, with no arithmetic, and reads the
-    values off the memo.  The leaves are constants ("parity-zero" and
-    "support-zero" are 0, "base-n1" is 1) and cost O(n) to recompute, so
-    only rewritten values are memoized.  A rule coefficient outside
-    ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is derived.  Stored
-    values are never mutated, so one engine may be shared by threads.
+    ``laurent_value`` is the one evaluator and the one memo writer: the memo,
+    then a leaf, then a chain of unit steps to one rule-(d) rewrite whose
+    children it values and sums with ``lau_dot``.  Every value is a Laurent
+    dict {exponent: coefficient} in ZZ[q, q^-1], and so is every rule
+    coefficient, derived once in that form.  The geometry sums, which build
+    their own labels, call it directly: it skips label validation and returns
+    the memo's dict itself.  ``normalized_value`` and ``reduce_normalized``
+    return a ``RatFunc``; the latter's trace pass records each label's rewrite
+    once, with no arithmetic, and reads the values off the memo.  The leaves
+    are constants ("parity-zero" and "support-zero" are 0, "base-n1" is 1) and
+    cost O(n) to recompute, so only rewritten values are memoized.  A rule
+    coefficient outside ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is
+    derived.  Stored values are never mutated, so one engine may be shared by
+    threads.
 
     The engine holds only that memo.  Rule (d) reads the process-wide rule of
     xi's signature, (Laurent factor, tail) pairs, and puts xi's leading "*"
     parts before each tail; its measure was checked when the rule was
     derived.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one
-    child, factor 1, both taken from ``_unit_step``) in a loop, not by recursion, and
-    memoizes each node with the value at the chain's end, the same dict
-    ``_combine`` would share.  It tests the zero leaves (``provable_zero``)
-    once, after the memo misses at the chain's start: P2.15 lowers both
-    weights by n and keeps xi_i <= lam_i, and P2.14 drops a trailing (0, 0),
-    so no later node of the chain is a zero leaf.  Along the chain it checks
-    only the rank-1 leaf and the memo.  Nor does it check the measure on unit
-    steps, which lower it by construction: P2.15 lowers |lam| by n >= 1, and
-    P2.14 meets only lam_n = 0, so xi_n = 0 past the support test
-    (``_unit_step`` raises ``RuntimeError`` in O(1) otherwise).  The trace
-    pass tests the leaves at every node and measures every unit step in
-    ``_expansion``.  Rule-(d) rewrites nested past the recursion limit raise
-    ``RecursionError``: ``laurent_value`` takes a frame for each.
+    child, factor 1, both taken from ``_unit_step``) in a loop, not by
+    recursion, and memoizes each node of the chain with the dict at the
+    chain's end.  It tests the zero leaves (``provable_zero``) once, after the
+    memo misses at the chain's start: P2.15 lowers both weights by n and
+    keeps xi_i <= lam_i, and P2.14 drops a trailing (0, 0), so no later node
+    of the chain is a zero leaf.  Along the chain it checks only the rank-1
+    leaf and the memo.  Nor does it check the measure on unit steps, which
+    lower it by construction: P2.15 lowers |lam| by n >= 1, and P2.14 meets
+    only lam_n = 0, so xi_n = 0 past the support test (``_unit_step`` raises
+    ``RuntimeError`` in O(1) otherwise).  The trace pass tests the leaves at
+    every node and measures every unit step in ``_expansion``.  Rule-(d)
+    rewrites nested past the recursion limit raise ``RecursionError``:
+    ``laurent_value`` takes a frame for each.
     """
 
     def __init__(self):
@@ -485,7 +484,7 @@ class ReductionEngine:
                 terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
                 for factor, tail in _derived_rhs(sig):
                     terms.append((factor, self.laurent_value(head + tail, lam)))
-                val = self._combine(xi, lam, terms)
+                val = memo[xi, lam] = lau_dot(terms)
                 break
             chain.append((xi, lam))
             _, xi, lam = step
@@ -495,16 +494,7 @@ class ReductionEngine:
         else:
             val = _LAU_ONE
         for key in reversed(chain):
-            memo[key] = val     # shared along the chain, as _combine shares it
-        return val
-
-    def _combine(self, xi, lam, terms):
-        """Sums one rewrite's (Laurent factor, child value) terms; memoizes it."""
-        if len(terms) == 1 and terms[0][0] is _LAU_ONE:
-            val = terms[0][1]   # shared with the child, as both are never mutated
-        else:
-            val = lau_dot(terms)
-        self._memo[xi, lam] = val
+            memo[key] = val     # shared along the chain: no stored dict is ever mutated
         return val
 
     def normalized_value(self, xi, lam):
@@ -558,4 +548,6 @@ class GenericAlphaReducer:
         self.reducer = ReductionEngine()
 
     def alpha_value(self, xi, lam):
-        return self.reducer.normalized_value(xi, lam) * hironaka.self_density_closed(xi)
+        xi, lam = check_pair(xi, lam)
+        return RatFunc.from_laurent(
+            lau_mul(self.reducer.laurent_value(xi, lam), hironaka._self_density_laurent(xi)))

@@ -345,6 +345,22 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "q^6+2q^5+q^4"
 
 
+def test_closed_stdout_ends_quietly_with_exit_141():
+    # the reader is gone before the child writes: no traceback, and the
+    # SIGPIPE code, not the exit 1 of a failed check
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    for args in (["alpha", "4,0", "4,2"],
+                 ["verify", "theorem", "--n", "4", "--s", "1", "--lambda-max", "4"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hermdens", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, ""), args
+
+
 def test_cli_golden(capsys):
     # the README examples and a few edge cases, in text and JSON, byte for byte;
     # tests/data/make_cli_golden.py rewrites the file when the contract changes

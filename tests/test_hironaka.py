@@ -213,12 +213,24 @@ def _chain_labels():
 
 
 def test_packed_chain_matches_dict_reference():
+    # the value chain against the reference value, the twin chain against the
+    # reference twin: one dict each, the lane its caller reads
     for xi, lam in _chain_labels():
-        got = _column_chain(xi, lam, True)
-        want = _chain_dict_reference(xi, lam, True)
-        assert _column_chain(xi, lam, False) == (got[0], None)
-        for g, w in zip(got, want):
-            assert RatFunc.from_laurent(g).to_json() == RatFunc.from_laurent(w).to_json(), (xi, lam)
+        for twin in (False, True):
+            got = _column_chain(xi, lam, twin)
+            want = _chain_dict_reference(xi, lam, True)[twin]
+            assert isinstance(got, dict), (xi, lam, twin)
+            assert RatFunc.from_laurent(got).to_json() == RatFunc.from_laurent(want).to_json(), \
+                (xi, lam, twin)
+
+
+def test_frame_width_is_the_narrowest_that_holds_the_bound():
+    # balanced digits of width B hold [-2^(B-1), 2^(B-1)), and the bound fits
+    # exactly when 2^(B-1) > bound
+    for _, lam in _chain_labels():
+        for twin in (False, True):
+            width = _frame(lam, twin)[1]
+            assert width == _coefficient_bound(lam, twin).bit_length() + 1, (lam, twin)
 
 
 def test_coefficient_bound_holds():
@@ -229,7 +241,7 @@ def test_coefficient_bound_holds():
     boxed = 0
     for xi, lam in _chain_labels():
         for twin, sums in enumerate(_chain_dict_reference(xi, lam, True)):
-            half = 2 ** (_coefficient_bound(lam, twin).bit_length() + 1)
+            half = 2 ** _coefficient_bound(lam, twin).bit_length()
             assert all(abs(c) < half for c in sums.values()), (xi, lam, twin)
     while boxed < 40:
         n = rng.randint(1, 5)
@@ -295,21 +307,23 @@ def test_coefficient_bound_is_the_exact_l1_sum():
             assert _coefficient_bound(lam, twin) <= _relaxed_bound_reference(lam, twin), lam
 
 
-def test_chain_at_the_exact_width_equals_the_chain_at_the_relaxed_width():
-    # both lanes of the twin share the twin's width, so the value lane is
-    # checked there too
+def test_chain_at_the_exact_width_equals_the_chain_at_the_relaxed_width(monkeypatch):
+    # the chain reads its width off _frame, so the relaxed width goes in there
     rng = random.Random(2929)
     lams = [(60, 25, 13, 7), (20, 18, 16, 14, 12, 10, 8, 6)]
     lams += [_random_label(rng, n, rng.choice((4, 12))) for n in range(1, 9) for _ in range(4)]
+    frame = hironaka._frame
     for lam in lams:
         n = len(lam)
         for xi in ((0,) * n, _random_label(rng, n + rng.randint(0, 2), lam[0] + 2)):
             for twin in (False, True):
-                cols, width = _frame(lam, twin)
+                cols, width = frame(lam, twin)
                 relaxed = _relaxed_bound_reference(lam, twin).bit_length() + 2
                 assert width <= relaxed, lam
-                assert (_column_chain(xi, lam, twin)
-                        == _column_chain(xi, lam, twin, (cols, relaxed, None))), (xi, lam, twin)
+                exact = _column_chain(xi, lam, twin)
+                with monkeypatch.context() as patch:
+                    patch.setattr(hironaka, "_frame", lambda lam, twin: (cols, relaxed))
+                    assert exact == _column_chain(xi, lam, twin), (xi, lam, twin)
 
 
 def _pack(d, s, width):
@@ -935,7 +949,7 @@ def _tree_states(prefix):
     """Every stored state of an engine's prefix trees, keyed on
     (lam, m, xi'_{lam_1+1}, ..., xi'_j) for the state after column j."""
     out = {}
-    stack = [((lam, m), root[2]) for (lam, m), root in prefix.items()]
+    stack = list(prefix.items())
     while stack:
         key, node = stack.pop()
         for x, (state, child) in node.items():
@@ -956,7 +970,7 @@ def test_shared_prefix_sweep_matches_unshared_chain():
         eng = HironakaEngine()
         for xi, lam in _sweep_labels(seed):
             got = eng.laurent_alpha(xi, lam)
-            assert got == _column_chain(xi, lam, False)[0], (xi, lam)
+            assert got == _column_chain(xi, lam, False), (xi, lam)
             want = _chain_dict_reference(xi, lam, False)[0]
             assert RatFunc.from_laurent(got) == RatFunc.from_laurent(want), (xi, lam)
 
@@ -993,12 +1007,12 @@ def test_concurrent_sweep_leaves_every_tree_state_exact():
     finally:
         sys.setswitchinterval(interval)
     for (xi, lam), val in results:
-        assert val == _column_chain(xi, lam, False)[0], (xi, lam)
+        assert val == _column_chain(xi, lam, False), (xi, lam)
     # each label's prefix recomputed alone, in a tree of its own
     fresh = {}
     for xi, lam in labels:
-        tree = {(lam, len(xi)): _frame(lam, False) + ({},)}
+        tree = {(lam, len(xi)): {}}
         _column_chain(xi, lam, False, tree[lam, len(xi)])
         fresh.update(_tree_states(tree))
     assert _tree_states(eng._prefix) == fresh
-    assert all(root[:2] == _frame(lam, False) for (lam, _), root in eng._prefix.items())
+    assert all(type(root) is dict for root in eng._prefix.values())

@@ -18,6 +18,7 @@ from hermdens.qalgebra import (
     as_laurent,
     evaluate_at,
     gauss_binomial,
+    gauss_laurent,
     neg_q_power,
     poly_gcd,
 )
@@ -121,6 +122,15 @@ def test_ratfunc_power_matches_repeated_multiplication():
             for _ in range(abs(n)):
                 want = want * base
             assert f ** n == want, (str(f), n)
+
+
+def test_gauss_binomial_wraps_the_one_cached_dict():
+    # the Laurent dict is cached once, by gauss_laurent; gauss_binomial keeps
+    # no cache of its own
+    assert not hasattr(gauss_binomial, "cache_info")
+    for u in range(8):
+        for v in range(u + 1):
+            assert gauss_binomial(u, v) == RatFunc.from_laurent(gauss_laurent(u, v))
 
 
 def test_gauss_symmetry():

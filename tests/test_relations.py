@@ -22,7 +22,7 @@ from hermdens.partitions import (
     weight,
     xi_plus,
 )
-from hermdens.qalgebra import NotLaurentError, ONE, Q, RatFunc, ZERO, neg_q_power
+from hermdens.qalgebra import NotLaurentError, ONE, Q, RatFunc, ZERO, lau_dot, neg_q_power
 from hermdens.relations import (
     GenericAlphaReducer,
     REWRITE_RULES,
@@ -288,7 +288,7 @@ def test_hironaka_memo_holds_fresh_values_after_threads():
         sys.setswitchinterval(interval)
     assert len(results) == len(jobs) and len(shared._alpha) > 100
     for (xi, lam), val in shared._alpha.items():
-        assert val == _column_chain(xi, lam, False)[0], (xi, lam)
+        assert val == _column_chain(xi, lam, False), (xi, lam)
 
 
 def test_relation_with_int_coefficient_raises_without_asserts():
@@ -684,6 +684,16 @@ def test_derived_rules_match_the_ratfunc_reference():
         assert rule.rhs == _rhs_reference(sig, cache), sig
 
 
+def test_rule_table_keeps_only_the_named_rules():
+    # a derived signature's RewriteRule is built on demand, not stored
+    import hermdens.relations as relations
+    for sig in _SIGNATURES:
+        match_rewrite(fill_pattern(sig, (3,) * sig.count("*")))
+    named = [rule for rules in REWRITE_RULES.values() for rule in rules]
+    assert len(named) == 34
+    assert relations._RULES == {rule.pattern: rule for rule in named}
+
+
 def test_rule_derivation_takes_no_polynomial_gcd(monkeypatch):
     import hermdens.qalgebra as qalgebra
     import hermdens.relations as relations
@@ -843,9 +853,8 @@ def _laurent_value_reference(eng, xi, lam):
             chain.append((xi, lam))
             _, xi, lam = children[0]
             continue
-        terms = [(factor, _laurent_value_reference(eng, cxi, clam))
-                 for factor, cxi, clam in children]
-        val = eng._combine(xi, lam, terms)
+        val = memo[xi, lam] = lau_dot((factor, _laurent_value_reference(eng, cxi, clam))
+                                      for factor, cxi, clam in children)
         break
     for key in reversed(chain):
         memo[key] = val
@@ -910,6 +919,8 @@ def test_engine_holds_only_its_memo():
         assert trace.rule_ids()[0].startswith("C2.")
         assert val == trace.replay() == heng.normalized(xi, lam), (xi, lam)
     assert list(vars(eng)) == ["_memo"]
+    # and laurent_value writes a rewrite's value to that memo itself
+    assert not hasattr(ReductionEngine, "_combine")
 
 
 def test_engine_memo_is_never_mutated():
@@ -973,6 +984,23 @@ def test_generic_reduction_randomized():
         assert red.alpha_value(xi, lam) == heng.alpha(xi, lam), (xi, lam)
 
 
+def test_generic_reduction_is_the_ratfunc_product_seeded():
+    # the Laurent product against the RatFunc product of the two values,
+    # canonical form and all, zero values included
+    rng = random.Random(3030)
+    red = GenericAlphaReducer()
+    zeros = 0
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        xi = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        lam = tuple(sorted((rng.randint(0, 6) for _ in range(n)), reverse=True))
+        want = ReductionEngine().normalized_value(xi, lam) * self_density_closed(xi)
+        got = red.alpha_value(xi, lam)
+        assert got.to_json() == want.to_json(), (xi, lam)
+        zeros += want.is_zero
+    assert 10 <= zeros <= 110
+
+
 def test_generic_reduction_builds_each_relation_once(monkeypatch):
     import hermdens.relations as relations
     built = []
@@ -1023,7 +1051,7 @@ def test_reduce_normalized_function_wrapper():
 
 def _trace_reference(eng, xi, lam):
     """``ReductionEngine.reduce_normalized`` as a recursive walk that sums each
-    step itself (``_combine``) and keeps its own set of expanded labels: the
+    step itself (``lau_dot``) and keeps its own set of expanded labels: the
     reference for the trace, which reads its values off the memo.  A parent
     step inlines a child's value under its leaf rule, or "memo" if it was
     valued before the walk began; a child expanded in the walk has no note."""
@@ -1045,7 +1073,7 @@ def _trace_reference(eng, xi, lam):
             step.children.append(TraceChild(
                 RatFunc.from_laurent(factor), cxi, clam, note=note,
                 value=None if note is None else RatFunc.from_laurent(sub)))
-        val = eng._combine(xi, lam, terms)
+        val = eng._memo[xi, lam] = lau_dot(terms)
         step.value = RatFunc.from_laurent(val)
         return None, val
 
