@@ -16,34 +16,43 @@ The sum is not taken partition by partition.  Written in the column heights
 c_j = mu'_j (n >= c_1 >= c_2 >= ... >= 0, c_j <= (lam+1)'_j), every factor
 of the summand depends on one column or on two adjacent ones: n(mu), |mu|
 and <xi', mu'> are sums over j of terms in c_j, and I_j depends on
-(c_j, c_{j+1}).  One kernel, ``_column_chain``, therefore sums column by
-column from j = lam_1 + 1 down to 1, keeping one partial sum per height.  A
-column maps the partial sums through I_j, which splits as
-sum_i (-q)^(e_i) [l2 - c_{j+1}; l2 - i] [l1 - i; l1 - c_j], with
-l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and e_i = i (2 l2 + 1 - i) / 2: two
-q-binomial transforms S_v = sum_{u >= v} [u; v] a_u with the twist
-(-q)^(e_i) between them, each evaluated by Horner's scheme on the q-binomial
-theorem.  An alpha then costs O(lam_1 n^2) shifted additions and no
-products, where the box of mu has up to prod_i (lam_i + 2) members.
+(c_j, c_{j+1}).  So the sum is a transfer-matrix product (Stanley,
+Enumerative Combinatorics I, 4.7),
 
-Each partial sum is a Laurent polynomial in t = (-q)^-1 held as one integer
-(Kronecker substitution): t^(-s) P(t) is the pair (P(2^B), s), so a shifted
-addition is one big-integer shift and add, and the twists only add to s.
-The width B is the narrowest whose balanced digits hold a bound proven from
-lam alone (``_coefficient_bound``) on every coefficient of the result: the
-exact l1 sum sum_mu prod_j ||I_j||_1 of the summands, run as the same column
-recursion over nonnegative integers.  Only ``_frame`` caches it, per label.
-Only the result must fit, since evaluation at 2^B is a ring map and every
-right shift divides exactly.  The height sum is unpacked once, at the end,
-into a Laurent dict.  The packed form never leaves the kernel.
+    alpha = 1^T M_1 M_2 ... M_{lam_1+1} e_0,
+    M_j[c][c2] = (-1)^c (-q)^(x c - C(c, 2)) I(l1, l2, c, c2),
+
+with l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and x = n - m - 1 + xi'_j, where
+I(l1, l2, c, c2) = sum_i (-q)^(e_i) [l2 - c2; l2 - i] [l1 - i; l1 - c] and
+e_i = i (2 l2 + 1 - i) / 2.  One kernel, ``_column_chain``, takes the
+product from column lam_1 + 1 down to 1, one matrix-vector product per
+column, and ``_column_matrix`` builds and caches each M_j.  M_j is lower
+triangular (I vanishes for c2 > c), so a column costs at most
+(l1 + 1)(l2 + 1) big-integer products and an alpha O(lam_1 n^2), where the
+box of mu has up to prod_i (lam_i + 2) members.  At the ranks the CLI and
+the benchmarks use (n <= 6) a column's time is interpreter overhead, so one
+product per entry runs ``alpha-direct`` 2-2.5x as fast as splitting M_j into
+two q-binomial transforms of O(l1^2 + l2^2) interpreted shift-adds
+(``BENCH_31.json``).  At rank 8 the products of long integers cost more
+than those shift-adds: a hot alpha(0^8, (20, 18, ..., 6)) takes about
+1.6 ms against 1.1 ms (Python 3.11, a noisy 2-CPU host).
+
+Each entry is a Laurent polynomial in t = (-q)^-1 held as one integer
+(Kronecker substitution): t^(-s) P(t) is P(2^B), in a frame s that a whole
+matrix, or a whole chain state, shares.  So an entry product is one
+big-integer product, a row sum needs no alignment, and a column adds its
+matrix's frame to the state's.  The width B is the narrowest whose balanced
+digits hold a bound proven from lam alone (``_coefficient_bound``) on every
+coefficient of the result: the exact l1 sum sum_mu prod_j ||I_j||_1 of the
+summands, run as the same column recursion over nonnegative integers.  Only
+``_frame`` caches it, per label.  Only the result must fit, since evaluation
+at 2^B is a ring map.  The height sum is unpacked once, at the end, into a
+Laurent dict.  The packed form never leaves the kernel.
 
 ``derived_density`` takes the |mu|-weighted twin of the sum, in the same
-kernel: each entry then holds the value and the twin as two packed integers
-in one frame, one Horner loop (``_paired_transform``) steps both, and only
-the twin is unpacked.  So a column costs two transforms, not four, and the
-twin update is one multiply-add.  ``alpha`` keeps the single-lane transform:
-run through the paired one with a zero twin, a seed-1 ``alpha-direct`` pass
-took 10-24% longer (min of 15 passes, Python 3.11, a noisy 2-CPU host).
+kernel and code path: the twin vector takes the value's rows, column j adds
+c times the value at height c, and only the twin is unpacked.  A twin column
+costs twice the products of a value column.
 
 ``HironakaEngine`` memoizes alpha on (xi, lam) keys as ``_column_chain``'s
 Laurent dict (densities lie in ZZ[q, q^-1]), which ``laurent_alpha`` returns
@@ -65,9 +74,14 @@ divides both direct alphas by those factors with additions only and no gcd
 (``_over_self_density``), and the direct self-density must give exactly 1,
 so the two stay independent; an engine checks this once per xi.
 
+Module caches: ``_frame`` (the last 4096 labels), ``_column_matrix`` (the
+last 4096 column keys), and ``_inner_laurent``, which is unbounded but keyed
+on conjugate values alone, at most (n + 1)^4 keys for labels of length at
+most n.
+
 Concurrency: computations are pure and no stored value (no memo dict, no
-tree state) is ever mutated, the tree's nodes only grow by ``setdefault``
-and the checked self-densities by ``add``;
+tree state, no cached matrix) is ever mutated, the tree's nodes only grow by
+``setdefault`` and the checked self-densities by ``add``;
 the caches may be shared across threads (concurrent calls return identical
 values) or confined to one engine instance per thread.
 """
@@ -75,7 +89,6 @@ values) or confined to one engine instance per thread.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 from .partitions import (
@@ -88,87 +101,40 @@ class NotTabulated(LookupError):
     no longer raises it."""
 
 
-def _qbinomial_transform(terms, width):
-    """S_v = sum_{u >= v} [u; v] a_u for v = 0..N, by shifts and additions only.
+@lru_cache(maxsize=4096)
+def _column_matrix(l1, l2, x, width):
+    """One column of the chain as a packed lower-triangular matrix (rows, top),
+    for l1 = (lam+1)'_j, l2 = (lam+1)'_{j+1} and x = n - m - 1 + xi'_j.
 
-    ``terms[u]`` (u = 0..N) is None for a_u = 0, or a packed pair (p, s)
-    standing for t^(-s) P(t), t = (-q)^-1, where P is an integer polynomial
-    in t and p = P(2^width); the result is a list of the same form, S_v for
-    v = 0..N.  The q-binomial theorem reads prod_{k<u} (1 + t^k x) =
-    sum_v t^(v(v-1)/2) [u; v] x^v, so sum_u a_u prod_{k<u} (1 + t^k x) has
-    x^v-coefficient t^(v(v-1)/2) S_v.  Horner's scheme builds it as
-    P <- a_u + (1 + t^u x) P for u = N..0: O(N^2) shifted additions, each one
-    big-integer shift and add, once the inputs are brought to their largest
-    s.  The x^v-coefficient is t^(v(v-1)/2) times a polynomial, so S_v is
-    that coefficient shifted right, exactly.
+    Row c (c = 0..l1) holds M[c][c2] = (-1)^c (-q)^(x c - C(c, 2)) I(l1, l2, c, c2)
+    for c2 = 0..min(c, l2); I vanishes for c2 > c, so no row holds more.  In
+    t = (-q)^-1, I = sum_i t^(-e_i) [l2-c2; l2-i] [l1-i; l1-c] over
+    i = c2..min(l2, c), with e_i = i (2 l2 + 1 - i) / 2, and every entry is
+    t^(-top) P(t) for one frame top, the largest d_c + e_i (d_c = x c - C(c, 2)),
+    and an integer polynomial P, stored as P(2^width).  The Gaussian binomials
+    are built at t = 2^width by the q-Pascal rule [k; j] = [k-1; j-1] +
+    t^j [k-1; j], so the matrix is made of integers alone, and
+    ``_inner_laurent`` stays an independent reference for it.
+
+    (lam+1)' does not increase, so l2 <= l1.  Cached per key, at most 4096
+    matrices of at most (l1 + 1)(l2 + 1) integers: a key recurs across the
+    columns of one label (a run of equal conjugate values) and across the
+    labels of a sweep.
     """
-    top = max([term[1] for term in terms if term is not None], default=0)
-    poly = []                           # poly[v]: x^v-coefficient of P, at t^-top
-    for u in range(len(terms) - 1, -1, -1):
-        if poly:
-            poly.append(0)
-            shift = u * width
-            for v in range(len(poly) - 1, 0, -1):
-                poly[v] += poly[v - 1] << shift
-        term = terms[u]
-        if term is not None:
-            if not poly:
-                poly.append(0)
-            poly[0] += term[0] << (top - term[1]) * width
-    out = [None] * len(terms)
-    for v, p in enumerate(poly):
-        if p:
-            # p = P(2^width) for P divisible by t^(v(v-1)/2), so the shift is exact
-            out[v] = (p >> v * (v - 1) // 2 * width, top)
-    return out
-
-
-def _paired_transform(terms, width):
-    """``_qbinomial_transform`` on two lanes at once: ``terms[u]`` is None or a
-    triple (p, pt, s), two packed values in the one frame s, and so is each
-    S_v.  The lanes take the same Horner loop, shift for shift, so a pair
-    costs one loop and keeps one frame; S_v is None when both lanes are 0.
-    """
-    top = max([term[2] for term in terms if term is not None], default=0)
-    poly, twin = [], []                 # x^v-coefficients of the two lanes, at t^-top
-    for u in range(len(terms) - 1, -1, -1):
-        if poly:
-            poly.append(0)
-            twin.append(0)
-            shift = u * width
-            for v in range(len(poly) - 1, 0, -1):
-                poly[v] += poly[v - 1] << shift
-                twin[v] += twin[v - 1] << shift
-        term = terms[u]
-        if term is not None:
-            if not poly:
-                poly.append(0)
-                twin.append(0)
-            shift = (top - term[2]) * width
-            poly[0] += term[0] << shift
-            twin[0] += term[1] << shift
-    out = [None] * len(terms)
-    for v, (p, pt) in enumerate(zip(poly, twin)):
-        if p or pt:
-            shift = v * (v - 1) // 2 * width
-            out[v] = (p >> shift, pt >> shift, top)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _column_norm(l1, l2):
-    """The matrix N[c][c2] = ||I(l1, l2, c, c2)||_1 of one column, c = 0..l1
-    and c2 = 0..l2, as nested tuples.
-
-    In t = (-q)^-1 every coefficient of I = sum_i t^(-e_i) [l2-c2; l2-i]
-    [l1-i; l1-c] is nonnegative, and [u; v] at t = 1 is C(u, v), so
-    ||I||_1 = sum_i C(l2-c2, l2-i) C(l1-i, l1-c), i = c2..min(l2, c); it is 0
-    for c2 > c, as I is.
-    """
-    return tuple(tuple(sum(comb(l2 - c2, l2 - i) * comb(l1 - i, l1 - c)
-                           for i in range(c2, min(l2, c) + 1))
-                       for c2 in range(l2 + 1))
+    gauss = [[1]]                       # gauss[k][j] = [k; j] at t = 2^width
+    for k in range(1, l1 + 1):
+        prev = gauss[-1]
+        gauss.append([1] + [prev[j - 1] + (prev[j] << j * width) for j in range(1, k)] + [1])
+    e = [i * (2 * l2 + 1 - i) // 2 for i in range(l2 + 1)]
+    d = [x * c - c * (c - 1) // 2 for c in range(l1 + 1)]
+    # e_i grows with i <= l2, so the lowest power of t in row c is t^-(d_c + e_min(l2, c))
+    top = max(d[c] + e[min(l2, c)] for c in range(l1 + 1))
+    rows = tuple(tuple((-1) ** c * sum(gauss[l2 - c2][l2 - i] * gauss[l1 - i][l1 - c]
+                                       << (top - d[c] - e[i]) * width
+                                       for i in range(c2, min(l2, c) + 1))
+                       for c2 in range(min(c, l2) + 1))
                  for c in range(l1 + 1))
+    return rows, top
 
 
 def _coefficient_bound(lam, twin):
@@ -180,22 +146,27 @@ def _coefficient_bound(lam, twin):
     I_j(c_j, c_{j+1}), and the l1 norm is submultiplicative, so the l1 norm of
     the sum, and so each of its coefficients, is at most sum_mu
     prod_j ||I_j||_1.  The column recursion sums this exactly:
-    w_j[c] = sum_c2 N_j[c][c2] w_{j+1}[c2] (``_column_norm``) sums the norms of
-    the factors of columns >= j over c_j = c >= c_{j+1} >= ..., from w = [1]
-    at height 0 above the last column, and the sum is sum_c w_1[c].  The twin
-    lane runs the same recursion and adds c w_j[c] at height c, as the chain's
-    twin adds c p, so it sums the norms weighted by |mu| = c_1 + c_2 + ...
+    w_j[c] = sum_c2 N_j[c][c2] w_{j+1}[c2], N_j[c][c2] = ||I(l1, l2, c, c2)||_1,
+    sums the norms of the factors of columns >= j over
+    c_j = c >= c_{j+1} >= ..., from w = [1] at height 0 above the last
+    column, and the sum is sum_c w_1[c].  In t every coefficient of I is
+    nonnegative, so ||I||_1 is I at t = 1, where [u; v] is C(u, v) and the
+    twists are signs: N_j is the column matrix at width 0 up to the sign
+    (-1)^c of row c (at x = 0, as x moves only the twist), so each row sum
+    is taken up to sign.  The twin lane runs the same recursion and adds
+    c w_j[c] at height c, as the chain's twin adds c vec[c], so it sums the
+    norms weighted by |mu| = c_1 + c_2 + ...
     Only the result's coefficients need the bound: evaluation at 2^B is a ring
-    map and every right shift of the chain divides exactly, so the packed
-    intermediate sums are exact at any width B.
+    map, so the packed products and sums of the chain are exact at any
+    width B.
     """
     cols = conjugate(tilde(lam)) + (0,)
     w, wt = [1], [0]
     for j in range(len(cols) - 2, -1, -1):
-        norm = _column_norm(cols[j], cols[j + 1])
-        w = [sum(map(mul, row, w)) for row in norm]
+        rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
+        w = [abs(sum(map(mul, row, w))) for row in rows]
         if twin:
-            wt = [sum(map(mul, row, wt)) + c * w[c] for c, row in enumerate(norm)]
+            wt = [abs(sum(map(mul, row, wt))) + c * w[c] for c, row in enumerate(rows)]
     return sum(wt) if twin else sum(w)
 
 
@@ -242,22 +213,20 @@ def _column_chain(xi, lam, twin, node=None):
     mu <= lam + 1 exactly when c_j = mu'_j <= (lam+1)'_j for j = 1..lam_1 + 1,
     and c_{lam_1+2} = 0.  The summand is a product over j of
     (-1)^c_j (-q)^e_j, e_j = (n-m-1+xi'_j) c_j - C(c_j, 2), and
-    I_j(c_j, c_{j+1}), so it is summed from the last column down: after
-    column j, chain[c] sums the factors of columns >= j over all
-    c_j = c >= c_{j+1} >= ...  Entries are packed as in _qbinomial_transform,
-    at the one width that ``_frame`` proves wide enough for the result; the
-    packed form is exact throughout, and only the final height sum is
-    unpacked.
+    I_j(c_j, c_{j+1}), so the sum is the transfer-matrix product
+    1^T M_1 M_2 ... M_{lam_1+1} e_0 with M_j = ``_column_matrix``, taken from
+    the last column down: after column j, vec[c] sums the factors of
+    columns >= j over all c_j = c >= c_{j+1} >= ...  The state is
+    (vec, tw, s), every entry t^(-s) P(t) packed as P(2^width) in the one
+    frame s, at the width ``_frame`` proves for the result; a column is one
+    packed matrix-vector product and adds the matrix's frame to s.  Evaluation
+    at 2^width is a ring map, so the packed form is exact throughout, and only
+    the final height sum is unpacked.
 
-    With ``twin`` each entry is a triple (p, pt, s): the sum and its twin,
-    the same sum weighted by c_j + c_{j+1} + ..., in one frame s.  Every map
-    of a column is linear, so the twin takes the value's path:
-    ``_paired_transform`` steps both lanes in one Horner loop, a twist moves
-    the shared frame once, and column j adds c_j = c to the weight at height
-    c as pt + c p, exactly, with no alignment; only the twin is unpacked.
-    Without ``twin`` entries stay pairs (p, s) through the single-lane
-    transform, which alpha runs faster than the paired one (see the module
-    docstring).
+    With ``twin``, tw[c] is the same sum weighted by c_j + c_{j+1} + ...:
+    every map of a column is linear, so the twin takes the same rows, and
+    column j adds c_j = c to the weight at height c as row . tw + c vec[c];
+    only the twin is unpacked.  Without it, tw is None.
 
     ``node`` is None, or the root node of a ``HironakaEngine`` prefix tree
     for (lam, m).  Column j reads xi only through xi'_j, so the state after
@@ -272,44 +241,21 @@ def _column_chain(xi, lam, twin, node=None):
     m, n = len(xi), len(lam)
     cols, width = _frame(lam, twin)
     xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
-    transform = _paired_transform if twin else _qbinomial_transform
-    chain = [(1, 0, 0)] if twin else [(1, 0)]
+    vec, tw, s = [1], [0] if twin else None, 0
     for j in range(lam[0] + 1, 0, -1):
         if node is not None:
             hit = node.get(xi_cols[j])
             if hit is not None:
-                chain, node = hit
+                (vec, tw, s), node = hit
                 continue
-        l1, l2 = cols[j], cols[j + 1]
-        x = n - m - 1 + xi_cols[j]
-        # the chain holds c2 = 0..l2, the heights of column j + 1, and
-        # I_j(l1, l2, c, c2) = sum_i t^(-e_i) [l2-c2; l2-i] [l1-i; l1-c]
-        # with e_i = i (2 l2 + 1 - i) / 2: a transform c2 -> i (u = l2-c2,
-        # v = l2-i), the twist t^(-e_i), a transform i -> c (u = l1-i,
-        # v = l1-c), and then the column's own (-1)^c t^(-e)
-        inner = [None] * (l1 + 1)
-        for v, term in enumerate(transform(chain[::-1], width)):
-            if term is not None:
-                i = l2 - v
-                e = i * (2 * l2 + 1 - i) // 2
-                inner[l1 - i] = (term[0], term[1], term[2] + e) if twin else (term[0], term[1] + e)
-        chain = [None] * (l1 + 1)
-        for v, term in enumerate(transform(inner, width)):
-            if term is not None:
-                c = l1 - v
-                p = -term[0] if c % 2 else term[0]
-                e = x * c - c * (c - 1) // 2
-                if twin:
-                    pt = -term[1] if c % 2 else term[1]
-                    chain[c] = (p, pt + c * p, term[2] + e)
-                else:
-                    chain[c] = (p, term[1] + e)
+        rows, top = _column_matrix(cols[j], cols[j + 1], n - m - 1 + xi_cols[j], width)
+        vec = [sum(map(mul, row, vec)) for row in rows]
+        if twin:
+            tw = [sum(map(mul, row, tw)) + c * v for c, (row, v) in enumerate(zip(rows, vec))]
+        s += top
         if node is not None and j > 1:
-            node = node.setdefault(xi_cols[j], (chain, {}))[1]
-    terms = [term for term in chain if term is not None]
-    top = max((term[-1] for term in terms), default=0)
-    lane = 1 if twin else 0
-    return _unpack(sum(term[lane] << (top - term[-1]) * width for term in terms), top, width)
+            node = node.setdefault(xi_cols[j], ((vec, tw, s), {}))[1]
+    return _unpack(sum(tw if twin else vec), s, width)
 
 
 class HironakaEngine:
@@ -393,7 +339,7 @@ def I_j(mu, lam, j):
     """The j-th inner factor of the density formula, on its domain: mu <= lam + 1
     componentwise, at one length, and a conjugate index j (``conjugate_part``);
     else ``ValueError``.  The chain never calls it: it is the paper's factor,
-    and the slow reference that the chain's transforms are checked against."""
+    and the slow reference that the chain's column matrices are checked against."""
     mu = check_partition(mu)
     lam = check_partition(lam)
     if len(mu) != len(lam) or any(m > l + 1 for m, l in zip(mu, lam)):

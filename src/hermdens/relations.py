@@ -84,7 +84,9 @@ from .qalgebra import RatFunc, ZERO, lau_dot, lau_iadd_scaled, lau_mul
 @dataclass(frozen=True)
 class Relation:
     """A finite combination sum_i coeff_i * alpha(A_{part_i}, B) that vanishes
-    for every B = A_lam with all parts >= 1.
+    for every B = A_lam with len(lam) = m, the parts' common length, and all
+    parts of lam >= 1; a shorter lam is outside that domain, and there the
+    combination generally does not vanish.
 
     The parts are partitions of one length and every coefficient lies in
     ZZ[q, q^-1]; ``laurent_terms`` holds the terms with each part checked and
@@ -156,9 +158,10 @@ def verify_relation(rel, lam, engine=None):
     The residual is one dot product of the Laurent coefficients with the
     engine's memoized Laurent alphas, made a ``RatFunc`` once; lam is checked
     here, the parts when the relation was built.  A lam longer than the parts
-    raises ``ValueError``.  Valid
-    instances require all parts of lam >= 1; calls with lam_n = 0 are
-    deliberate negative controls and generally leave a nonzero residual.
+    raises ``ValueError``.  The relation vanishes only where it holds: lam as
+    long as the parts, with all parts >= 1.  A shorter lam, or one with a
+    last part 0 (the tests' negative controls), generally leaves a nonzero
+    residual.
     """
     lam = check_partition(lam)
     terms = rel.laurent_terms

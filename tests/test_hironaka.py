@@ -20,10 +20,9 @@ from hermdens.hironaka import (
     HironakaEngine,
     _coefficient_bound,
     _column_chain,
+    _column_matrix,
     _divide_one_minus_t,
     _frame,
-    _paired_transform,
-    _qbinomial_transform,
     _unpack,
     alpha,
     derived_density,
@@ -335,39 +334,32 @@ def _random_laurent(rng):
     return {rng.randint(-6, 6): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 4))}
 
 
-def test_qbinomial_transform_matches_its_slow_form():
-    # S_v = sum_{u >= v} [u; v] a_u, against gauss_laurent products; some a_u
-    # are None, some are zero, exponents run negative, and the frames s
-    # differ from term to term.  The paired transform takes two lanes in one
-    # frame per term, each checked on its own
-    rng = random.Random(161)
-    width = 16
-    for size in range(9):
-        for _ in range(12):
-            terms, pairs, lanes = [], [], ([], [])
-            for _u in range(size + 1):
-                kind = rng.random()
-                ds = [{} if kind < 0.3 or rng.random() < 0.2 else _random_laurent(rng)
-                      for _lane in lanes]
-                for lane, d in zip(lanes, ds):
-                    lane.append(d)
-                s = max(max(d, default=0) for d in ds) + rng.randint(0, 3)
-                (p, _), (pt, _) = (_pack(d, s, width) for d in ds)
-                terms.append(None if kind < 0.2 else (p, s))
-                pairs.append(None if kind < 0.2 else (p, pt, s))
-            got, paired = _qbinomial_transform(terms, width), _paired_transform(pairs, width)
-            assert len(got) == len(paired) == size + 1
-            for v in range(size + 1):
-                want = [{}, {}]
-                for u in range(v, size + 1):
-                    for acc, lane in zip(want, lanes):
-                        lau_iadd_scaled(acc, lau_mul(gauss_laurent(u, v), lane[u]))
-                assert (got[v] is None) == (not want[0]), "an empty S_v is None"
-                assert got[v] is None or _unpack(*got[v], width) == want[0], (terms, v)
-                assert (paired[v] is None) == (not any(want)), "S_v is None when both lanes are"
-                for k in (0, 1):
-                    assert paired[v] is None or \
-                        _unpack(paired[v][k], paired[v][2], width) == want[k], (pairs, v, k)
+def test_column_matrix_matches_inner_factor():
+    # every entry is the twisted inner factor (-1)^c (-q)^(x c - C(c, 2))
+    # I(l1, l2, c, c2), packed in the matrix's frame; the frame is the lowest
+    # power of t of any entry, and no row reaches past c2 = min(c, l2), where
+    # I vanishes.  The packed ints are compared at narrow widths too: packing
+    # is a ring map, so equality holds whether or not the digits overflow, and
+    # width 0 (t = 1) is the one _coefficient_bound reads
+    for l1 in range(9):
+        for l2 in range(l1 + 1):
+            for x in range(-4, 4):
+                for width in (0, 2, 7, 16, 40):
+                    rows, top = _column_matrix(l1, l2, x, width)
+                    assert len(rows) == l1 + 1, (l1, l2)
+                    lowest = []
+                    for c, row in enumerate(rows):
+                        assert len(row) == min(c, l2) + 1, (l1, l2, c)
+                        e = x * c - c * (c - 1) // 2
+                        for c2 in range(l2 + 1):
+                            want = {k + e: v if (c + e) % 2 == 0 else -v for k, v in
+                                    hironaka._inner_laurent(l1, l2, c, c2).items()}
+                            if c2 >= len(row):
+                                assert want == {}, (l1, l2, c, c2)
+                                continue
+                            assert row[c2] == _pack(want, top, width)[0], (l1, l2, x, width, c, c2)
+                            lowest.append(max(want))
+                    assert top == max(lowest), (l1, l2, x, width)
 
 
 def test_unpack_reads_balanced_digits():
@@ -402,8 +394,9 @@ def test_division_by_unit_factors_is_exact_or_raises():
 
 def test_vanishing_relation_at_large_rank():
     # the box tilde(lam) holds 6324 partitions, each costing up to 11 Laurent
-    # products in the box sum; the column chain takes no products, about 300
-    # big-integer shift-adds and one unpack per alpha
+    # products in the box sum; the column chain takes one cached packed
+    # matrix-vector product per column, 157 big-integer products in all, and
+    # one unpack per alpha
     ok, residual = verify_relation(theorem_terms(6, 2, (3, 2, 2, 1, 0, 0)),
                                    (10, 9, 7, 5, 3, 1), HironakaEngine())
     assert ok, residual
@@ -977,18 +970,18 @@ def test_shared_prefix_sweep_matches_unshared_chain():
 
 def test_shared_prefixes_run_each_column_state_once(monkeypatch):
     calls = []
-    transform = hironaka._qbinomial_transform
-    monkeypatch.setattr(hironaka, "_qbinomial_transform",
-                        lambda terms, width: calls.append(1) or transform(terms, width))
+    matrix = hironaka._column_matrix
+    monkeypatch.setattr(hironaka, "_column_matrix",
+                        lambda *key: calls.append(key) or matrix(*key))
     labels = _theorem_grid_labels()
     eng = HironakaEngine()
     for xi, lam in labels:
         eng.laurent_alpha(xi, lam)
-    # a column is two transforms; the states after columns >= 2 are stored
+    # a column asks for one matrix; the states after columns >= 2 are stored
     # once per distinct key, and column 1 runs once per memoized alpha
     stored = {key for xi, lam in labels for key in _column_suffixes(xi, lam)[:-1]}
     columns = sum(lam[0] + 1 for _, lam in labels)
-    assert len(calls) <= 2 * (len(stored) + len(labels)) < 2 * columns
+    assert 0 < len(calls) <= len(stored) + len(labels) < columns
     assert _tree_states(eng._prefix).keys() == stored
     assert len(stored) <= sum(lam[0] for _, lam in labels)
 

@@ -116,6 +116,18 @@ def test_negative_controls_have_nonzero_residual():
         assert not ok and not res.is_zero, (n, s, xi, lam)
 
 
+def test_relations_hold_only_at_full_length():
+    # a relation of length m vanishes at every lam of length m with positive
+    # parts, and a shorter lam with positive parts is outside that domain
+    rel = theorem_terms(2, 1, (1, 0))
+    eng = HironakaEngine()
+    for lam in itertools.combinations_with_replacement(range(4, 0, -1), 2):
+        ok, res = verify_relation(rel, lam, eng)
+        assert ok and res == ZERO, lam
+    ok, res = verify_relation(rel, (1,), eng)
+    assert not ok and not res.is_zero
+
+
 def test_theorem_sweep_small():
     eng = HironakaEngine()
     for n in (1, 2, 3):
