@@ -31,11 +31,11 @@ triangular (I vanishes for c2 > c), so a column costs at most
 (l1 + 1)(l2 + 1) big-integer products and an alpha O(lam_1 n^2), where the
 box of mu has up to prod_i (lam_i + 2) members.  At the ranks the CLI and
 the benchmarks use (n <= 6) a column's time is interpreter overhead, so one
-product per entry runs ``alpha-direct`` 2-2.5x as fast as splitting M_j into
-two q-binomial transforms of O(l1^2 + l2^2) interpreted shift-adds
+product per entry runs ``alpha-direct`` about 2.6x as fast as splitting M_j
+into two q-binomial transforms of O(l1^2 + l2^2) interpreted shift-adds
 (``BENCH_31.json``).  At rank 8 the products of long integers cost more
 than those shift-adds: a hot alpha(0^8, (20, 18, ..., 6)) takes about
-1.6 ms against 1.1 ms (Python 3.11, a noisy 2-CPU host).
+1.6 ms against 1.2 ms (Python 3.11, a noisy 2-CPU host).
 
 Each entry is a Laurent polynomial in t = (-q)^-1 held as one integer
 (Kronecker substitution): t^(-s) P(t) is P(2^B), in a frame s that a whole

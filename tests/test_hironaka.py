@@ -42,7 +42,7 @@ from hermdens.partitions import (
     weight,
 )
 from hermdens.qalgebra import (
-    ONE, Q, ZERO, RatFunc, gauss_laurent, lau_iadd_scaled, lau_mul, neg_q_power)
+    ONE, Q, ZERO, RatFunc, lau_iadd_scaled, lau_mul, neg_q_power)
 from hermdens.relations import ReductionEngine, fill_pattern, theorem_terms, verify_relation
 
 from conftest import match_pattern
@@ -978,7 +978,9 @@ def test_shared_prefixes_run_each_column_state_once(monkeypatch):
     for xi, lam in labels:
         eng.laurent_alpha(xi, lam)
     # a column asks for one matrix; the states after columns >= 2 are stored
-    # once per distinct key, and column 1 runs once per memoized alpha
+    # once per distinct key, and column 1 runs once per memoized alpha.  A
+    # cold width bound reads matrices at width 0, which no chain runs at
+    calls = [key for key in calls if key[3]]
     stored = {key for xi, lam in labels for key in _column_suffixes(xi, lam)[:-1]}
     columns = sum(lam[0] + 1 for _, lam in labels)
     assert 0 < len(calls) <= len(stored) + len(labels) < columns
