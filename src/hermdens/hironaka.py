@@ -44,8 +44,8 @@ big-integer product, a row sum needs no alignment, and a column adds its
 matrix's frame to the state's.  The width B is the narrowest whose balanced
 digits hold a bound proven from lam alone (``_coefficient_bound``) on every
 coefficient of the result: the exact l1 sum sum_mu prod_j ||I_j||_1 of the
-summands, run as the same column recursion over nonnegative integers.  Only
-``_frame`` caches it, per label.  Only the result must fit, since evaluation
+summands, run as the same column recursion on the column matrices at t = 1,
+where they hold the norms up to sign.  Only ``_frame`` caches it, per label.  Only the result must fit, since evaluation
 at 2^B is a ring map.  The height sum is unpacked once, at the end, into a
 Laurent dict.  The packed form never leaves the kernel.
 
