@@ -53,6 +53,11 @@ COMMANDS = [
     "alpha 0,0,0,0,0,0,0,0 20,18,16,14,12,10,8,6",
     "normalized 0,0 300,300 --engine direct",
     "derivative 31,2,1,1",
+    # oracle counts with several distinct diagonal values of A: three values,
+    # a d+1 count that stabilizes, and one whose d+1 count is over budget
+    "oracle 2,1,0 0 --p 3 --d 3",
+    "crosscheck 1,0,0 1 --p 3 --d 2",
+    "crosscheck 1,0 1,0 --p 3 --d 2",
 ]
 
 
