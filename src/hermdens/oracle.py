@@ -27,15 +27,18 @@ x_i of X, the classical row decomposition of representation numbers
 
 the additive group of n x n hermitian matrices (n^2 coordinates in Z/M).
 So the count is the value at B of the convolution of the m row histograms
-H_v(g) = #{x in R^n : v conj(x)^T x = g}.  Each distinct v's histogram is
-counted over all M^(2n) rows; the first m - 1 are convolved over their
-supports and the last is read as sum_g acc(g) H_last(B - g).  That is
-O(m M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2), M^(2n)) a support size,
-where enumeration takes M^(2mn).  Temporaries are streamed in fixed-size
-blocks, so memory is the O(M^(n^2)) histograms, at most the square root of
-the nominal work M^(2mn), which the budget gate bounds; a second gate refuses
-any count whose histograms would exceed ``HISTOGRAM_BYTES_CEILING`` bytes,
-whatever the budget.  Counts are exact: int64 below 2^63, Python ints beyond.
+H_v(g) = #{x in R^n : v conj(x)^T x = g}.  Only H_1 is counted over the
+M^(2n) rows.  Since v conj(x)^T x is read coordinatewise mod M, every other
+H_v is its pushforward, H_v(g) = sum of H_1(h) over the h with v h = g,
+one pass over the support of H_1.  The accumulator starts at H_(v_1); the
+next m - 2 are convolved into it over their supports, and the last is read
+as sum_g acc(g) H_(v_m)(B - g), or, for m = 1, H_(v_1) is read at B.  That
+is O(M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2), M^(2n)) a support size,
+whatever the number of distinct v, where enumeration takes M^(2mn).
+Temporaries are streamed in fixed-size blocks, so memory is the O(M^(n^2))
+histograms, at most the square root of the nominal work M^(2mn), which the
+budget gate bounds; a second gate refuses any count whose histograms would
+exceed ``HISTOGRAM_BYTES_CEILING`` bytes, whatever the budget.  Counts are exact: int64 below 2^63, Python ints beyond.
 The count runs in the calling process, in a single pass.
 """
 
@@ -53,8 +56,11 @@ DEFAULT_BUDGET = 2 ** 36
 # Bytes the dense histograms of one count may take: one M^(n^2)-entry array per
 # distinct diagonal value of A, the accumulator and the convolution's output,
 # at 8 bytes an entry (an object array's entries also point to Python ints, so
-# it takes more).  Whatever the budget, a count above it is refused before
-# anything is allocated; counts the default budget admits need at most a few MB.
+# it takes more).  H_1 is an extra array only while it is pushed forward, when
+# 1 is not on the diagonal; it is dropped before any convolution, so these
+# arrays bound what is live.  Whatever the budget, a count above it is refused
+# before anything is allocated; counts the default budget admits need at most
+# a few MB.
 HISTOGRAM_BYTES_CEILING = 2 ** 30
 
 
@@ -155,8 +161,8 @@ def _diagonal_of(ga, gb, m, modulus):
     return [ga[i][i] % modulus for i in range(m)]
 
 
-def _row_histogram(v, n, params, dtype):
-    """H[g] = #{x in R^n : v conj(x)^T x has index g}, over all modulus^(2n) rows x.
+def _row_histogram(n, params, dtype):
+    """H_1[g] = #{x in R^n : conj(x)^T x has index g}, over all modulus^(2n) rows x.
 
     The coordinates of Herm_n are the n real diagonal entries, then the two
     components of each entry above the diagonal, row by row.
@@ -170,10 +176,21 @@ def _row_histogram(v, n, params, dtype):
         for r in range(n):
             for s in range(r + 1, n):
                 coords += [xa[r] * xa[s] - c * xb[r] * xb[s], xa[r] * xb[s] - xb[r] * xa[s]]
-        g = np.ravel_multi_index([v * (y % modulus) for y in coords], (modulus,) * (n * n),
-                                 mode="wrap")
+        g = np.ravel_multi_index(coords, (modulus,) * (n * n), mode="wrap")
         hist += np.bincount(g, minlength=hist.size)
     return hist
+
+
+def _pushforward(unit, v, dims):
+    """H_v from H_1 = ``unit``: H_v[g] = sum of H_1[h] over the h with v h = g
+    coordinatewise mod each dimension, streamed over the support of H_1."""
+    support = np.flatnonzero(unit)
+    out = np.zeros_like(unit)
+    for block in _blocks(support.size):
+        h = support[block]
+        g = np.ravel_multi_index([v * x for x in np.unravel_index(h, dims)], dims, mode="wrap")
+        np.add.at(out, g, unit[h])
+    return out
 
 
 def _convolve(f, g, dims):
@@ -235,10 +252,13 @@ def _count(diag, target, n, params, budget):
     # every partial count is at most the nominal work, so int64 is exact below 2^63
     dtype = np.int64 if estimate < 2 ** 63 else object
     dims = (modulus,) * (n * n)
-    hists = {v: _row_histogram(v, n, params, dtype) for v in set(diag)}
-    acc = np.zeros(modulus ** (n * n), dtype=dtype)
-    acc[0] = 1
-    for v in diag[:-1]:
+    unit = _row_histogram(n, params, dtype)
+    hists = {v: unit if v == 1 else _pushforward(unit, v, dims) for v in set(diag)}
+    del unit
+    acc = hists[diag[0]]
+    if len(diag) == 1:
+        return int(acc[np.ravel_multi_index(target, dims, mode="wrap")])
+    for v in diag[1:-1]:
         acc = _convolve(acc, hists[v], dims)
     return _read(acc, hists[diag[-1]], target, dims)
 

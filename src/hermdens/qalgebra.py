@@ -204,8 +204,15 @@ class IntPoly:
         return bool(self.coeffs)
 
     def evaluate(self, q0):
+        """The exact value at q = q0 as a Fraction.  With q0 = a/b in lowest
+        terms and D the degree, it is the integer sum of c a^e b^(D - e) over
+        b^D, so only the last step divides."""
         q0 = Fraction(q0)
-        return sum((Fraction(c) * q0 ** e for e, c in self.coeffs.items()), Fraction(0))
+        a, b, top = q0.numerator, q0.denominator, self.degree()
+        if top < 0:
+            return Fraction(0)
+        return Fraction(sum(c * a ** e * b ** (top - e) for e, c in self.coeffs.items()),
+                        b ** top)
 
     def exact_div(self, other):
         """Exact quotient self/other over ZZ[q], or None if division is inexact."""

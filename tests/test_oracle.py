@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from hermdens import oracle
 from hermdens.hironaka import alpha
 from hermdens.oracle import (
     DEFAULT_BUDGET,
@@ -21,6 +22,8 @@ from hermdens.oracle import (
     density_oracle,
     stabilization_check,
     _is_prime,
+    _pushforward,
+    _row_histogram,
 )
 
 
@@ -60,6 +63,25 @@ def brute_count(lam_a, lam_b, params):
                     break
         total += ok
     return total
+
+
+def _row_histogram_reference(v, n, params, dtype):
+    """H_v[g] = #{x in R^n : v conj(x)^T x has index g}, each row scaled by v
+    before it is counted (the oracle pushes H_1 forward instead)."""
+    modulus, c = params.modulus, params.c
+    hist = np.zeros(modulus ** (n * n), dtype=dtype)
+    for lo in range(0, modulus ** (2 * n), 2 ** 16):
+        block = np.arange(lo, min(lo + 2 ** 16, modulus ** (2 * n)), dtype=np.int64)
+        x = np.unravel_index(block, (modulus,) * (2 * n))
+        xa, xb = x[:n], x[n:]
+        coords = [xa[r] * xa[r] - c * xb[r] * xb[r] for r in range(n)]
+        for r in range(n):
+            for s in range(r + 1, n):
+                coords += [xa[r] * xa[s] - c * xb[r] * xb[s], xa[r] * xb[s] - xb[r] * xa[s]]
+        g = np.ravel_multi_index([v * (y % modulus) for y in coords], (modulus,) * (n * n),
+                                 mode="wrap")
+        hist += np.bincount(g, minlength=hist.size)
+    return hist
 
 
 def _column_count_reference(ga, gb, ba, bb, m, n, params):
@@ -405,3 +427,80 @@ def test_row_convolution_matches_column_reference(case):
     got = count_solutions_matrix(ga, gb, ba, bb, params)
     assert got == _column_count_reference(ga, gb, ba, bb, m, n, params)
     assert got == count_representations(lam_a, lam_b, params)
+
+
+def test_pushforward_matches_the_scaled_row_histogram():
+    # units other than 1, powers of p and v = 0 (mod p^d), at n = 1 and 2;
+    # the reference counts every row again with v applied to it
+    for p, d, n, values in ((3, 3, 1, (2, 4, 26, 3, 9, 18, 0)), (5, 2, 1, (2, 7, 5, 10, 0)),
+                            (3, 2, 2, (2, 5, 3, 6, 0)), (5, 1, 2, (2, 3, 4, 0))):
+        params = GaloisRingParams(p, d)
+        dims = (params.modulus,) * (n * n)
+        for dtype in (np.int64, object):
+            unit = _row_histogram(n, params, dtype)
+            assert (unit == _row_histogram_reference(1, n, params, dtype)).all()
+            for v in values:
+                got = _pushforward(unit, v, dims)
+                assert got.dtype == unit.dtype and got.sum() == params.modulus ** (2 * n)
+                assert (got == _row_histogram_reference(v, n, params, dtype)).all(), (p, d, n, v)
+                # every unit u of Z/p^d is a norm N(w), and x -> w x carries the rows
+                # of value h to those of value u h, so H_u = H_1
+                assert bool(v % p) == (got == unit).all(), (p, d, n, v)
+
+
+def test_count_enumerates_rows_once(monkeypatch):
+    # three distinct diagonal values (9, 3, 1): one row enumeration, two pushforwards
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _row_histogram(*args)
+
+    monkeypatch.setattr(oracle, "_row_histogram", counted)
+    params = GaloisRingParams(3, 3)
+    assert density_oracle((2, 1, 0), (0,), params) == alpha((2, 1, 0), (0,)).evaluate_at(3)
+    assert len(calls) == 1
+
+
+def test_count_with_distinct_values_is_exact_past_int64():
+    # the object path with a pushforward: diagonal values 3 and 1, count > 2^63
+    params = GaloisRingParams(3, 6)
+    count = count_representations((1, 0, 0, 0), (0,), params, budget=3 ** 48)
+    assert count > 2 ** 63
+    assert density_oracle((1, 0, 0, 0), (0,), params, budget=3 ** 48) == \
+        alpha((1, 0, 0, 0), (0,)).evaluate_at(3)
+
+
+def test_units_other_than_one_on_the_diagonal():
+    # diag(2, 3, 1) mod 9 and diag(2, 1) mod 3, whose unit 2 only the pushforward
+    # reaches, against the column reference at diagonal and non-diagonal hermitian B
+    for p, d, diag, targets in (
+            (3, 2, (2, 3, 1), [([[0]], [[0]]), ([[1]], [[0]]), ([[2]], [[0]]), ([[3]], [[0]]),
+                               ([[6]], [[0]])]),
+            (3, 1, (2, 1), [([[1, 0], [0, 2]], [[0, 0], [0, 0]]),
+                            ([[2, 1], [1, 0]], [[0, 2], [1, 0]])])):
+        params = GaloisRingParams(p, d)
+        m = len(diag)
+        ga = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
+        gb = [[0] * m for _ in range(m)]
+        for ba, bb in targets:
+            got = count_solutions_matrix(ga, gb, ba, bb, params)
+            assert got == _column_count_reference(ga, gb, ba, bb, m, len(ba), params), \
+                (diag, ba, bb)
+
+
+def test_count_memory_stays_within_the_byte_estimate():
+    # two diagonal values at n = 2, with 1 among them (9 and 1) and without it
+    # (9 and 3, where H_1 is pushed forward and dropped): the live arrays stay
+    # within the byte gate's estimate, (distinct + 2) M^(n^2) 8 bytes
+    params = GaloisRingParams(3, 3)
+    estimate = (2 + 2) * params.modulus ** 4 * 8
+    for lam_a in ((2, 0), (2, 1)):
+        tracemalloc.start()
+        try:
+            got = density_oracle(lam_a, (2, 2), params, budget=3 ** 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate, (lam_a, peak, estimate)
+        assert got == alpha(lam_a, (2, 2)).evaluate_at(3)

@@ -77,6 +77,29 @@ def test_evaluate_at_examples():
         evaluate_at(ONE / (Q - 3), 3)
 
 
+def _evaluate_reference(poly, q0):
+    """The value at q0 term by term, one Fraction per term."""
+    q0 = Fraction(q0)
+    return sum((Fraction(c) * q0 ** e for e, c in poly.coeffs.items()), Fraction(0))
+
+
+def test_intpoly_evaluate_matches_the_per_term_form():
+    rng = random.Random(20261020)
+    points = [0, 1, -1, 3, -5, 2 ** 70, Fraction(-2, 3), Fraction(7, 2), Fraction(1, 9),
+              Fraction(-5, 12)]
+    polys = [IntPoly(), IntPoly.const(-7), IntPoly.monomial(3, 4)]
+    for _ in range(40):
+        polys.append(IntPoly({rng.randrange(12): rng.randint(-10 ** 6, 10 ** 6)
+                              for _ in range(rng.randrange(1, 8))}))
+    for poly in polys:
+        for q0 in points:
+            got = poly.evaluate(q0)
+            assert type(got) is Fraction and got == _evaluate_reference(poly, q0), (poly, q0)
+    assert IntPoly().evaluate(Fraction(-2, 3)) == 0
+    # 0^0 = 1: the constant term survives at q = 0
+    assert IntPoly({0: 5, 3: 1}).evaluate(0) == 5
+
+
 def test_as_laurent_examples():
     f = Q ** 6 * (ONE + ONE / Q) ** 2
     assert as_laurent(f) == {6: 1, 5: 2, 4: 1}
