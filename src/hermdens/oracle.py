@@ -38,8 +38,9 @@ whatever the number of distinct v, where enumeration takes M^(2mn).
 Temporaries are streamed in fixed-size blocks, so memory is the O(M^(n^2))
 histograms, at most the square root of the nominal work M^(2mn), which the
 budget gate bounds; a second gate refuses any count whose histograms would
-exceed ``HISTOGRAM_BYTES_CEILING`` bytes, whatever the budget.  Counts are exact: int64 below 2^63, Python ints beyond.
-The count runs in the calling process, in a single pass.
+exceed ``HISTOGRAM_BYTES_CEILING`` bytes, whatever the budget.  Counts are
+exact: int64 below 2^63, Python ints beyond.  The count runs in the calling
+process, in a single pass.
 """
 
 from __future__ import annotations

@@ -208,9 +208,7 @@ class IntPoly:
         terms and D the degree, it is the integer sum of c a^e b^(D - e) over
         b^D, so only the last step divides."""
         q0 = Fraction(q0)
-        a, b, top = q0.numerator, q0.denominator, self.degree()
-        if top < 0:
-            return Fraction(0)
+        a, b, top = q0.numerator, q0.denominator, max(self.coeffs, default=0)
         return Fraction(sum(c * a ** e * b ** (top - e) for e, c in self.coeffs.items()),
                         b ** top)
 
