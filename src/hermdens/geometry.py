@@ -233,6 +233,14 @@ def conjecture_check(b, engine=None):
     even-weight classes raise ValueError.  Second factors are only
     evaluated when the matching coefficient is nonzero, which also keeps
     every constructed 4-part label properly sorted.
+
+    A vertex count A_1110(a, l, k, m) is asked at the lowest first part of
+    a's parity that is above l (``hironaka._lead_period_label``): removing
+    two columns of the chain's lead run, whose matrix is an involution,
+    leaves the density as it is.  So the vertex terms of classes whose a
+    differ by 2 share one reduction, and none costs more as a grows.  Each
+    derived density is one twin chain that takes that run in pairs, so only
+    the tuples of length a that the chains read grow with a.
     """
     b = _validate_rank4(b)
     alpha_part = b[0]
@@ -279,7 +287,8 @@ def conjecture_check(b, engine=None):
         if not coeff:
             return {}
         cls4 = (alpha_part,) + part + ((0,) if tail_zero else ())
-        return lau_mul(coeff, nv((1, 1, 1, 0), cls4))
+        vertex = (1, 1, 1, 0)
+        return lau_mul(coeff, nv(vertex, hironaka._lead_period_label(vertex, cls4)))
 
     val, rep = truncated_partition_sum(
         "vertex-pairs", 2, 1, lambda p: vertex_term(p, True), tail3[:2])

@@ -28,14 +28,26 @@ e_i = i (2 l2 + 1 - i) / 2.  One kernel, ``_column_chain``, takes the
 product from column lam_1 + 1 down to 1, one matrix-vector product per
 column, and ``_column_matrix`` builds and caches each M_j.  M_j is lower
 triangular (I vanishes for c2 > c), so a column costs at most
-(l1 + 1)(l2 + 1) big-integer products and an alpha O(lam_1 n^2), where the
-box of mu has up to prod_i (lam_i + 2) members.  At the ranks the CLI and
-the benchmarks use (n <= 6) a column's time is interpreter overhead, so one
-product per entry runs ``alpha-direct`` about 2.6x as fast as splitting M_j
-into two q-binomial transforms of O(l1^2 + l2^2) interpreted shift-adds
-(``BENCH_31.json``).  At rank 8 the products of long integers cost more
-than those shift-adds: a hot alpha(0^8, (20, 18, ..., 6)) takes about
-1.6 ms against 1.2 ms (Python 3.11, a noisy 2-CPU host).
+(l1 + 1)(l2 + 1) big-integer products and a chain of every column
+O(lam_1 n^2), where the box of mu has up to prod_i (lam_i + 2) members.
+At the ranks the CLI and the benchmarks use (n <= 6) a column's time is
+interpreter overhead, so one product per entry runs ``alpha-direct`` about
+2.6x as fast as splitting M_j into two q-binomial transforms of
+O(l1^2 + l2^2) interpreted shift-adds (``BENCH_31.json``).  At rank 8 the
+products of long integers cost more than those shift-adds: a hot
+alpha(0^8, (20, 18, ..., 6)) takes about 1.6 ms against 1.2 ms (Python
+3.11, a noisy 2-CPU host).
+
+The columns lam_2 + 2..lam_1 have l1 = l2 = 1, and where x = -1 there (at
+m = n, the columns above xi_1) each is one map M with M^2 = I.  A chain
+without a prefix tree, as every derived density runs, takes that lead run
+in pairs, in O(1): its columns cost O((max(lam_2, xi_1) + 1) n^2) whatever
+lam_1 - lam_2, and only the tuples of (lam+1)' and xi' it reads still grow
+with lam_1.  A chain in a prefix tree runs every column, one state each.
+The width bound takes the run in closed form, and ``_lead_period_label``
+states the same fact on labels: alpha(A_xi, A_lam) does not change when
+lam_1 drops by 2 while lam_1 - 2 >= max(lam_2 + 1, xi_1), so the
+conjecture's vertex counts are asked at the lowest such lam_1.
 
 Each entry is a Laurent polynomial in t = (-q)^-1 held as one integer
 (Kronecker substitution): t^(-s) P(t) is P(2^B), in a frame s that a whole
@@ -137,6 +149,14 @@ def _column_matrix(l1, l2, x, width):
     return rows, top
 
 
+def _lead_column(lam):
+    """The lowest column of lam's lead run: the columns j = lead..lam_1, where
+    only lam_1 + 1 >= j, so (l1, l2) = ((lam+1)'_j, (lam+1)'_{j+1}) = (1, 1).
+    lead is lam_2 + 2, or 1 at n = 1; the run is empty when lead > lam_1, and
+    column lam_1 + 1 above it is (1, 0)."""
+    return lam[1] + 2 if len(lam) > 1 else 1
+
+
 def _coefficient_bound(lam, twin):
     """A bound on every coefficient of ``_column_chain(xi, lam, twin)``, for any
     xi: the l1 norm sum_mu prod_j ||I_j||_1 of the summands, and with ``twin``
@@ -159,14 +179,29 @@ def _coefficient_bound(lam, twin):
     Only the result's coefficients need the bound: evaluation at 2^B is a ring
     map, so the packed products and sums of the chain are exact at any
     width B.
+
+    The L columns lead..lam_1 of ``_lead_column`` share N = [[1, 0], [2, 1]],
+    and the recursion takes them in closed form, in O(1) whatever lam_1 - lam_2:
+    N^L = [[1, 0], [2L, 1]], so w[1] gains 2L w[0], and the twin's k-th column
+    adds w[1] + 2k w[0] at height 1 on top of N's own 2 wt[0], so wt[1] gains
+    2L wt[0] + L w[1] + L(L + 1) w[0] (w before the run).  The bound, and so
+    every width, is the one the columns give one at a time.
     """
-    cols = conjugate(tilde(lam)) + (0,)
+    cols = (0,) + conjugate(tilde(lam)) + (0,)      # (lam+1)'_j from j = 1
+    run = max(lam[0] - _lead_column(lam) + 1, 0)    # columns lam_1 - run + 1..lam_1
     w, wt = [1], [0]
-    for j in range(len(cols) - 2, -1, -1):
-        rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
-        w = [abs(sum(map(mul, row, w))) for row in rows]
-        if twin:
-            wt = [abs(sum(map(mul, row, wt))) + c * w[c] for c, row in enumerate(rows)]
+    start = lam[0] + 1
+    for stop, length in ((lam[0], run), (0, 0)):
+        for j in range(start, stop, -1):
+            rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
+            w = [abs(sum(map(mul, row, w))) for row in rows]
+            if twin:
+                wt = [abs(sum(map(mul, row, wt))) + c * w[c] for c, row in enumerate(rows)]
+        if length:
+            if twin:
+                wt[1] += 2 * length * wt[0] + length * w[1] + length * (length + 1) * w[0]
+            w[1] += 2 * length * w[0]
+        start = stop - length
     return sum(wt) if twin else sum(w)
 
 
@@ -228,34 +263,81 @@ def _column_chain(xi, lam, twin, node=None):
     column j adds c_j = c to the weight at height c as row . tw + c vec[c];
     only the twin is unpacked.  Without it, tw is None.
 
+    Without a tree the chain takes the lead run in pairs.  A column j of
+    ``_lead_column``'s run (l1 = l2 = 1) at x = -1 (xi'_j = m - n) is the one
+    map M = [[1, 0], [u, -1]], u = q^-1 - 1, with frame 0, and M^2 = I: a
+    pair leaves vec and s as they are, and adds N vec to the twin, where
+    N = C + M C M = [[0, 0], [-u, 2]] and C = diag(0, 1) is the weight a
+    column adds.  Packed, -u = (-q)^-1 + 1 is 2^width + 1, so k pairs add
+    k (2 vec[1] + (2^width + 1) vec[0]) to tw[1], and an odd column left at
+    the bottom of the run is taken as any other.  At m = n, x = -1 on the
+    run's columns max(lead, xi_1 + 1)..lam_1, so a twin chain of the geometry,
+    at xi = 0^n, costs O(1) columns whatever lam_1 - lam_2.
+
     ``node`` is None, or the root node of a ``HironakaEngine`` prefix tree
     for (lam, m).  Column j reads xi only through xi'_j, so the state after
     column j is fixed by (lam, m, xi'_{lam_1+1}, ..., xi'_j): a node maps
     xi'_j to that state and the node of column j - 1.  The loop takes every
     state it finds and fills the rest in with ``setdefault``, down to column
-    2.  The state after column 1 is never stored: it is fixed by all of xi'
-    that the chain reads, so an alpha that reaches it again is a memo hit
-    unless its xi differs only in parts above lam_1 + 1.  Stored states are
-    never mutated.
+    2, one column at a time.  The state after column 1 is never stored: it is
+    fixed by all of xi' that the chain reads, so an alpha that reaches it
+    again is a memo hit unless its xi differs only in parts above lam_1 + 1.
+    Stored states are never mutated.
     """
     m, n = len(xi), len(lam)
     cols, width = _frame(lam, twin)
     xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
+    # the pairs of the run: columns hi, hi - 1, ..., hi - 2 pairs + 1
+    hi, pairs = 0, 0
+    if node is None:
+        hi = min(lam[0], xi[m - n - 1]) if m > n else lam[0]
+        pairs = max(hi - max(_lead_column(lam), xi[m - n] + 1) + 1, 0) // 2
     vec, tw, s = [1], [0] if twin else None, 0
-    for j in range(lam[0] + 1, 0, -1):
-        if node is not None:
-            hit = node.get(xi_cols[j])
-            if hit is not None:
-                (vec, tw, s), node = hit
-                continue
-        rows, top = _column_matrix(cols[j], cols[j + 1], n - m - 1 + xi_cols[j], width)
-        vec = [sum(map(mul, row, vec)) for row in rows]
-        if twin:
-            tw = [sum(map(mul, row, tw)) + c * v for c, (row, v) in enumerate(zip(rows, vec))]
-        s += top
-        if node is not None and j > 1:
-            node = node.setdefault(xi_cols[j], ((vec, tw, s), {}))[1]
+    start = lam[0] + 1
+    for stop, k in ((hi, pairs), (0, 0)):
+        for j in range(start, stop, -1):
+            if node is not None:
+                hit = node.get(xi_cols[j])
+                if hit is not None:
+                    (vec, tw, s), node = hit
+                    continue
+            rows, top = _column_matrix(cols[j], cols[j + 1], n - m - 1 + xi_cols[j], width)
+            vec = [sum(map(mul, row, vec)) for row in rows]
+            if twin:
+                tw = [sum(map(mul, row, tw)) + c * v for c, (row, v) in enumerate(zip(rows, vec))]
+            s += top
+            if node is not None and j > 1:
+                node = node.setdefault(xi_cols[j], ((vec, tw, s), {}))[1]
+        if k and twin:
+            tw[1] += k * (2 * vec[1] + ((1 << width) + 1) * vec[0])
+        start = stop - 2 * k
     return _unpack(sum(tw if twin else vec), s, width)
+
+
+def _lead_period_label(xi, lam):
+    """The label lam with its first part lowered by 2 as often as
+    alpha(A_xi, A_lam) = alpha(A_xi, A_(lam_1 - 2, lam_2, ...)) allows, for
+    labels of one length n: the lowest lam_1 of its parity with
+    lam_1 >= max(lead - 1, xi_1), lead = ``_lead_column(lam)``, which is
+    max(lam_2 + 1, xi_1) at n >= 2.
+
+    Proof: let lam_1 - 2 >= max(lead - 1, xi_1) and lam^- = (lam_1 - 2,
+    lam_2, ...).  (lam+1)' and (lam^- + 1)' agree on the columns
+    j <= lam_1 - 1, and the columns lam_1 - 1 and lam_1 of lam are in the lead
+    run (l1 = l2 = 1), as lam_1 - 1 >= lead.  So the
+    chain of lam is M_1 ... M_(lam_1 - 2) M M M' e_0 and the chain of lam^- is
+    M_1 ... M_(lam_1 - 2) M' e_0, with the same M_1, ..., M_(lam_1 - 2), where
+    M' is the (1, 0) column lam_1 + 1 of lam and lam_1 - 1 of lam^-.  Every
+    column j >= lam_1 - 1 > xi_1 has xi'_j = 0 and so x = -1 at m = n: M is
+    the run's involution (see ``_column_chain``), M M = I, and the two M'
+    are one matrix.  The self-density alpha(A_xi, A_xi) does not read lam,
+    so normalized densities agree too, and lam_1 - 2 keeps the weight's
+    parity and stays >= xi_1, so ``provable_zero`` rules both labels alike.
+    """
+    low = max(_lead_column(lam) - 1, xi[0])
+    if lam[0] - 2 < low:
+        return lam
+    return (low + (lam[0] - low) % 2,) + lam[1:]
 
 
 class HironakaEngine:

@@ -23,6 +23,7 @@ from hermdens.hironaka import (
     _column_matrix,
     _divide_one_minus_t,
     _frame,
+    _lead_period_label,
     _unpack,
     alpha,
     derived_density,
@@ -323,6 +324,131 @@ def test_chain_at_the_exact_width_equals_the_chain_at_the_relaxed_width(monkeypa
                 with monkeypatch.context() as patch:
                     patch.setattr(hironaka, "_frame", lambda lam, twin: (cols, relaxed))
                     assert exact == _column_chain(xi, lam, twin), (xi, lam, twin)
+
+
+def _lead_run_labels():
+    # labels with a long lead run (the columns with l1 = l2 = 1): at m = n,
+    # and at m > n with x = -1 on all of the run or only inside it; seeded
+    # ones around the run's ends, lam_1 - lam_2 from 0 to 40
+    pairs = [((0, 0, 0, 0), (200, 3, 1, 1)), ((0, 0, 0), (57, 0, 0)), ((0,), (57,)),
+             ((3, 1, 1), (57, 0, 0)), ((1, 1, 1, 0), (10, 5, 0, 0)), ((50, 0), (33,)),
+             ((60, 2, 0), (40, 3)), ((30, 9, 4, 0), (45, 6, 2)), ((60, 60, 0), (40, 3))]
+    rng = random.Random(3333)
+    while len(pairs) < 60:
+        n = rng.randint(1, 4)
+        lam = _random_label(rng, n, 8)
+        lam = (lam[0] + rng.randint(0, 40),) + lam[1:]
+        m = n + rng.choice((0, 0, 1, 2))
+        pairs.append((_random_label(rng, m, rng.choice((3, lam[0] + 2))), lam))
+    return pairs
+
+
+def _paired_columns(xi, lam):
+    # the columns j <= lam_1 with l1 = l2 = 1 and x = n - m - 1 + xi'_j = -1,
+    # from the definitions: one run, whose pairs the chain skips
+    lt, m, n = tilde(lam), len(xi), len(lam)
+    run = [j for j in range(1, lam[0] + 1)
+           if conjugate_part(lt, j) == conjugate_part(lt, j + 1) == 1
+           and n - m - 1 + conjugate_part(xi, j) == -1]
+    assert not run or run == list(range(run[0], run[-1] + 1)), (xi, lam)
+    return len(run) // 2 * 2
+
+
+def test_chain_takes_the_lead_run_in_pairs(monkeypatch):
+    # both lanes against the dict reference, which runs every column, and
+    # the chain asks no matrix for a column of a pair
+    matrix = hironaka._column_matrix
+    paired = 0
+    for xi, lam in _lead_run_labels():
+        value, weighted = _chain_dict_reference(xi, lam, True)
+        for twin, want in ((False, value), (True, weighted)):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(hironaka, "_column_matrix",
+                              lambda *key: calls.append(key) or matrix(*key))
+                got = _column_chain(xi, lam, twin)
+            assert RatFunc.from_laurent(got) == RatFunc.from_laurent(want), (xi, lam, twin)
+            # a cold width bound reads matrices at width 0, which no chain runs at
+            columns = [key for key in calls if key[3]]
+            assert len(columns) == lam[0] + 1 - _paired_columns(xi, lam), (xi, lam, twin)
+        paired += _paired_columns(xi, lam) > 0
+    assert paired >= 35
+    # the twin chain of a rank-4 derived density runs the columns below the
+    # run, one odd column and the top one, whatever lam_1
+    assert _paired_columns((0, 0, 0, 0), (200, 3, 1, 1)) == 196
+
+
+def _coefficient_bound_by_columns(lam, twin):
+    # the width bound one column at a time, the lead run too: the reference
+    # for _coefficient_bound, which takes that run in closed form
+    cols = conjugate(tilde(lam)) + (0,)
+    w, wt = [1], [0]
+    for j in range(len(cols) - 2, -1, -1):
+        rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
+        w = [abs(sum(a * b for a, b in zip(row, w))) for row in rows]
+        if twin:
+            wt = [abs(sum(a * b for a, b in zip(row, wt))) + c * w[c]
+                  for c, row in enumerate(rows)]
+    return sum(wt) if twin else sum(w)
+
+
+def test_coefficient_bound_takes_the_lead_run_in_closed_form():
+    # the bound, and so the width, equals the column-by-column bound on 800
+    # seeded label/lane pairs, lead runs of every length from 0 up
+    rng = random.Random(4444)
+    lams = [(0,), (1,), (2,), (3,), (5, 5), (5, 4), (5, 3), (200, 3, 1, 1), (57, 0, 0)]
+    lams += [lam for _, lam in _lead_run_labels()]
+    while len(lams) < 400:
+        lams.append(_random_label(rng, rng.randint(1, 6), rng.choice((5, 30, 90))))
+    for lam in lams:
+        for twin in (False, True):
+            want = _coefficient_bound_by_columns(lam, twin)
+            assert _coefficient_bound(lam, twin) == want, (lam, twin)
+            assert _frame(lam, twin)[1] == want.bit_length() + 1, (lam, twin)
+
+
+def _lead_period_low(xi, lam):
+    # the threshold: the identity lowers lam_1 while lam_1 - 2 >= this, which
+    # is max(lam_2 + 1, xi_1), and max(0, xi_1) at n = 1
+    return max(lam[1] + 1 if len(lam) > 1 else 0, xi[0])
+
+
+def _lead_period_pairs(rng, count):
+    # seeded (xi, lam) of one length past the threshold: every other pair
+    # exactly at it, the rest up to 6 beyond it
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1, 4)
+        xi, rest = _random_label(rng, n, 8), _random_label(rng, n - 1, 6)
+        low = _lead_period_low(xi, (0,) + rest)
+        pairs.append((xi, (low + 2 + (len(pairs) % 2) * rng.randint(1, 6),) + rest))
+    return pairs
+
+
+def test_lead_period_identity():
+    # alpha(A_xi, A_lam) = alpha(A_xi, A_(lam_1 - 2, lam_2, ...)) past the
+    # threshold, by the direct engine, whose tree runs every column, and by
+    # the reducer's normalized values; _lead_period_label lowers lam_1 to the
+    # lowest of its parity at or above the threshold, and no further
+    direct, reducer = HironakaEngine(), ReductionEngine()
+    nonzero = 0
+    for xi, lam in _lead_period_pairs(random.Random(5555), 160):
+        low = _lead_period_low(xi, lam)
+        lower = (lam[0] - 2,) + lam[1:]
+        canon = _lead_period_label(xi, lam)
+        assert canon[1:] == lam[1:] and (lam[0] - canon[0]) % 2 == 0, (xi, lam)
+        assert low <= canon[0] < low + 2, (xi, lam)
+        for label in (low, low + 1):
+            kept = (label,) + lam[1:]
+            assert _lead_period_label(xi, kept) == kept, (xi, kept)
+        want = direct.laurent_alpha(xi, lam)
+        assert direct.laurent_alpha(xi, lower) == want, (xi, lam)
+        assert direct.laurent_alpha(xi, canon) == want, (xi, lam)
+        want = reducer.laurent_value(xi, lam)
+        assert reducer.laurent_value(xi, lower) == want, (xi, lam)
+        assert reducer.laurent_value(xi, canon) == want, (xi, lam)
+        nonzero += bool(want)
+    assert nonzero >= 40
 
 
 def _pack(d, s, width):
