@@ -28,14 +28,24 @@ x_i of X, the classical row decomposition of representation numbers
 the additive group of n x n hermitian matrices (n^2 coordinates in Z/M).
 So the count is the value at B of the convolution of the m row histograms
 H_v(g) = #{x in R^n : v conj(x)^T x = g}.  Only H_1 is counted over the
-M^(2n) rows.  Since v conj(x)^T x is read coordinatewise mod M, every other
-H_v is its pushforward, H_v(g) = sum of H_1(h) over the h with v h = g,
-one pass over the support of H_1.  The accumulator starts at H_(v_1); the
-next m - 2 are convolved into it over their supports, and the last is read
-as sum_g acc(g) H_(v_m)(B - g), or, for m = 1, H_(v_1) is read at B.  That
-is O(M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2), M^(2n)) a support size,
-whatever the number of distinct v, where enumeration takes M^(2mn).
-Temporaries are streamed in fixed-size blocks, so memory is the O(M^(n^2))
+M^(2n) rows: a row is 2n component axes of length M, each coordinate of
+conj(x)^T x is one broadcast expression over them, and each block of rows
+goes into H_1 with one bincount.  Since v conj(x)^T x is read coordinatewise
+mod M, every other H_v is the pushforward of H_1, H_v(g) = sum of H_1(h) over
+the h with v h = g, and it takes no scan of H_1's support.  Write v = u p^e
+with u a unit.  Every unit is a norm, so H_u = H_1; and times p^e a coordinate
+h goes to p^e (h mod p^(d-e)), so each axis of H_1 is reshaped to
+(p^e, p^(d-e)), summed over its first part and written at stride p^e.  The
+accumulator starts at H_(v_1); the next m - 2 are convolved into it over
+their supports, and the last is read at B as one dot product,
+sum_g acc(g) H_(v_m)(B - g), with H_(v_m) gathered at B - g; for m = 1,
+H_(v_1) is read at B.  When every value occurs an even number of times, A is
+two equal halves: one half is convolved (m/2 - 1 convolutions) and read
+against itself.  That is O(M^(2n) + m M^(n^2) s) steps, s <= min(M^(n^2),
+M^(2n)) a support size, whatever the number of distinct v, where enumeration
+takes M^(2mn).  Rows and support pairs are taken in fixed-size blocks, so a
+step's temporaries hold O(n^2) integers per row or pair of its block, and
+the read gathers one M^(n^2) array.  So memory is the O(M^(n^2))
 histograms, at most the square root of the nominal work M^(2mn), which the
 budget gate bounds; a second gate refuses any count whose histograms would
 exceed ``HISTOGRAM_BYTES_CEILING`` bytes, whatever the budget.  Counts are
@@ -45,6 +55,8 @@ process, in a single pass.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,10 +67,13 @@ from .partitions import check_partition
 DEFAULT_BUDGET = 2 ** 36
 
 # Bytes the dense histograms of one count may take: one M^(n^2)-entry array per
-# distinct diagonal value of A, the accumulator and the convolution's output,
-# at 8 bytes an entry (an object array's entries also point to Python ints, so
-# it takes more).  H_1 is an extra array only while it is pushed forward, when
-# 1 is not on the diagonal; it is dropped before any convolution, so these
+# distinct diagonal value of A, and two more, at 8 bytes an entry (an object
+# array's entries also point to Python ints, so it takes more).  The unit values
+# share H_1.  While H_1 is pushed forward to the other values, it, the partial
+# sums (at most M^(n^2)/p entries) and the output are live beside the
+# histograms made so far; H_1 is dropped afterwards when no unit is on the
+# diagonal.  Then a convolution holds the accumulator and its output, and the
+# read the accumulator and the gathered copy of the last histogram.  So these
 # arrays bound what is live.  Whatever the budget, a count above it is refused
 # before anything is allocated; counts the default budget admits need at most
 # a few MB.
@@ -134,15 +149,10 @@ class GaloisRingParams:
 # row-convolution counting
 # ---------------------------------------------------------------------------
 
-# Rows, support pairs or support points handled per numpy step, so that the
-# temporaries of a step hold O(_BLOCK * n^2) integers whatever the modulus.
+# Rows or support pairs handled per numpy step, so that the temporaries of a
+# step hold O(_BLOCK * n^2) integers whatever the modulus (a block of rows is
+# at least the M values of one component, should M exceed _BLOCK).
 _BLOCK = 2 ** 16
-
-
-def _blocks(total):
-    """The indices 0 .. total-1 as consecutive int64 arrays of at most _BLOCK."""
-    for lo in range(0, total, _BLOCK):
-        yield np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
 
 
 def _hermitian_coords(ba, bb, n, modulus):
@@ -166,31 +176,59 @@ def _row_histogram(n, params, dtype):
     """H_1[g] = #{x in R^n : conj(x)^T x has index g}, over all modulus^(2n) rows x.
 
     The coordinates of Herm_n are the n real diagonal entries, then the two
-    components of each entry above the diagonal, row by row.
+    components of each entry above the diagonal, row by row; the index of g is
+    read off them by Horner's rule, the first coordinate the most significant.
+    A row is its 2n components a_1..a_n, b_1..b_n, one array axis each.  The
+    trailing axes whose sizes multiply to at most _BLOCK (at least the last
+    one) are broadcast in one block, and the leading ones are stepped through.
     """
-    modulus, c = params.modulus, params.c
-    hist = np.zeros(modulus ** (n * n), dtype=dtype)
-    for block in _blocks(modulus ** (2 * n)):
-        x = np.unravel_index(block, (modulus,) * (2 * n))
+    # the ring depends on c mod modulus only, and the reduced c keeps the
+    # products below in int64
+    modulus = params.modulus
+    c = params.c % modulus
+    # an entry is at most the modulus^(2n) rows, below 2^63 at any size the
+    # byte gate admits, so the rows are counted in int64 and cast at the end
+    hist = np.zeros(modulus ** (n * n), dtype=np.int64)
+    lead, width = 2 * n - 1, modulus
+    while lead and width * modulus <= _BLOCK:
+        lead, width = lead - 1, width * modulus
+    axes = [np.arange(modulus, dtype=np.int64).reshape((modulus,) + (1,) * (2 * n - 1 - k))
+            for k in range(lead, 2 * n)]
+    for head in itertools.product(range(modulus), repeat=lead):
+        x = [*head, *axes]
         xa, xb = x[:n], x[n:]
         coords = [xa[r] * xa[r] - c * xb[r] * xb[r] for r in range(n)]
         for r in range(n):
             for s in range(r + 1, n):
                 coords += [xa[r] * xa[s] - c * xb[r] * xb[s], xa[r] * xb[s] - xb[r] * xa[s]]
-        g = np.ravel_multi_index(coords, (modulus,) * (n * n), mode="wrap")
-        hist += np.bincount(g, minlength=hist.size)
-    return hist
+        g = 0
+        for y in coords:
+            g = g * modulus + y % modulus
+        hist += np.bincount(g.ravel(), minlength=hist.size)
+    return hist.astype(dtype, copy=False)
 
 
 def _pushforward(unit, v, dims):
     """H_v from H_1 = ``unit``: H_v[g] = sum of H_1[h] over the h with v h = g
-    coordinatewise mod each dimension, streamed over the support of H_1."""
-    support = np.flatnonzero(unit)
+    coordinatewise mod M = dims[0], which is ``unit`` itself when v is a unit.
+
+    Write v = u p^e with u a unit (e = d when v = 0 mod M), so that p^e =
+    gcd(v, M).  H_u = H_1, since u is a norm N(w) and x -> w x carries the
+    rows of value h to those of value u h.  Times p^e, a coordinate h =
+    h_hi p^(d-e) + h_lo goes to p^e h_lo, so each axis splits into
+    (p^e, p^(d-e)), the p^e parts are summed, and the sums land at stride p^e.
+    """
+    modulus, k = dims[0], len(dims)
+    step = math.gcd(v, modulus)
+    if step == 1:
+        return unit
+    rest = modulus // step
+    summed = unit
+    for j in range(k):
+        # the axes before j are already cut to their p^(d-e) low parts
+        summed = summed.reshape(rest ** j, step, -1).sum(axis=1)
     out = np.zeros_like(unit)
-    for block in _blocks(support.size):
-        h = support[block]
-        g = np.ravel_multi_index([v * x for x in np.unravel_index(h, dims)], dims, mode="wrap")
-        np.add.at(out, g, unit[h])
+    out.reshape((rest, step) * k)[(slice(None), 0) * k] = summed.reshape((rest,) * k)
     return out
 
 
@@ -198,23 +236,20 @@ def _convolve(f, g, dims):
     """(f * g)[u + v] = sum f[u] g[v] over the supports, adding mod each dimension."""
     fs, gs = np.flatnonzero(f), np.flatnonzero(g)
     fd, gd = np.unravel_index(fs, dims), np.unravel_index(gs, dims)
-    out = np.zeros_like(f)
-    for pair in _blocks(fs.size * gs.size):
-        i, j = np.divmod(pair, gs.size)
+    out, pairs = np.zeros_like(f), fs.size * gs.size
+    for lo in range(0, pairs, _BLOCK):
+        i, j = np.divmod(np.arange(lo, min(lo + _BLOCK, pairs), dtype=np.int64), gs.size)
         idx = np.ravel_multi_index([a[i] + b[j] for a, b in zip(fd, gd)], dims, mode="wrap")
         np.add.at(out, idx, f[fs[i]] * g[gs[j]])
     return out
 
 
 def _read(f, g, target, dims):
-    """(f * g)[target]: the sum over the support of f of f[u] g[target - u]."""
-    support = np.flatnonzero(f)
-    total = 0
-    for block in _blocks(support.size):
-        u = support[block]
-        rest = [t - x for t, x in zip(target, np.unravel_index(u, dims))]
-        total += int((f[u] * g[np.ravel_multi_index(rest, dims, mode="wrap")]).sum())
-    return total
+    """(f * g)[target]: the sum over all u of f[u] g[target - u], as one dot
+    product of f with g gathered at target - u (one index vector per axis)."""
+    shifted = g.reshape(dims)[np.ix_(*[(t - np.arange(size)) % size
+                                       for t, size in zip(target, dims)])]
+    return int(np.dot(f, shifted.ravel()))
 
 
 def count_solutions_matrix(ga, gb, ba, bb, params, budget=DEFAULT_BUDGET):
@@ -254,14 +289,18 @@ def _count(diag, target, n, params, budget):
     dtype = np.int64 if estimate < 2 ** 63 else object
     dims = (modulus,) * (n * n)
     unit = _row_histogram(n, params, dtype)
-    hists = {v: unit if v == 1 else _pushforward(unit, v, dims) for v in set(diag)}
+    hists = {v: _pushforward(unit, v, dims) for v in set(diag)}
     del unit
-    acc = hists[diag[0]]
     if len(diag) == 1:
-        return int(acc[np.ravel_multi_index(target, dims, mode="wrap")])
-    for v in diag[1:-1]:
+        return int(hists[diag[0]][np.ravel_multi_index(target, dims, mode="wrap")])
+    # when every value occurs an even number of times, A is two equal halves:
+    # convolve one half and read it against itself
+    even = all(diag.count(v) % 2 == 0 for v in hists)
+    lead = sorted(diag)[::2] if even else diag[:-1]
+    acc = hists[lead[0]]
+    for v in lead[1:]:
         acc = _convolve(acc, hists[v], dims)
-    return _read(acc, hists[diag[-1]], target, dims)
+    return _read(acc, acc if even else hists[diag[-1]], target, dims)
 
 
 def count_representations(lam_a, lam_b, params, budget=DEFAULT_BUDGET):

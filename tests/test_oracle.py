@@ -236,6 +236,15 @@ def test_nonresidue_independence():
         assert a == b, (la, lb, d)
 
 
+def test_nonresidue_is_read_mod_p_to_the_d():
+    # c and c + 9k give the same ring mod 9, also where c times a row's
+    # squares would pass 2^63: no wrap in int64 (765, not 648), no OverflowError
+    want = count_representations((0, 0), (0,), GaloisRingParams(3, 2, 2))
+    assert want == 648
+    for c in (2 + 9 * 10 ** 17, 2 + 9 * 10 ** 20):
+        assert count_representations((0, 0), (0,), GaloisRingParams(3, 2, c)) == want, c
+
+
 # Test inputs are built on ring elements written as (a, b) pairs, a + b w,
 # the coordinates the counter itself works in.
 
@@ -435,22 +444,33 @@ def test_row_convolution_matches_column_reference(case):
 
 
 def test_pushforward_matches_the_scaled_row_histogram():
-    # units other than 1, powers of p and v = 0 (mod p^d), at n = 1 and 2;
+    # every v mod p^d (units, units times powers of p, and 0), at n = 1 and 2;
     # the reference counts every row again with v applied to it
-    for p, d, n, values in ((3, 3, 1, (2, 4, 26, 3, 9, 18, 0)), (5, 2, 1, (2, 7, 5, 10, 0)),
-                            (3, 2, 2, (2, 5, 3, 6, 0)), (5, 1, 2, (2, 3, 4, 0))):
+    for p, d, n in ((3, 3, 1), (5, 2, 1), (3, 2, 2), (5, 1, 2)):
         params = GaloisRingParams(p, d)
         dims = (params.modulus,) * (n * n)
         for dtype in (np.int64, object):
             unit = _row_histogram(n, params, dtype)
             assert (unit == _row_histogram_reference(1, n, params, dtype)).all()
-            for v in values:
+            for v in range(params.modulus):
                 got = _pushforward(unit, v, dims)
                 assert got.dtype == unit.dtype and got.sum() == params.modulus ** (2 * n)
                 assert (got == _row_histogram_reference(v, n, params, dtype)).all(), (p, d, n, v)
                 # every unit u of Z/p^d is a norm N(w), and x -> w x carries the rows
                 # of value h to those of value u h, so H_u = H_1
                 assert bool(v % p) == (got == unit).all(), (p, d, n, v)
+
+
+def test_row_histogram_spans_several_blocks():
+    # 27^4 rows at n = 2 and 729^2 at n = 1 exceed one block of rows, so the
+    # leading row components are stepped through
+    for p, d, n in ((3, 3, 2), (3, 6, 1)):
+        params = GaloisRingParams(p, d)
+        assert params.modulus ** (2 * n) > oracle._BLOCK
+        for dtype in (np.int64, object):
+            got = _row_histogram(n, params, dtype)
+            assert got.dtype == np.dtype(dtype) and got.sum() == params.modulus ** (2 * n)
+            assert (got == _row_histogram_reference(1, n, params, dtype)).all(), (p, d, n)
 
 
 def test_count_enumerates_rows_once(monkeypatch):
@@ -500,3 +520,33 @@ def test_count_memory_stays_within_the_byte_estimate():
             tracemalloc.stop()
         assert peak < estimate, (lam_a, peak, estimate)
         assert got == alpha(lam_a, (2, 2)).evaluate_at(3)
+
+
+def test_equal_halves_are_convolved_once(monkeypatch):
+    # 0^4 is two copies of (0, 0): H_1 * H_1 is convolved once and read against
+    # itself; (1, 1, 0, 0) likewise.  An odd multiplicity (m = 3) convolves m - 2 times
+    calls, convolve = [], oracle._convolve
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(oracle, "_convolve", counted)
+    params = GaloisRingParams(3, 2)
+    for lam_a, lam_b, want in (((0, 0, 0, 0), (1, 1), 1), ((1, 1, 0, 0), (1, 0), 1),
+                               ((0, 0, 0), (1, 1), 1), ((1, 0, 0), (1, 0), 1),
+                               ((0, 0), (1, 1), 0)):
+        calls.clear()
+        assert density_oracle(lam_a, lam_b, params, budget=10 ** 20) == \
+            alpha(lam_a, lam_b).evaluate_at(3), (lam_a, lam_b)
+        assert len(calls) == want, (lam_a, lam_b, len(calls))
+
+
+@pytest.mark.parametrize("lam_a", [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0, 0), (1, 1, 0, 0),
+                                   (2, 2, 0, 0)])
+def test_rank_two_b_against_rank_three_and_four(lam_a):
+    # outside the default budget (9^12 and 9^16 matrices X), so an explicit one
+    params = GaloisRingParams(3, 2)
+    for lam_b in ((0, 0), (1, 0), (1, 1)):
+        assert density_oracle(lam_a, lam_b, params, budget=10 ** 20) == \
+            alpha(lam_a, lam_b).evaluate_at(3), (lam_a, lam_b)
