@@ -239,8 +239,9 @@ def conjecture_check(b, engine=None):
     two columns of the chain's lead run, whose matrix is an involution,
     leaves the density as it is.  So the vertex terms of classes whose a
     differ by 2 share one reduction, and none costs more as a grows.  Each
-    derived density is one twin chain that takes that run in pairs, so only
-    the tuples of length a that the chains read grow with a.
+    derived density chains the same lowered label and the one two above it,
+    and is affine in the pairs removed (the twin lemma there), so none costs
+    more as a grows either; ``hironaka`` caches those chains per label.
     """
     b = _validate_rank4(b)
     alpha_part = b[0]
@@ -248,16 +249,10 @@ def conjecture_check(b, engine=None):
         raise ValueError(f"need an even dominant part, got {b}")
     tail3 = b[1:]
     nv = (engine or ReductionEngine()).laurent_value
+    deriv = hironaka._derived_laurent
 
     reports = []
     terms = []
-    deriv_cache = {}
-
-    def deriv(cls4):
-        if cls4 not in deriv_cache:
-            deriv_cache[cls4] = hironaka._derived_laurent(cls4)
-        return deriv_cache[cls4]
-
     lhs = deriv(b)                      # ValueError on even weight
 
     def term_record(name, val):
@@ -273,7 +268,7 @@ def conjecture_check(b, engine=None):
         coeff = nv((lead, 0, 0), tail3)
         if not coeff:
             return {}
-        step = lau_iadd_scaled(dict(deriv((alpha_part, lead, 0, 0))),
+        step = lau_iadd_scaled(deriv((alpha_part, lead, 0, 0)),
                                deriv((alpha_part, lead - 2, 0, 0)), scale=-1)
         return lau_mul(coeff, step)
 

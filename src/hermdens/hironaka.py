@@ -39,15 +39,15 @@ alpha(0^8, (20, 18, ..., 6)) takes about 1.6 ms against 1.2 ms (Python
 3.11, a noisy 2-CPU host).
 
 The columns lam_2 + 2..lam_1 have l1 = l2 = 1, and where x = -1 there (at
-m = n, the columns above xi_1) each is one map M with M^2 = I.  A chain
-without a prefix tree, as every derived density runs, takes that lead run
-in pairs, in O(1): its columns cost O((max(lam_2, xi_1) + 1) n^2) whatever
-lam_1 - lam_2, and only the tuples of (lam+1)' and xi' it reads still grow
-with lam_1.  A chain in a prefix tree runs every column, one state each.
-The width bound takes the run in closed form, and ``_lead_period_label``
-states the same fact on labels: alpha(A_xi, A_lam) does not change when
-lam_1 drops by 2 while lam_1 - 2 >= max(lam_2 + 1, xi_1), so the
-conjecture's vertex counts are asked at the lowest such lam_1.
+m = n, the columns above xi_1) each is one map M with M^2 = I.  That fact
+is used in one place, at the label: ``_lead_period_label`` lowers lam_1 by
+pairs of such columns to L_1 < max(lam_2 + 1, xi_1) + 2.  The value does
+not change, and the |mu|-weighted twin is affine in the number of pairs.
+So at m = n ``HironakaEngine`` chains alpha at the lowered label, and
+``derived_density`` chains L and (L_1 + 2, L_2, ...) and extrapolates: a
+chain at m = n never runs a long lead run, and its columns, tuples and
+width bound cost O(max(lam_2, xi_1) + 1) columns whatever lam_1 - lam_2.
+Every chain and the width bound take their columns one at a time.
 
 Each entry is a Laurent polynomial in t = (-q)^-1 held as one integer
 (Kronecker substitution): t^(-s) P(t) is P(2^B), in a frame s that a whole
@@ -72,11 +72,12 @@ itself; ``alpha`` checks its labels and builds a ``RatFunc`` from it.  The
 module function ``I_j`` builds one inner factor from a cache of its own,
 keyed on the four conjugate values, for readers and as the tests' reference.
 Column j reads xi only through m = len(xi) and xi'_j, so the engine also
-keeps the packed chain states in one prefix tree per (lam, m), a dict keyed
-on xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs only the
-columns below the deepest state it shares with an earlier one.  On a seed-1
-``relation-sweep`` benchmark pass the 1,558 alphas run 2,527 columns instead
-of 6,740.  ``derived_density`` asks one chain per label and keeps no tree.
+keeps the packed chain states in one prefix tree per (label chained, m), a
+dict keyed on xi'_{lam_1+1}, xi'_{lam_1}, ... from the root: an alpha runs
+only the columns below the deepest state it shares with an earlier one.  On
+a seed-1 ``relation-sweep`` benchmark pass the 1,558 alphas run 2,516
+columns instead of 6,740.  ``derived_density`` keeps no tree: it caches
+each lowered label's chain (``_derived_chain``).
 
 Normalized densities divide by the self-density, alpha(A,B)/alpha(A,A), and
 are 0 where ``partitions.provable_zero`` applies (weight parity or support:
@@ -87,7 +88,8 @@ divides both direct alphas by those factors with additions only and no gcd
 so the two stay independent; an engine checks this once per xi.
 
 Module caches: ``_frame`` (the last 4096 labels), ``_column_matrix`` (the
-last 4096 column keys), and ``_inner_laurent``, which is unbounded but keyed
+last 4096 column keys), ``_derived_chain`` (the last 4096 labels that
+derived densities chain), and ``_inner_laurent``, which is unbounded but keyed
 on conjugate values alone, at most (n + 1)^4 keys for labels of length at
 most n.
 
@@ -149,14 +151,6 @@ def _column_matrix(l1, l2, x, width):
     return rows, top
 
 
-def _lead_column(lam):
-    """The lowest column of lam's lead run: the columns j = lead..lam_1, where
-    only lam_1 + 1 >= j, so (l1, l2) = ((lam+1)'_j, (lam+1)'_{j+1}) = (1, 1).
-    lead is lam_2 + 2, or 1 at n = 1; the run is empty when lead > lam_1, and
-    column lam_1 + 1 above it is (1, 0)."""
-    return lam[1] + 2 if len(lam) > 1 else 1
-
-
 def _coefficient_bound(lam, twin):
     """A bound on every coefficient of ``_column_chain(xi, lam, twin)``, for any
     xi: the l1 norm sum_mu prod_j ||I_j||_1 of the summands, and with ``twin``
@@ -180,28 +174,17 @@ def _coefficient_bound(lam, twin):
     map, so the packed products and sums of the chain are exact at any
     width B.
 
-    The L columns lead..lam_1 of ``_lead_column`` share N = [[1, 0], [2, 1]],
-    and the recursion takes them in closed form, in O(1) whatever lam_1 - lam_2:
-    N^L = [[1, 0], [2L, 1]], so w[1] gains 2L w[0], and the twin's k-th column
-    adds w[1] + 2k w[0] at height 1 on top of N's own 2 wt[0], so wt[1] gains
-    2L wt[0] + L w[1] + L(L + 1) w[0] (w before the run).  The bound, and so
-    every width, is the one the columns give one at a time.
+    The recursion takes the columns one at a time, as the chain does, so it
+    costs O(lam_1) columns; the chains at m = n ask it only at labels that
+    ``_lead_period_label`` has lowered.
     """
     cols = (0,) + conjugate(tilde(lam)) + (0,)      # (lam+1)'_j from j = 1
-    run = max(lam[0] - _lead_column(lam) + 1, 0)    # columns lam_1 - run + 1..lam_1
     w, wt = [1], [0]
-    start = lam[0] + 1
-    for stop, length in ((lam[0], run), (0, 0)):
-        for j in range(start, stop, -1):
-            rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
-            w = [abs(sum(map(mul, row, w))) for row in rows]
-            if twin:
-                wt = [abs(sum(map(mul, row, wt))) + c * w[c] for c, row in enumerate(rows)]
-        if length:
-            if twin:
-                wt[1] += 2 * length * wt[0] + length * w[1] + length * (length + 1) * w[0]
-            w[1] += 2 * length * w[0]
-        start = stop - length
+    for j in range(lam[0] + 1, 0, -1):
+        rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
+        w = [abs(sum(map(mul, row, w))) for row in rows]
+        if twin:
+            wt = [abs(sum(map(mul, row, wt))) + c * w[c] for c, row in enumerate(rows)]
     return sum(wt) if twin else sum(w)
 
 
@@ -236,7 +219,9 @@ def _frame(lam, twin):
     the bound costs more than its narrower width saves.  The cache keeps the
     most recent labels, so a long sweep does not grow it without limit.  The
     width is the narrowest whose balanced digits hold every coefficient the
-    bound allows.
+    bound allows.  Both take O(lam_1) time and space; at m = n the chains ask
+    them only at labels ``_lead_period_label`` has lowered, so there they
+    do not grow with lam_1 - lam_2.
     """
     return (0,) + conjugate(tilde(lam)) + (0,), _coefficient_bound(lam, twin).bit_length() + 1
 
@@ -263,16 +248,10 @@ def _column_chain(xi, lam, twin, node=None):
     column j adds c_j = c to the weight at height c as row . tw + c vec[c];
     only the twin is unpacked.  Without it, tw is None.
 
-    Without a tree the chain takes the lead run in pairs.  A column j of
-    ``_lead_column``'s run (l1 = l2 = 1) at x = -1 (xi'_j = m - n) is the one
-    map M = [[1, 0], [u, -1]], u = q^-1 - 1, with frame 0, and M^2 = I: a
-    pair leaves vec and s as they are, and adds N vec to the twin, where
-    N = C + M C M = [[0, 0], [-u, 2]] and C = diag(0, 1) is the weight a
-    column adds.  Packed, -u = (-q)^-1 + 1 is 2^width + 1, so k pairs add
-    k (2 vec[1] + (2^width + 1) vec[0]) to tw[1], and an odd column left at
-    the bottom of the run is taken as any other.  At m = n, x = -1 on the
-    run's columns max(lead, xi_1 + 1)..lam_1, so a twin chain of the geometry,
-    at xi = 0^n, costs O(1) columns whatever lam_1 - lam_2.
+    The chain takes every column, one at a time, so it costs O(lam_1)
+    columns.  Its callers at m = n chain labels that ``_lead_period_label``
+    has lowered, or two above one, so at most three of its columns are the
+    lead run's involution.
 
     ``node`` is None, or the root node of a ``HironakaEngine`` prefix tree
     for (lam, m).  Column j reads xi only through xi'_j, so the state after
@@ -287,55 +266,55 @@ def _column_chain(xi, lam, twin, node=None):
     m, n = len(xi), len(lam)
     cols, width = _frame(lam, twin)
     xi_cols = (0,) + conjugate(xi) + (0,) * (lam[0] + 1)      # xi'_j from j = 1
-    # the pairs of the run: columns hi, hi - 1, ..., hi - 2 pairs + 1
-    hi, pairs = 0, 0
-    if node is None:
-        hi = min(lam[0], xi[m - n - 1]) if m > n else lam[0]
-        pairs = max(hi - max(_lead_column(lam), xi[m - n] + 1) + 1, 0) // 2
     vec, tw, s = [1], [0] if twin else None, 0
-    start = lam[0] + 1
-    for stop, k in ((hi, pairs), (0, 0)):
-        for j in range(start, stop, -1):
-            if node is not None:
-                hit = node.get(xi_cols[j])
-                if hit is not None:
-                    (vec, tw, s), node = hit
-                    continue
-            rows, top = _column_matrix(cols[j], cols[j + 1], n - m - 1 + xi_cols[j], width)
-            vec = [sum(map(mul, row, vec)) for row in rows]
-            if twin:
-                tw = [sum(map(mul, row, tw)) + c * v for c, (row, v) in enumerate(zip(rows, vec))]
-            s += top
-            if node is not None and j > 1:
-                node = node.setdefault(xi_cols[j], ((vec, tw, s), {}))[1]
-        if k and twin:
-            tw[1] += k * (2 * vec[1] + ((1 << width) + 1) * vec[0])
-        start = stop - 2 * k
+    for j in range(lam[0] + 1, 0, -1):
+        if node is not None:
+            hit = node.get(xi_cols[j])
+            if hit is not None:
+                (vec, tw, s), node = hit
+                continue
+        rows, top = _column_matrix(cols[j], cols[j + 1], n - m - 1 + xi_cols[j], width)
+        vec = [sum(map(mul, row, vec)) for row in rows]
+        if twin:
+            tw = [sum(map(mul, row, tw)) + c * v for c, (row, v) in enumerate(zip(rows, vec))]
+        s += top
+        if node is not None and j > 1:
+            node = node.setdefault(xi_cols[j], ((vec, tw, s), {}))[1]
     return _unpack(sum(tw if twin else vec), s, width)
 
 
 def _lead_period_label(xi, lam):
-    """The label lam with its first part lowered by 2 as often as
-    alpha(A_xi, A_lam) = alpha(A_xi, A_(lam_1 - 2, lam_2, ...)) allows, for
-    labels of one length n: the lowest lam_1 of its parity with
-    lam_1 >= max(lead - 1, xi_1), lead = ``_lead_column(lam)``, which is
-    max(lam_2 + 1, xi_1) at n >= 2.
+    """The label L: lam with its first part lowered by 2 as often as the lead
+    run allows.  For labels of one length n, L_1 is the lowest of lam_1's
+    parity with L_1 >= low = max(lam_2 + 1, xi_1), or max(0, xi_1) at n = 1,
+    and L = lam when lam_1 - 2 < low; at len(xi) > n, L = lam.  With P = (lam_1 - L_1) / 2 pairs removed
+    and L + 2 = (L_1 + 2, L_2, ...),
 
-    Proof: let lam_1 - 2 >= max(lead - 1, xi_1) and lam^- = (lam_1 - 2,
-    lam_2, ...).  (lam+1)' and (lam^- + 1)' agree on the columns
-    j <= lam_1 - 1, and the columns lam_1 - 1 and lam_1 of lam are in the lead
-    run (l1 = l2 = 1), as lam_1 - 1 >= lead.  So the
-    chain of lam is M_1 ... M_(lam_1 - 2) M M M' e_0 and the chain of lam^- is
-    M_1 ... M_(lam_1 - 2) M' e_0, with the same M_1, ..., M_(lam_1 - 2), where
-    M' is the (1, 0) column lam_1 + 1 of lam and lam_1 - 1 of lam^-.  Every
-    column j >= lam_1 - 1 > xi_1 has xi'_j = 0 and so x = -1 at m = n: M is
-    the run's involution (see ``_column_chain``), M M = I, and the two M'
-    are one matrix.  The self-density alpha(A_xi, A_xi) does not read lam,
-    so normalized densities agree too, and lam_1 - 2 keeps the weight's
-    parity and stays >= xi_1, so ``provable_zero`` rules both labels alike.
+        alpha(A_xi, A_lam) = alpha(A_xi, A_L),
+        twin(lam) = twin(L) + P (twin(L + 2) - twin(L))     (the twin lemma),
+
+    where twin is the sum weighted by |mu|, which ``derived_density`` reads
+    at xi = 0^n.  This is the one place the lead run's involution is used.
+
+    Proof: (lam+1)' and (L+1)' agree on the columns j <= L_1 + 1, so the
+    chains share M_1, ..., M_(L_1).  As L_1 + 1 >= lam_2 + 2 (lam_2 read as
+    -1 at n = 1), the columns
+    L_1 + 1..lam_1 of lam are in the lead run (l1 = l2 = 1), and as they lie
+    above xi_1, xi'_j = 0 and x = -1 there at m = n.  Such a column is the one
+    map M = [[1, 0], [u, -1]], u = q^-1 - 1, with frame 0, and M M = I.  So
+    the chain of lam is M_1 ... M_(L_1) M^(2P) M' e_0 and the chain of L is
+    M_1 ... M_(L_1) M' e_0, where M' is the (1, 0) column lam_1 + 1 of lam
+    and L_1 + 1 of L, at x = -1 in both: the values agree.  On (vec; tw) a
+    twin column is the block map T = [[M, 0], [C M, M]], with C = diag(0, 1)
+    the weight it adds, so T^2 = [[I, 0], [N, I]] with N = C + M C M and
+    T^(2P) = [[I, 0], [P N, I]].  Every other column is linear, so the twin
+    of lam is affine in P, and P = 0, 1 fix it.  The self-density
+    alpha(A_xi, A_xi) does not read lam, so normalized densities agree too,
+    and L_1 keeps the weight's parity and stays >= xi_1, so
+    ``provable_zero`` rules both labels alike.
     """
-    low = max(_lead_column(lam) - 1, xi[0])
-    if lam[0] - 2 < low:
+    low = max(lam[1] + 1 if len(lam) > 1 else 0, xi[0])
+    if len(xi) > len(lam) or lam[0] - 2 < low:
         return lam
     return (low + (lam[0] - low) % 2,) + lam[1:]
 
@@ -344,11 +323,13 @@ class HironakaEngine:
     """Memoizing evaluator for alpha(A_xi, A_lam) and its normalization.
 
     The engine holds the alpha memo on (xi, lam), one prefix tree of
-    ``_column_chain`` states per (lam, len(xi)) (see there), and the set of
-    labels xi whose direct self-density ``laurent_value`` has checked.
-    Alphas whose xi' agree on the columns j..lam_1+1 share the state after
-    column j, so a sweep of many xi against one lam runs each distinct column
-    once.  The tree holds at most lam_1 states per memoized alpha.  Nodes and
+    ``_column_chain`` states per (label chained, len(xi)) (see there), and
+    the set of labels xi whose direct self-density ``laurent_value`` has
+    checked.  The label chained is ``_lead_period_label(xi, lam)``, which
+    has the same alpha, and is lam unless len(xi) = len(lam).  Alphas whose xi' agree on the columns j..lam_1+1 share the state
+    after column j, so a sweep of many xi against one lam runs each distinct
+    column once.  The tree holds at most lam_1 states per memoized alpha,
+    lam_1 of the label chained.  Nodes and
     the checked set only grow, by ``setdefault`` and ``add``, and a stored
     state is never mutated, so an engine may be shared across threads: two
     threads that race on one state compute equal values, and both go on with
@@ -365,8 +346,9 @@ class HironakaEngine:
         never mutate; the labels are not validated (callers check them)."""
         val = self._alpha.get((xi, lam))
         if val is None:
-            root = self._prefix.setdefault((lam, len(xi)), {})
-            val = self._alpha[xi, lam] = _column_chain(xi, lam, False, root)
+            low = _lead_period_label(xi, lam)
+            root = self._prefix.setdefault((low, len(xi)), {})
+            val = self._alpha[xi, lam] = _column_chain(xi, low, False, root)
         return val
 
     def alpha(self, xi, lam):
@@ -503,10 +485,30 @@ def derived_density(lam):
     return RatFunc.from_laurent(_derived_laurent(lam))
 
 
+@lru_cache(maxsize=4096)
+def _derived_chain(lam):
+    """The derived density of one label from its own twin chain, every column,
+    as a shared Laurent dict (never mutate it).  Cached per label: the
+    geometry sums ask the same lowered labels again across classes."""
+    n = len(lam)
+    twin = _over_self_density(_column_chain((0,) * n, lam, True), (0,) * n)
+    return {e: -c for e, c in twin.items()}
+
+
 def _derived_laurent(lam):
-    """``derived_density`` as a new Laurent dict, the form the geometry sums add."""
+    """``derived_density`` as a new Laurent dict, the form the geometry sums add.
+
+    It chains the lowered label L = ``_lead_period_label(0^n, lam)`` and, when
+    P = (lam_1 - L_1) / 2 pairs were removed, L + 2 = (L_1 + 2, L_2, ...), and
+    extrapolates by the twin lemma there: D(lam) = (1 - P) D(L) + P D(L + 2),
+    since the division by the self-density is linear.
+    """
     lam = check_partition(lam)
     if weight(lam) % 2 == 0:
         raise ValueError(f"need an odd weight, got {lam} of weight {weight(lam)}")
-    twin = _over_self_density(_column_chain((0,) * len(lam), lam, True), (0,) * len(lam))
-    return {e: -c for e, c in twin.items()}
+    low = _lead_period_label((0,) * len(lam), lam)
+    pairs = (lam[0] - low[0]) // 2
+    out = lau_iadd_scaled({}, _derived_chain(low), scale=1 - pairs)
+    if pairs:
+        lau_iadd_scaled(out, _derived_chain((low[0] + 2,) + low[1:]), scale=pairs)
+    return out

@@ -212,10 +212,28 @@ def _chain_labels():
     return pairs
 
 
+def _lead_run_labels():
+    # labels with a long lead run (the columns with l1 = l2 = 1): at m = n,
+    # and at m > n with x = -1 on all of the run or only inside it; seeded
+    # ones around the run's ends, lam_1 - lam_2 from 0 to 40
+    pairs = [((0, 0, 0, 0), (200, 3, 1, 1)), ((0, 0, 0), (57, 0, 0)), ((0,), (57,)),
+             ((3, 1, 1), (57, 0, 0)), ((1, 1, 1, 0), (10, 5, 0, 0)), ((50, 0), (33,)),
+             ((60, 2, 0), (40, 3)), ((30, 9, 4, 0), (45, 6, 2)), ((60, 60, 0), (40, 3))]
+    rng = random.Random(3333)
+    while len(pairs) < 60:
+        n = rng.randint(1, 4)
+        lam = _random_label(rng, n, 8)
+        lam = (lam[0] + rng.randint(0, 40),) + lam[1:]
+        m = n + rng.choice((0, 0, 1, 2))
+        pairs.append((_random_label(rng, m, rng.choice((3, lam[0] + 2))), lam))
+    return pairs
+
+
 def test_packed_chain_matches_dict_reference():
     # the value chain against the reference value, the twin chain against the
-    # reference twin: one dict each, the lane its caller reads
-    for xi, lam in _chain_labels():
+    # reference twin: one dict each, the lane its caller reads, also on long
+    # lead runs, at m > n and where x = -1 on part of a run only
+    for xi, lam in _chain_labels() + _lead_run_labels():
         for twin in (False, True):
             got = _column_chain(xi, lam, twin)
             want = _chain_dict_reference(xi, lam, True)[twin]
@@ -239,7 +257,7 @@ def test_coefficient_bound_holds():
     # of the norms of the summands, the quantity it bounds
     rng = random.Random(1919)
     boxed = 0
-    for xi, lam in _chain_labels():
+    for xi, lam in _chain_labels() + _lead_run_labels():
         for twin, sums in enumerate(_chain_dict_reference(xi, lam, True)):
             half = 2 ** _coefficient_bound(lam, twin).bit_length()
             assert all(abs(c) < half for c in sums.values()), (xi, lam, twin)
@@ -326,87 +344,6 @@ def test_chain_at_the_exact_width_equals_the_chain_at_the_relaxed_width(monkeypa
                     assert exact == _column_chain(xi, lam, twin), (xi, lam, twin)
 
 
-def _lead_run_labels():
-    # labels with a long lead run (the columns with l1 = l2 = 1): at m = n,
-    # and at m > n with x = -1 on all of the run or only inside it; seeded
-    # ones around the run's ends, lam_1 - lam_2 from 0 to 40
-    pairs = [((0, 0, 0, 0), (200, 3, 1, 1)), ((0, 0, 0), (57, 0, 0)), ((0,), (57,)),
-             ((3, 1, 1), (57, 0, 0)), ((1, 1, 1, 0), (10, 5, 0, 0)), ((50, 0), (33,)),
-             ((60, 2, 0), (40, 3)), ((30, 9, 4, 0), (45, 6, 2)), ((60, 60, 0), (40, 3))]
-    rng = random.Random(3333)
-    while len(pairs) < 60:
-        n = rng.randint(1, 4)
-        lam = _random_label(rng, n, 8)
-        lam = (lam[0] + rng.randint(0, 40),) + lam[1:]
-        m = n + rng.choice((0, 0, 1, 2))
-        pairs.append((_random_label(rng, m, rng.choice((3, lam[0] + 2))), lam))
-    return pairs
-
-
-def _paired_columns(xi, lam):
-    # the columns j <= lam_1 with l1 = l2 = 1 and x = n - m - 1 + xi'_j = -1,
-    # from the definitions: one run, whose pairs the chain skips
-    lt, m, n = tilde(lam), len(xi), len(lam)
-    run = [j for j in range(1, lam[0] + 1)
-           if conjugate_part(lt, j) == conjugate_part(lt, j + 1) == 1
-           and n - m - 1 + conjugate_part(xi, j) == -1]
-    assert not run or run == list(range(run[0], run[-1] + 1)), (xi, lam)
-    return len(run) // 2 * 2
-
-
-def test_chain_takes_the_lead_run_in_pairs(monkeypatch):
-    # both lanes against the dict reference, which runs every column, and
-    # the chain asks no matrix for a column of a pair
-    matrix = hironaka._column_matrix
-    paired = 0
-    for xi, lam in _lead_run_labels():
-        value, weighted = _chain_dict_reference(xi, lam, True)
-        for twin, want in ((False, value), (True, weighted)):
-            calls = []
-            with monkeypatch.context() as patch:
-                patch.setattr(hironaka, "_column_matrix",
-                              lambda *key: calls.append(key) or matrix(*key))
-                got = _column_chain(xi, lam, twin)
-            assert RatFunc.from_laurent(got) == RatFunc.from_laurent(want), (xi, lam, twin)
-            # a cold width bound reads matrices at width 0, which no chain runs at
-            columns = [key for key in calls if key[3]]
-            assert len(columns) == lam[0] + 1 - _paired_columns(xi, lam), (xi, lam, twin)
-        paired += _paired_columns(xi, lam) > 0
-    assert paired >= 35
-    # the twin chain of a rank-4 derived density runs the columns below the
-    # run, one odd column and the top one, whatever lam_1
-    assert _paired_columns((0, 0, 0, 0), (200, 3, 1, 1)) == 196
-
-
-def _coefficient_bound_by_columns(lam, twin):
-    # the width bound one column at a time, the lead run too: the reference
-    # for _coefficient_bound, which takes that run in closed form
-    cols = conjugate(tilde(lam)) + (0,)
-    w, wt = [1], [0]
-    for j in range(len(cols) - 2, -1, -1):
-        rows = _column_matrix(cols[j], cols[j + 1], 0, 0)[0]
-        w = [abs(sum(a * b for a, b in zip(row, w))) for row in rows]
-        if twin:
-            wt = [abs(sum(a * b for a, b in zip(row, wt))) + c * w[c]
-                  for c, row in enumerate(rows)]
-    return sum(wt) if twin else sum(w)
-
-
-def test_coefficient_bound_takes_the_lead_run_in_closed_form():
-    # the bound, and so the width, equals the column-by-column bound on 800
-    # seeded label/lane pairs, lead runs of every length from 0 up
-    rng = random.Random(4444)
-    lams = [(0,), (1,), (2,), (3,), (5, 5), (5, 4), (5, 3), (200, 3, 1, 1), (57, 0, 0)]
-    lams += [lam for _, lam in _lead_run_labels()]
-    while len(lams) < 400:
-        lams.append(_random_label(rng, rng.randint(1, 6), rng.choice((5, 30, 90))))
-    for lam in lams:
-        for twin in (False, True):
-            want = _coefficient_bound_by_columns(lam, twin)
-            assert _coefficient_bound(lam, twin) == want, (lam, twin)
-            assert _frame(lam, twin)[1] == want.bit_length() + 1, (lam, twin)
-
-
 def _lead_period_low(xi, lam):
     # the threshold: the identity lowers lam_1 while lam_1 - 2 >= this, which
     # is max(lam_2 + 1, xi_1), and max(0, xi_1) at n = 1
@@ -427,10 +364,11 @@ def _lead_period_pairs(rng, count):
 
 def test_lead_period_identity():
     # alpha(A_xi, A_lam) = alpha(A_xi, A_(lam_1 - 2, lam_2, ...)) past the
-    # threshold, by the direct engine, whose tree runs every column, and by
-    # the reducer's normalized values; _lead_period_label lowers lam_1 to the
-    # lowest of its parity at or above the threshold, and no further
-    direct, reducer = HironakaEngine(), ReductionEngine()
+    # threshold, by the chain outside an engine, which runs every column of
+    # the label it is given (the engine would lower both sides to one label),
+    # and by the reducer's normalized values; _lead_period_label lowers lam_1
+    # to the lowest of its parity at or above the threshold, and no further
+    reducer = ReductionEngine()
     nonzero = 0
     for xi, lam in _lead_period_pairs(random.Random(5555), 160):
         low = _lead_period_low(xi, lam)
@@ -441,14 +379,95 @@ def test_lead_period_identity():
         for label in (low, low + 1):
             kept = (label,) + lam[1:]
             assert _lead_period_label(xi, kept) == kept, (xi, kept)
-        want = direct.laurent_alpha(xi, lam)
-        assert direct.laurent_alpha(xi, lower) == want, (xi, lam)
-        assert direct.laurent_alpha(xi, canon) == want, (xi, lam)
+        # the identity is proven at m = n only: a longer xi keeps lam
+        assert _lead_period_label(xi + (0,), lam) == lam, (xi, lam)
+        want = _column_chain(xi, lam, False)
+        assert _column_chain(xi, lower, False) == want, (xi, lam)
+        assert _column_chain(xi, canon, False) == want, (xi, lam)
         want = reducer.laurent_value(xi, lam)
         assert reducer.laurent_value(xi, lower) == want, (xi, lam)
         assert reducer.laurent_value(xi, canon) == want, (xi, lam)
         nonzero += bool(want)
     assert nonzero >= 40
+
+
+def _derived_by_all_columns(lam):
+    # the derived density from the dict reference's twin at lam itself, every
+    # column of it: no lowering and no extrapolation
+    zero = (0,) * len(lam)
+    twin = hironaka._over_self_density(_chain_dict_reference(zero, lam, True)[1], zero)
+    return {e: -c for e, c in twin.items()}
+
+
+def test_derived_density_matches_the_all_columns_reference():
+    # the chains at the lowered label and two above it, extrapolated, on
+    # seeded odd-weight labels of every rank n <= 5 and every gap
+    # lam_1 - lam_2 from 0 to 60 (lam_1 itself at n = 1), lam_1 of both
+    # parities; at n <= 2 the weight has the gap's parity, so the gap is odd
+    rng = random.Random(3636)
+    seen = set()
+    for n in range(1, 6):
+        for gap in range(n <= 2, 61, 1 + (n <= 2)):
+            lam = (0,)
+            while weight(lam) % 2 == 0:
+                rest = _random_label(rng, n - 1, 6)
+                lam = (rest[0] + gap if rest else gap,) + rest
+            seen.add((n, lam[0] % 2))
+            assert hironaka._derived_laurent(lam) == _derived_by_all_columns(lam), lam
+    assert seen == {(1, 1)} | {(n, p) for n in range(2, 6) for p in (0, 1)}
+
+
+def test_concurrent_derived_densities_share_exact_chains():
+    # the chains of the lowered labels are cached per label and shared by
+    # every caller: threads switched often ask labels that lower to the same
+    # ones, from a cold cache, and each mutates the dict it gets, which must
+    # be its own
+    labels = [(a, l, 1, 1) for l in (2, 3, 4) for a in range(l + 1, l + 24) if (a + l) % 2]
+    want = {lam: _derived_by_all_columns(lam) for lam in labels}
+
+    def owned(lam):
+        got = hironaka._derived_laurent(lam)
+        seen = dict(got)
+        got[10 ** 6] = 1
+        return lam, seen
+
+    hironaka._derived_chain.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(owned, labels * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 3 * len(labels)
+    for lam, got in results:
+        assert got == want[lam], lam
+    assert all(hironaka._derived_laurent(lam) == want[lam] for lam in labels)
+
+
+def _odd_family(a):
+    # D(a, 2, 1, 1) = h q^5 + a q^4 + (h + 1) q^3 - q^2 + (h + 2) q + (h + 3)
+    # for odd a, h = (a - 1) / 2: read off `hermdens derivative 10000001,2,1,1`
+    h = (a - 1) // 2
+    return {5: h, 4: a, 3: h + 1, 2: -1, 1: h + 2, 0: h + 3}
+
+
+def test_derived_density_of_a_large_first_part_in_little_memory():
+    # the family's closed form against the all-columns twin on small a, then
+    # a = 10^7 + 1, whose chains run at the lowered label and the one two
+    # above it: an all-columns chain there peaks at about 229 MB
+    for a in range(5, 42, 2):
+        assert _derived_by_all_columns((a, 2, 1, 1)) == _odd_family(a), a
+    a = 10 ** 7 + 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        val = derived_density((a, 2, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
+    assert val == RatFunc.from_laurent(_odd_family(a))
 
 
 def _pack(d, s, width):
@@ -1105,13 +1124,15 @@ def test_shared_prefixes_run_each_column_state_once(monkeypatch):
         eng.laurent_alpha(xi, lam)
     # a column asks for one matrix; the states after columns >= 2 are stored
     # once per distinct key, and column 1 runs once per memoized alpha.  A
-    # cold width bound reads matrices at width 0, which no chain runs at
+    # cold width bound reads matrices at width 0, which no chain runs at.
+    # The trees are keyed on the label the engine chains
     calls = [key for key in calls if key[3]]
-    stored = {key for xi, lam in labels for key in _column_suffixes(xi, lam)[:-1]}
-    columns = sum(lam[0] + 1 for _, lam in labels)
+    chained = [(xi, _lead_period_label(xi, lam)) for xi, lam in labels]
+    stored = {key for xi, low in chained for key in _column_suffixes(xi, low)[:-1]}
+    columns = sum(low[0] + 1 for _, low in chained)
     assert 0 < len(calls) <= len(stored) + len(labels) < columns
     assert _tree_states(eng._prefix).keys() == stored
-    assert len(stored) <= sum(lam[0] for _, lam in labels)
+    assert len(stored) <= sum(low[0] for _, low in chained)
 
 
 def test_concurrent_sweep_leaves_every_tree_state_exact():
@@ -1129,11 +1150,13 @@ def test_concurrent_sweep_leaves_every_tree_state_exact():
         sys.setswitchinterval(interval)
     for (xi, lam), val in results:
         assert val == _column_chain(xi, lam, False), (xi, lam)
-    # each label's prefix recomputed alone, in a tree of its own
+    # each label's prefix recomputed alone, in a tree of its own, on the
+    # label the engine chains
     fresh = {}
     for xi, lam in labels:
-        tree = {(lam, len(xi)): {}}
-        _column_chain(xi, lam, False, tree[lam, len(xi)])
+        low = _lead_period_label(xi, lam)
+        tree = {(low, len(xi)): {}}
+        _column_chain(xi, low, False, tree[low, len(xi)])
         fresh.update(_tree_states(tree))
     assert _tree_states(eng._prefix) == fresh
     assert all(type(root) is dict for root in eng._prefix.values())
