@@ -3,7 +3,10 @@
 Every computation is exposed with exact symbolic output (descending
 polynomial text by default, canonical JSON with --format json), optional
 numeric evaluation at a rational q, reduction traces, batch verification
-sweeps, and the counting oracle.
+sweeps, and the counting oracle.  --format json leaves four commands as they
+are: the sweeps ``verify theorem``, ``verify corollary`` and ``verify
+identity-322`` print the same text lines in both formats, and ``oracle``
+prints JSON in both.
 
 Exit codes: 0 success / all verified, 1 verification failure (nonzero
 residual or mismatch), 2 usage error or an input whose reduction nests past
@@ -23,7 +26,8 @@ from fractions import Fraction
 
 from . import geometry, hironaka, oracle, relations
 from .oracle import BudgetExceededError, GaloisRingParams
-from .partitions import format_partition, parse_partition, parse_parts, partitions_fixed_length
+from .partitions import (format_partition, lambda_ns_elements, parse_partition, parse_parts,
+                         partitions_fixed_length)
 from .qalgebra import PoleError, ZERO
 
 
@@ -61,40 +65,39 @@ def build_parser():
     top.add_argument("--format", choices=("text", "json"), default="text")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_value_opts(p):
+    def command(subparsers, name, handler, help, *labels):
+        """Register a command once: ``run`` calls its ``handler``, and each label
+        positional is written ``dest`` or ``dest:metavar``."""
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for label in labels:
+            dest, _, metavar = label.partition(":")
+            p.add_argument(dest, type=_partition, metavar=metavar or None)
+        return p
+
+    def add_value_opts(p, engine=False):
+        if engine:
+            p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
         p.add_argument("--q-eval", type=_rational, default=None, metavar="Q",
                        help="also evaluate the exact value at q = Q")
 
-    p = sub.add_parser("alpha", help="direct density alpha(A_xi, A_lambda)")
-    p.add_argument("xi", type=_partition)
-    p.add_argument("lam", type=_partition, metavar="lambda")
-    add_value_opts(p)
-
-    p = sub.add_parser("normalized", help="normalized density A_xi(A_lambda)")
-    p.add_argument("xi", type=_partition)
-    p.add_argument("lam", type=_partition, metavar="lambda")
+    add_value_opts(command(sub, "alpha", _cmd_alpha, "direct density alpha(A_xi, A_lambda)",
+                           "xi", "lam:lambda"))
+    p = command(sub, "normalized", _cmd_normalized, "normalized density A_xi(A_lambda)",
+                "xi", "lam:lambda")
     p.add_argument("--trace", action="store_true", help="emit the reduction trace")
-    p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
-    add_value_opts(p)
+    add_value_opts(p, engine=True)
+    add_value_opts(command(sub, "self", _cmd_self, "self-density alpha(A_xi, A_xi)", "xi"))
+    add_value_opts(command(sub, "derivative", _cmd_derivative, "derived density of the rank-4 "
+                           "unimodular class against a strictly dominant class of odd weight",
+                           "b:a,b,c,d"))
+    add_value_opts(command(sub, "intersect", _cmd_intersect,
+                           "rank-2 special-cycle intersection number", "b:l,k"), engine=True)
 
-    p = sub.add_parser("self", help="self-density alpha(A_xi, A_xi)")
-    p.add_argument("xi", type=_partition)
-    add_value_opts(p)
+    vsub = sub.add_parser("verify", help="batch verification suites").add_subparsers(
+        dest="verify_what", required=True)
 
-    p = sub.add_parser("derivative", help="derived density of the rank-4 unimodular "
-                       "class against a strictly dominant class of odd weight")
-    p.add_argument("b", type=_partition, metavar="a,b,c,d")
-    add_value_opts(p)
-
-    p = sub.add_parser("intersect", help="rank-2 special-cycle intersection number")
-    p.add_argument("b", type=_partition, metavar="l,k")
-    p.add_argument("--engine", choices=("reduce", "direct"), default="reduce")
-    add_value_opts(p)
-
-    p = sub.add_parser("verify", help="batch verification suites")
-    vsub = p.add_subparsers(dest="verify_what", required=True)
-
-    v = vsub.add_parser("theorem", help="vanishing-relation sweep")
+    v = command(vsub, "theorem", _verify_theorem, "vanishing-relation sweep")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--s", type=int, required=True)
     v.add_argument("--xi", type=_partition, default=None)
@@ -107,7 +110,7 @@ def build_parser():
                    help="randomly subsample this many cases")
     v.add_argument("--seed", type=int, default=0)
 
-    v = vsub.add_parser("corollary", help="normalized rewrite-rule sweep")
+    v = command(vsub, "corollary", _verify_corollary, "normalized rewrite-rule sweep")
     v.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
     v.add_argument("--b-max", type=int, default=3)
     v.add_argument("--params", type=_values, default="3,4",
@@ -115,27 +118,19 @@ def build_parser():
     v.add_argument("--sample", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
 
-    v = vsub.add_parser("identity-322", help="intersection-difference identity sweep")
+    v = command(vsub, "identity-322", _verify_identity, "intersection-difference identity sweep")
     v.add_argument("--max", type=int, default=5)
 
-    v = vsub.add_parser("conjecture", help="rank-4 expansion check")
-    v.add_argument("b", type=_partition, metavar="a,b,c,d")
+    command(vsub, "conjecture", _verify_conjecture, "rank-4 expansion check", "b:a,b,c,d")
 
-    p = sub.add_parser("oracle", help="counting oracle over the finite quotient ring")
-    p.add_argument("xi", type=_partition)
-    p.add_argument("lam", type=_partition, metavar="lambda")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nonresidue", type=int, default=None)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-
-    p = sub.add_parser("crosscheck", help="symbolic density vs counting oracle at q = p")
-    p.add_argument("xi", type=_partition)
-    p.add_argument("lam", type=_partition, metavar="lambda")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nonresidue", type=int, default=None)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    for name, handler, help in (
+            ("oracle", _cmd_oracle, "counting oracle over the finite quotient ring"),
+            ("crosscheck", _cmd_crosscheck, "symbolic density vs counting oracle at q = p")):
+        p = command(sub, name, handler, help, "xi", "lam:lambda")
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--nonresidue", type=int, default=None)
+        p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
 
     return top
 
@@ -202,11 +197,19 @@ def _cmd_intersect(args):
     return _emit_value(args, value, extra)
 
 
-def _selected(cases, what):
-    """The cases of a sweep; one that selects none is a usage error, not a pass."""
+def _sweep(cases, what, check):
+    """Run a sweep: ``check(*case)`` gives ``(ok, line)`` for each case, and a
+    ``k/n <what> verified`` line ends the output.  Exit 1 if any case fails;
+    a sweep that selects no case is a usage error, not a pass."""
     if not cases:
         raise UsageError(f"the options select no {what} to verify")
-    return cases
+    failures = 0
+    for case in cases:
+        ok, line = check(*case)
+        print(line)
+        failures += not ok
+    print(f"{len(cases) - failures}/{len(cases)} {what} verified")
+    return 1 if failures else 0
 
 
 def _sampled(cases, args):
@@ -219,23 +222,20 @@ def _sampled(cases, args):
 
 
 def _verify_theorem(args):
-    from .partitions import lambda_ns_elements
     if args.xi is not None:
         xis = [args.xi]
     else:
         xis = list(lambda_ns_elements(args.n, args.s, args.max_part))
     lams = list(partitions_fixed_length(args.n, args.lambda_min, args.lambda_max))
-    cases = _sampled([(xi, lam) for xi in xis for lam in lams], args)
     engine = hironaka.HironakaEngine()
-    failures = 0
-    for xi, lam in _selected(cases, "relations"):
-        rel = relations.theorem_terms(args.n, args.s, xi)
-        ok, residual = relations.verify_relation(rel, lam, engine)
+
+    def check(xi, lam):
+        ok, residual = relations.verify_relation(relations.theorem_terms(args.n, args.s, xi),
+                                                 lam, engine)
         status = "ok" if ok else f"RESIDUAL {residual}"
-        print(f"xi={format_partition(xi)} lambda={format_partition(lam)}: {status}")
-        failures += not ok
-    print(f"{len(cases) - failures}/{len(cases)} relations verified")
-    return 1 if failures else 0
+        return ok, f"xi={format_partition(xi)} lambda={format_partition(lam)}: {status}"
+
+    return _sweep(_sampled([(xi, lam) for xi in xis for lam in lams], args), "relations", check)
 
 
 def _verify_corollary(args):
@@ -247,31 +247,28 @@ def _verify_corollary(args):
         for fill in itertools.combinations_with_replacement(values, slots):
             cases.append((rule, fill, relations.fill_pattern(rule.pattern, fill)))
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
-    pairs = _sampled([(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams], args)
-    failures = 0
-    for rule, fill, xi, lam in _selected(pairs, "identities"):
+
+    def check(rule, fill, xi, lam):
         lhs = engine.normalized(xi, lam)
         rhs = sum((c * engine.normalized(p, lam) for c, p in rule.instantiate(fill)),
                   start=ZERO)
         ok = lhs == rhs
-        failures += not ok
-        print(f"{rule.rule_id} xi={format_partition(xi)} "
-              f"B={format_partition(lam)}: {'ok' if ok else f'MISMATCH {lhs - rhs}'}")
-    print(f"{len(pairs) - failures}/{len(pairs)} identities verified")
-    return 1 if failures else 0
+        return ok, (f"{rule.rule_id} xi={format_partition(xi)} "
+                    f"B={format_partition(lam)}: {'ok' if ok else f'MISMATCH {lhs - rhs}'}")
+
+    pairs = [(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams]
+    return _sweep(_sampled(pairs, args), "identities", check)
 
 
 def _verify_identity(args):
-    cases = _selected([(lead, second) for lead in range(2, args.max + 1)
-                       for second in range(2, lead + 1)], "identities")
     engine = geometry.make_engine("reduce")
-    failures = 0
-    for b in cases:
+
+    def check(*b):  # a case is the class B itself, (lead, second)
         ok, residual = geometry.difference_identity_check(b, engine=engine)
-        failures += not ok
-        print(f"B={format_partition(b)}: {'ok' if ok else f'RESIDUAL {residual}'}")
-    print(f"{len(cases) - failures}/{len(cases)} identities verified")
-    return 1 if failures else 0
+        return ok, f"B={format_partition(b)}: {'ok' if ok else f'RESIDUAL {residual}'}"
+
+    return _sweep([(lead, second) for lead in range(2, args.max + 1)
+                   for second in range(2, lead + 1)], "identities", check)
 
 
 def _verify_conjecture(args):
@@ -283,15 +280,6 @@ def _verify_conjecture(args):
         print(f"rhs = {report.rhs}")
         print("equal" if report.equal else f"MISMATCH {report.lhs - report.rhs}")
     return 0 if report.equal else 1
-
-
-def _cmd_verify(args):
-    return {
-        "theorem": _verify_theorem,
-        "corollary": _verify_corollary,
-        "identity-322": _verify_identity,
-        "conjecture": _verify_conjecture,
-    }[args.verify_what](args)
 
 
 def _oracle_params(args):
@@ -348,18 +336,8 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    handlers = {
-        "alpha": _cmd_alpha,
-        "normalized": _cmd_normalized,
-        "self": _cmd_self,
-        "derivative": _cmd_derivative,
-        "intersect": _cmd_intersect,
-        "verify": _cmd_verify,
-        "oracle": _cmd_oracle,
-        "crosscheck": _cmd_crosscheck,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (UsageError, ValueError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

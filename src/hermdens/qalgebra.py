@@ -421,11 +421,22 @@ class RatFunc:
 
     @classmethod
     def from_laurent(cls, items):
-        """Build from a Laurent dictionary or item iterable."""
+        """Build from a Laurent dictionary or item iterable.
+
+        The shift is the least exponent of a nonzero coefficient.  The kernels'
+        dicts hold no zero, so only a zero at the least exponent sends the
+        dict through the filter.
+        """
         d = dict(items)
         if not d:
             return _ZERO
-        shift = min(0, min(d))
+        low = min(d)
+        if not d[low]:
+            d = {e: c for e, c in d.items() if c}
+            if not d:
+                return _ZERO
+            low = min(d)
+        shift = min(0, low)
         num = IntPoly({e - shift: c for e, c in d.items()})
         r = cls.__new__(cls)
         r.num = num

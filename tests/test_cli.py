@@ -1,6 +1,7 @@
 """The contract: the command line's outputs, formats and exit codes, and the
 package's public names."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import types
 from pathlib import Path
 
 import hermdens
-from hermdens.cli import run
+from hermdens.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -311,6 +312,66 @@ def test_truncation_options_are_usage_errors(capsys):
     # the derived density asks no engine
     for engine in ("reduce", "direct"):
         _assert_rejects(capsys, ["derivative", "4,1,0,0"], ["--engine", engine])
+
+
+def _option_surface(parser, path=()):
+    """Every argument of every (sub)command, in declaration order, keyed by
+    the command path: a subcommand table as ``(dest, required, names)``, any
+    other argument as ``(option strings, dest, default, choices, required,
+    metavar)``."""
+    rows = []
+    surface = {" ".join(path): rows}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            rows.append((action.dest, action.required, tuple(action.choices)))
+            for name, child in action.choices.items():
+                surface.update(_option_surface(child, path + (name,)))
+        else:
+            rows.append((" ".join(action.option_strings), action.dest, action.default,
+                         action.choices, action.required, action.metavar))
+    return surface
+
+
+def test_option_surface():
+    # the options, defaults and choices each command accepts, including the
+    # defaults no golden case sets; help text is left out, since it wraps with
+    # the terminal and changes across Python versions
+    xi, lam = ("", "xi", None, None, True, None), ("", "lam", None, None, True, "lambda")
+    q_eval = ("--q-eval", "q_eval", None, None, False, "Q")
+    engine = ("--engine", "engine", "reduce", ("reduce", "direct"), False, None)
+    ring = [("--p", "p", None, None, True, None), ("--d", "d", None, None, True, None),
+            ("--nonresidue", "nonresidue", None, None, False, None),
+            ("--budget", "budget", 2 ** 36, None, False, None)]
+    sample = [("--sample", "sample", None, None, False, None),
+              ("--seed", "seed", 0, None, False, None)]
+    expected = {
+        "": [("--format", "format", "text", ("text", "json"), False, None),
+             ("command", True, ("alpha", "normalized", "self", "derivative", "intersect",
+                                "verify", "oracle", "crosscheck"))],
+        "alpha": [xi, lam, q_eval],
+        "normalized": [xi, lam, ("--trace", "trace", False, None, False, None), engine, q_eval],
+        "self": [xi, q_eval],
+        "derivative": [("", "b", None, None, True, "a,b,c,d"), q_eval],
+        "intersect": [("", "b", None, None, True, "l,k"), engine, q_eval],
+        "verify": [("verify_what", True, ("theorem", "corollary", "identity-322", "conjecture"))],
+        "verify theorem": [("--n", "n", None, None, True, None),
+                           ("--s", "s", None, None, True, None),
+                           ("--xi", "xi", None, None, False, None),
+                           ("--max-part", "max_part", 3, None, False, None),
+                           ("--lambda-max", "lambda_max", 4, None, False, None),
+                           ("--lambda-min", "lambda_min", 1, None, False, None), *sample],
+        "verify corollary": [("--n", "n", None, (2, 3, 4), True, None),
+                             ("--b-max", "b_max", 3, None, False, None),
+                             ("--params", "params", "3,4", None, False, None), *sample],
+        "verify identity-322": [("--max", "max", 5, None, False, None)],
+        "verify conjecture": [("", "b", None, None, True, "a,b,c,d")],
+        "oracle": [xi, lam, *ring],
+        "crosscheck": [xi, lam, *ring],
+    }
+    # every parser has -h/--help first
+    help_row = ("-h --help", "help", argparse.SUPPRESS, None, False, None)
+    assert _option_surface(build_parser()) == {
+        path: [help_row, *rows] for path, rows in expected.items()}
 
 
 # The public names of ``hermdens``, as the ROADMAP's contract list records

@@ -223,6 +223,22 @@ def test_laurent_roundtrip_randomized():
         assert f.as_laurent() == d
 
 
+def test_from_laurent_ignores_zero_coefficients():
+    # a zero coefficient, at the least exponent or elsewhere, is no term: it
+    # must not set the shift, so the value is the canonical one in ==, hash
+    # and JSON
+    cases = [({-1: 0, 0: 1}, ONE), ({-2: 0}, ZERO), ({-3: 0, -1: 2, 1: 0}, 2 / Q),
+             ({-1: 0, 2: 5}, 5 * Q ** 2), ({0: 0, 1: 0}, ZERO), ({-2: 1, -1: 0}, ONE / Q ** 2)]
+    rng = random.Random(20261021)
+    for _ in range(50):
+        d = {rng.randint(-8, 8): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
+        cases.append((d, RatFunc.from_laurent({e: c for e, c in d.items() if c})))
+    for d, want in cases:
+        f = RatFunc.from_laurent(d)
+        assert (f == want, hash(f), f.to_json()) == (True, hash(want), want.to_json()), d
+        assert RatFunc.from_laurent(d.items()) == want, d
+
+
 def test_canonical_form():
     f = RatFunc(IntPoly({2: 2, 1: 2}), IntPoly({1: -4}))
     # (2q^2+2q)/(-4q) reduces to -(q+1)/2 with positive-leading denominator
