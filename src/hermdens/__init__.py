@@ -19,7 +19,6 @@ from .partitions import (
     check_partition,
     conjugate,
     conjugate_part,
-    d_coefficients,
     format_partition,
     parse_partition,
     xi_plus,
@@ -37,6 +36,7 @@ from .relations import (
     ReductionEngine,
     ReductionTrace,
     Relation,
+    d_coefficients,
     theorem_terms,
     verify_relation,
 )

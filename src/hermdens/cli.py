@@ -28,7 +28,7 @@ from . import geometry, hironaka, oracle, relations
 from .oracle import BudgetExceededError, GaloisRingParams
 from .partitions import (format_partition, lambda_ns_elements, parse_partition, parse_parts,
                          partitions_fixed_length)
-from .qalgebra import PoleError, ZERO
+from .qalgebra import PoleError, RatFunc, lau_dot, lau_iadd_scaled
 
 
 def _partition(text):
@@ -249,12 +249,12 @@ def _verify_corollary(args):
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
 
     def check(rule, fill, xi, lam):
-        lhs = engine.normalized(xi, lam)
-        rhs = sum((c * engine.normalized(p, lam) for c, p in rule.instantiate(fill)),
-                  start=ZERO)
-        ok = lhs == rhs
-        return ok, (f"{rule.rule_id} xi={format_partition(xi)} "
-                    f"B={format_partition(lam)}: {'ok' if ok else f'MISMATCH {lhs - rhs}'}")
+        # one Laurent residual lhs - rhs, summed into lhs: laurent_value returns a new dict
+        rhs = lau_dot((c, engine.laurent_value(p, lam)) for c, p in rule.instantiate_laurent(fill))
+        residual = lau_iadd_scaled(engine.laurent_value(xi, lam), rhs, scale=-1)
+        status = f"MISMATCH {RatFunc.from_laurent(residual)}" if residual else "ok"
+        return not residual, (f"{rule.rule_id} xi={format_partition(xi)} "
+                              f"B={format_partition(lam)}: {status}")
 
     pairs = [(rule, fill, xi, lam) for rule, fill, xi in cases for lam in lams]
     return _sweep(_sampled(pairs, args), "identities", check)

@@ -7,20 +7,17 @@ comma-separated parts, e.g. "8,3,2"; JSON form is an array of integers.
 
 Besides the basic statistics (weight, the n-statistic sum (i-1)*lambda_i
 and conjugates) and the one rule that makes a density provably zero
-(``provable_zero``), this module builds the special constructions used by
-the density relations: the zero-tail promotions ``xi_plus`` and the
-coefficient family ``d_coefficients`` read off the product
-(1-(-q)^{-n}X)...(1-(-q)^{-n+s-1}X).  The rewrite rules' label patterns
-live in ``relations``.
+(``provable_zero``), this module builds the label construction used by the
+density relations, the zero-tail promotions ``xi_plus``.  It is pure
+combinatorics and imports nothing from the rest of the package: the
+relations' coefficients ``d_coefficients`` and the rewrite rules' label
+patterns live in ``relations``.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
-
-from .qalgebra import RatFunc, neg_q_power
 
 
 def check_partition(parts):
@@ -144,26 +141,6 @@ def xi_plus(xi, a, b):
         raise ValueError(f"need a, b >= 0 with a + b <= {s} trailing zeros, got a={a}, b={b}")
     head = xi[: len(xi) - s]
     return tuple(sorted(head + (2,) * a + (1,) * b + (0,) * (s - a - b), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def d_coefficients(n, s):
-    """Coefficients d_{n,s,0..s} of prod_{j=0..s-1} (1 - (-q)^{-n+j} X) in X.
-
-    In particular d_{n,s,0} = 1 for every s, d_{n,1,1} = -(-q)^{-n} and
-    d_{n,2,2} = (-q)^{-(2n-1)}.
-    """
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    coeffs = [RatFunc(1)]
-    for j in range(s):
-        t = neg_q_power(-n + j)
-        nxt = [RatFunc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] - t * c
-        coeffs = nxt
-    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ Three cooperating pieces live here.
 ``theorem_terms`` builds the linear relation satisfied by the densities
 alpha(A_., B) whenever pi^{-1}B is still integral: for a label xi ending in
 s zeros it combines the promotions xi_plus(xi, a, b) with the coefficients
-d_{n,s,i}, and the whole combination annihilates alpha(., B).  Its
-arguments are checked on every call, but each relation is built once per
-process, summed as Laurent dicts.  A ``Relation`` checks its parts once and
-keeps every coefficient as a ``RatFunc`` and as a Laurent dict, so one
-outside ZZ[q, q^-1] raises ``NotLaurentError``.  ``verify_relation`` checks a
+d_{n,s,i} of prod_{j<s} (1 - (-q)^{-n+j} X), and the whole combination
+annihilates alpha(., B).  Its arguments are checked on every call, but each
+relation is built once per process, summed as Laurent dicts.  By the
+q-binomial theorem each d_{n,s,i} is a signed monomial times the Gaussian
+binomial [s; i], so the coefficients are read off ``gauss_laurent`` in
+closed form, with no ``RatFunc`` arithmetic; ``d_coefficients`` returns
+them as ``RatFunc``s.  A ``Relation`` checks its parts once and keeps every
+coefficient as a ``RatFunc`` and as a Laurent dict, so one outside
+ZZ[q, q^-1] raises ``NotLaurentError``.  ``verify_relation`` checks a
 relation by direct evaluation: one ``lau_dot`` of the coefficients with the
 engine's memoized Laurent alphas, and a single ``RatFunc`` residual.
 
@@ -63,18 +67,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import hironaka
 from .partitions import (
     check_pair,
     check_partition,
-    d_coefficients,
     provable_zero,
     trailing_zeros,
     weight,
     xi_plus,
 )
-from .qalgebra import RatFunc, ZERO, lau_dot, lau_iadd_scaled, lau_mul
+from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_dot, lau_iadd_scaled, lau_mul
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +144,40 @@ def theorem_terms(n, s, xi):
 
 def _build_relation(n, s, xi):
     """``theorem_terms``'s relation, summed in Laurent form."""
-    ds = [d.as_laurent() for d in d_coefficients(n, s)]
     # the prefactor -(-1)^s (-q)^{-ns} is the monomial -(-1)^{s+ns} q^{-ns}
     sign = -1 if (s + n * s) % 2 == 0 else 1
     acc = {}
-    for i, d in enumerate(ds):
+    for i, d in enumerate(_d_laurent(n, s)):
         lau_iadd_scaled(acc.setdefault(xi_plus(xi, 0, i), {}), d)
-    for i, d in enumerate(ds):
         lau_iadd_scaled(acc.setdefault(xi_plus(xi, i, s - i), {}), d, shift=-n * s, scale=sign)
     terms = tuple((RatFunc.from_laurent(c), p) for p, c in sorted(acc.items(), reverse=True) if c)
     return Relation(terms=terms, context=(n, s, xi))
+
+
+@lru_cache(maxsize=None)
+def d_coefficients(n, s):
+    """Coefficients d_{n,s,0..s} of prod_{j=0..s-1} (1 - (-q)^{-n+j} X) in X.
+
+    In particular d_{n,s,0} = 1 for every s, d_{n,1,1} = -(-q)^{-n} and
+    d_{n,2,2} = (-q)^{-(2n-1)}.
+    """
+    if not 1 <= s <= n:
+        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
+    return tuple(RatFunc.from_laurent(d) for d in _d_laurent(n, s))
+
+
+def _d_laurent(n, s):
+    """d_{n,s,0..s} in turn, as new Laurent dicts, in closed form.
+
+    In r = -q the product is prod_{j<s} (1 + r^j z) with z = -r^{-n} X, whose
+    z^i coefficient is r^{C(i,2)} times the Gaussian binomial in r, that is
+    r^{C(i,2) + i(s-i)} [s; i] with [s; i] the polynomial in r^-1 of
+    ``gauss_laurent``.  So d_{n,s,i} = (-1)^i r^e [s; i] with
+    e = C(i,2) + i(s-i) - n i, and r^e is the monomial (-1)^e q^e.
+    """
+    for i in range(s + 1):
+        e = i * (i - 1) // 2 + i * (s - i) - n * i
+        yield lau_iadd_scaled({}, gauss_laurent(s, i), shift=e, scale=-1 if (i + e) % 2 else 1)
 
 
 def verify_relation(rel, lam, engine=None):

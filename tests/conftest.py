@@ -1,8 +1,10 @@
-"""Shared reference data: the closed self-density tables of ranks 1-4."""
+"""Shared references: the linear pattern matcher, the relations'
+coefficients by their defining product, and the closed self-density tables
+of ranks 1-4."""
 
 import pytest
 
-from hermdens.qalgebra import ONE, Q
+from hermdens.qalgebra import ONE, Q, ZERO, neg_q_power
 
 
 def match_pattern(pattern, parts):
@@ -21,6 +23,22 @@ def match_pattern(pattern, parts):
         elif spec != x:
             return None
     return tuple(bind)
+
+
+def d_coefficients_reference(n, s):
+    """d_{n,s,0..s}, the coefficients of prod_{j=0..s-1} (1 - (-q)^{-n+j} X) in
+    X, by multiplying the product out one RatFunc factor at a time.  The
+    library reads them off Gaussian binomials in closed form; this expansion
+    is the tests' reference."""
+    coeffs = [ONE]
+    for j in range(s):
+        t = neg_q_power(-n + j)
+        nxt = [ZERO] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] = nxt[i] + c
+            nxt[i + 1] = nxt[i + 1] - t * c
+        coeffs = nxt
+    return tuple(coeffs)
 
 
 # Each row is (shape, E, units):

@@ -1,5 +1,8 @@
 """Rewrite cli_golden.json: stdout and exit code of the README command-line
-examples and a few edge cases, each in text and in --format json.
+examples and a few edge cases, each in text and in --format json, and the
+stderr of each case whose stderr is one ``error:`` line written by
+``hermdens.cli.run``.  Argparse's usage text wraps with the terminal width
+(``COLUMNS``), so a usage error keeps its stderr unrecorded.
 
 Run from the repository root with ``PYTHONPATH=src python tests/data/make_cli_golden.py``,
 and only when the command-line contract is meant to change;
@@ -66,10 +69,13 @@ def main():
     for fmt in ([], ["--format", "json"]):
         for command in COMMANDS:
             argv = fmt + command.split()
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(argv)
-            cases.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+            case = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+            if err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1:
+                case["stderr"] = err.getvalue()
+            cases.append(case)
     path = Path(__file__).with_name("cli_golden.json")
     path.write_text(json.dumps(cases, indent=1) + "\n")
 

@@ -4,6 +4,7 @@ package's public names."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,11 @@ import types
 from pathlib import Path
 
 import hermdens
+from hermdens import relations
 from hermdens.cli import build_parser, run
+from hermdens.hironaka import HironakaEngine
+from hermdens.partitions import parse_partition
+from hermdens.qalgebra import RatFunc, ZERO, lau_iadd_scaled
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -172,6 +177,52 @@ def test_verify_corollary_ignores_repeated_params(capsys):
     assert once[0] == twice[0] == 0
     assert once[1] == twice[1]
     assert once[1].endswith("12/12 identities verified\n")
+
+
+def test_verify_corollary_mismatch_prints_lhs_minus_rhs(capsys, monkeypatch):
+    # one rule coefficient off by 2/q: the sweep exits 1, only that rule
+    # mismatches, and each MISMATCH line is lhs - rhs summed as RatFuncs
+    rules = {rule.rule_id: rule for rule in relations.REWRITE_RULES[2]}
+    for rule in rules.values():     # derived first, so no rule is derived from the bad one
+        relations._derived_rhs(rule.pattern)
+    bad = rules["C2.17.1"]
+    (coeff, tail), *rest = relations._RHS[bad.pattern]
+    monkeypatch.setitem(relations._RHS, bad.pattern,
+                        ((lau_iadd_scaled(dict(coeff), {-1: 2}), tail), *rest))
+    code, out, _ = _capture(capsys, ["verify", "corollary", "--n", "2"])
+    assert code == 1
+    line = re.compile(r"(\S+) xi=(\S+) B=(\S+): MISMATCH (.+)")
+    mismatches = [line.fullmatch(l).groups() for l in out.splitlines() if "MISMATCH" in l]
+    total = len(out.splitlines()) - 1
+    assert len(mismatches) == 4 and out.endswith(f"{total - len(mismatches)}/{total} identities verified\n")
+    engine = HironakaEngine()
+    for rule_id, xi, lam, text in mismatches:
+        assert rule_id == bad.rule_id
+        xi, lam = parse_partition(xi), parse_partition(lam)
+        lhs = engine.normalized(xi, lam)
+        rhs = sum((c * engine.normalized(p, lam) for c, p in bad.instantiate(())), start=ZERO)
+        assert text == str(lhs - rhs), (xi, lam)
+
+
+def test_verify_sweeps_build_no_ratfunc(capsys, monkeypatch):
+    # from the relations' coefficients to each residual, both sweeps stay in
+    # Laurent form: on cold rule and relation stores, no RatFunc is reduced
+    monkeypatch.setattr(relations, "_RELATIONS", {})
+    monkeypatch.setattr(relations, "_RHS", {})
+    relations.d_coefficients.cache_clear()
+    calls = []
+    init = RatFunc.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    for argv in (["verify", "theorem", "--n", "3", "--s", "2"], ["verify", "corollary", "--n", "3"]):
+        calls.clear()
+        code, out, _ = _capture(capsys, argv)
+        assert code == 0 and "verified" in out, argv
+        assert len(calls) == 0, argv
 
 
 def test_verify_identity_322(capsys):
@@ -423,8 +474,11 @@ def test_closed_stdout_ends_quietly_with_exit_141():
 
 
 def test_cli_golden(capsys):
-    # the README examples and a few edge cases, in text and JSON, byte for byte;
+    # the README examples and a few edge cases, in text and JSON, byte for byte,
+    # with the one-line stderr of cli.run's errors where the file records it;
     # tests/data/make_cli_golden.py rewrites the file when the contract changes
     for case in json.loads(GOLDEN.read_text()):
-        code, out, _ = _capture(capsys, case["argv"])
+        code, out, err = _capture(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+        if "stderr" in case:
+            assert err == case["stderr"], case["argv"]

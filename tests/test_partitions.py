@@ -1,4 +1,6 @@
-"""Partition statistics, special constructions, and the d-coefficients."""
+"""Partition statistics and special constructions, and the relations'
+coefficients d_{n,s,i} (defined in ``relations``) against their defining
+product."""
 
 import itertools
 import random
@@ -7,12 +9,12 @@ from fractions import Fraction
 import numpy
 import pytest
 
+from hermdens import d_coefficients
 from hermdens.hironaka import alpha
 from hermdens.partitions import (
     check_partition,
     conjugate,
     conjugate_part,
-    d_coefficients,
     format_partition,
     n_stat,
     parse_partition,
@@ -24,6 +26,8 @@ from hermdens.partitions import (
     xi_plus,
 )
 from hermdens.qalgebra import ONE, neg_q_power
+
+from conftest import d_coefficients_reference
 
 
 def test_validation():
@@ -112,6 +116,16 @@ def test_d_coefficients_defining_product():
             for j in range(s):
                 rhs *= 1 - Fraction(-3) ** (-n + j) * z
             assert lhs == rhs, (n, s, z)
+
+
+def test_d_coefficients_match_the_product_expansion():
+    # the closed form against the product multiplied out, exactly
+    for n in range(1, 13):
+        for s in range(1, n + 1):
+            got, want = d_coefficients(n, s), d_coefficients_reference(n, s)
+            assert got == want, (n, s)
+            assert [hash(c) for c in got] == [hash(c) for c in want], (n, s)
+            assert [c.to_json() for c in got] == [c.to_json() for c in want], (n, s)
 
 
 def test_conjugation_involution():

@@ -15,7 +15,6 @@ import pytest
 
 from hermdens.hironaka import HironakaEngine, _column_chain, self_density_closed
 from hermdens.partitions import (
-    d_coefficients,
     lambda_ns_elements,
     partitions_fixed_length,
     trailing_zeros,
@@ -39,7 +38,7 @@ from hermdens.relations import (
     _signature,
 )
 
-from conftest import match_pattern
+from conftest import d_coefficients_reference, match_pattern
 
 
 def test_theorem_terms_merges_rank2_s1():
@@ -141,8 +140,9 @@ def test_theorem_sweep_small():
 
 
 def _theorem_terms_reference(n, s, xi):
-    """theorem_terms summed one RatFunc at a time and built on every call."""
-    ds = d_coefficients(n, s)
+    """theorem_terms summed one RatFunc at a time and built on every call, from
+    the coefficients' product expansion."""
+    ds = d_coefficients_reference(n, s)
     pref = neg_q_power(-n * s)
     if s % 2:
         pref = -pref

@@ -1,8 +1,8 @@
 """The CI workflow checked locally: each ``hermdens`` command a step runs
 parses, and each repository path a step names exists.
 
-PyYAML is not a test dependency, so these tests skip where it is missing
-(the CI runner installs only the test extras).
+PyYAML is one of pyproject.toml's test extras, which the CI runner
+installs, so these tests run there; they skip where it is missing.
 """
 
 import re
