@@ -249,9 +249,8 @@ def _verify_corollary(args):
     lams = list(partitions_fixed_length(args.n, 1, args.b_max))
 
     def check(rule, fill, xi, lam):
-        # one Laurent residual lhs - rhs, summed into lhs: laurent_value returns a new dict
         rhs = lau_dot((c, engine.laurent_value(p, lam)) for c, p in rule.instantiate_laurent(fill))
-        residual = lau_iadd_scaled(engine.laurent_value(xi, lam), rhs, scale=-1)
+        residual = lau_iadd_scaled(dict(engine.laurent_value(xi, lam)), rhs, scale=-1)
         status = f"MISMATCH {RatFunc.from_laurent(residual)}" if residual else "ok"
         return not residual, (f"{rule.rule_id} xi={format_partition(xi)} "
                               f"B={format_partition(lam)}: {status}")
