@@ -23,9 +23,11 @@ count.
 Inner normalized densities come from the reduction engine by default, or
 from direct evaluation for cross-checking; either way through the engine's
 ``laurent_value``, which returns a Laurent dict {exponent: coefficient}
-(every density here lies in ZZ[q, q^-1]).  A call without ``engine`` builds
-a fresh ``ReductionEngine``; pass one engine to several calls to share its
-memo.  Both engines answer {} at once for the labels that
+(every density here lies in ZZ[q, q^-1]).  No sum mutates a dict that
+``laurent_value`` returns: the reducer's is its memo's own, and one rule
+holds for both engines.  A call without ``engine`` builds a fresh
+``ReductionEngine``; pass one engine to several calls to share its memo.
+Both engines answer {} at once for the labels that
 ``partitions.provable_zero`` rules out (weight parity and componentwise
 support), as many labels in these sums are.  The sums, their weights and
 the term functions stay in Laurent form, and each public function builds

@@ -367,7 +367,9 @@ class HironakaEngine:
         """``normalized`` as a new Laurent dict, for checked labels; a closed
         self-density that the direct one disputes raises ArithmeticError.  The
         check runs once per xi and engine: xi joins the checked set only after
-        it passes."""
+        it passes.  One ownership rule holds for both engines: no caller
+        mutates a dict that ``laurent_value`` returns, since the reducer's is
+        its memo's own; a caller that sums into a value copies it first."""
         if provable_zero(xi, lam) is not None:
             return {}
         if xi not in self._checked:

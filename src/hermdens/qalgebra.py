@@ -303,23 +303,29 @@ def poly_str(p):
 #
 # A Laurent polynomial is a plain dict {exponent: coefficient} with no zero
 # coefficients; exponents may be negative.  These helpers avoid RatFunc's
-# canonicalization cost in inner loops, and ``lau_mul`` and
-# ``lau_iadd_scaled`` are also all of ``IntPoly``'s addition and
-# multiplication, on its dict of non-negative exponents.
+# canonicalization cost in inner loops.  ``lau_iadd_product`` is the one
+# multiply kernel: ``lau_mul`` runs it on a new dict, ``lau_dot`` sums a list
+# of products through it, and a caller that sums products into its own dict
+# (the reducer's rule-(d) step) calls it with no product dict at all.
+# ``lau_mul`` and ``lau_iadd_scaled`` are also all of ``IntPoly``'s addition
+# and multiplication, on its dict of non-negative exponents.
 
 def lau_mul(a, b):
-    if not a or not b:
-        return {}
-    d = {}
+    """a * b as a new dict."""
+    return lau_iadd_product({}, a, b)
+
+
+def lau_iadd_product(acc, a, b):
+    """acc += a * b, in place and with no product dict; returns acc."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            s = d.get(e, 0) + c1 * c2
+            s = acc.get(e, 0) + c1 * c2
             if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-    return d
+                acc[e] = s
+            elif e in acc:
+                del acc[e]
+    return acc
 
 
 def lau_iadd_scaled(acc, a, shift=0, scale=1):
@@ -336,11 +342,10 @@ def lau_iadd_scaled(acc, a, shift=0, scale=1):
 
 def lau_dot(pairs):
     """sum of a * b over (a, b) pairs of Laurent dicts, as a new dict; a pair
-    with an empty factor costs nothing, and a unit a = {0: 1} no product."""
+    with an empty factor costs nothing."""
     acc = {}
     for a, b in pairs:
-        if a and b:
-            lau_iadd_scaled(acc, b if a == {0: 1} else lau_mul(a, b))
+        lau_iadd_product(acc, a, b)
     return acc
 
 

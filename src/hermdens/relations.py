@@ -31,8 +31,11 @@ the direct formula.  The rewrite loop:
       because the norm map is onto the units of an unramified extension
       (Serre, *Local Fields*, V section 2), so A_x(A_l) = 1;
   (b) shift both labels down by one when both end in positive parts
-      (rule id "P2.15");
-  (c) drop a common trailing zero (rule id "P2.14");
+      (rule id "P2.15"); the evaluator takes all xi_n of these steps at
+      once, lowering every part by xi_n;
+  (c) drop a common trailing zero (rule id "P2.14"); the evaluator repeats
+      (b) and (c) in one pass down to the label's unit closure: rank 1, or
+      xi_n = 0 < lam_n;
   (d) otherwise xi ends in 0 and lam_n >= 1: apply the rewrite rule of xi's
       signature, xi with every part >= 3 written "*".  Each rule is
       ``theorem_terms`` for xi solved for its xi term (coefficient 1), with
@@ -49,12 +52,12 @@ the direct formula.  The rewrite loop:
 
 ``reduce_normalized`` also returns an auditable ``ReductionTrace`` whose
 replay reproduces the value exactly; ``normalized_value`` returns the value
-alone; both value through ``laurent_value``, and the trace reads each
-step's value off its memo.  Each rewrite strictly decreases the measure
-(|lam|, trailing zeros of xi, n), so the replay values the steps in
-ascending measure.  Rule (d) keeps lam, and its derivation checks once that
-each relation term it keeps has fewer trailing zeros than xi; its children
-then end in a nonzero part.  A unit step lowers the measure by construction
+alone; both value through ``laurent_value``, and the trace, which records
+the unit steps one at a time, reads each step's value through it.  Each
+rewrite strictly decreases the measure (|lam|, trailing zeros of xi, n), so
+the replay values the steps in ascending measure.  Rule (d) keeps lam, and
+its derivation checks once that each relation term it keeps has fewer
+trailing zeros than xi; its children then end in a nonzero part.  A unit step lowers the measure by construction
 (P2.15 lowers |lam|, P2.14 shortens the labels), which the trace still
 checks per step and the evaluator does not.  A violation raises
 ``RuntimeError``.
@@ -78,7 +81,8 @@ from .partitions import (
     weight,
     xi_plus,
 )
-from .qalgebra import RatFunc, ZERO, gauss_laurent, lau_dot, lau_iadd_scaled, lau_mul
+from .qalgebra import (
+    RatFunc, ZERO, gauss_laurent, lau_dot, lau_iadd_product, lau_iadd_scaled, lau_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +211,12 @@ def verify_relation(rel, lam, engine=None):
 def _signature(xi):
     """The rewrite-rule key of a label: every part >= 3 becomes "*".  A label
     does not increase, so its "*" slots lead."""
-    return tuple("*" if x >= 3 else x for x in xi)
+    k = 0
+    for x in xi:
+        if x < 3:
+            break
+        k += 1
+    return ("*",) * k + xi[k:]
 
 
 def fill_pattern(pattern, bind):
@@ -422,38 +431,44 @@ _LAU_ONE = {0: 1}
 class ReductionEngine:
     """Rewrites normalized densities with memoization and auditable traces.
 
-    ``laurent_value`` is the one evaluator and the one memo writer: the memo,
-    then a leaf, then a chain of unit steps to one rule-(d) rewrite whose
-    children it values and sums with ``lau_dot``.  Every value is a Laurent
-    dict {exponent: coefficient} in ZZ[q, q^-1], and so is every rule
-    coefficient, derived once in that form.  The geometry sums, which build
-    their own labels, call it directly: it skips label validation and returns
-    the memo's dict itself.  ``normalized_value`` and ``reduce_normalized``
-    return a ``RatFunc``; the latter's trace pass records each label's rewrite
-    once, with no arithmetic, and reads the values off the memo.  The leaves
-    are constants ("parity-zero" and "support-zero" are 0, "base-n1" is 1) and
-    cost O(n) to recompute, so only rewritten values are memoized.  A rule
-    coefficient outside ZZ[q, q^-1] raises ``ArithmeticError`` when its rule is
-    derived.  Stored values are never mutated, so one engine may be shared by
-    threads.
+    ``laurent_value``, with ``_reduce`` on a miss, is the one evaluator and
+    the one memo writer, with one step of work per label it values: the
+    memo, then the zero leaves, then the label's unit closure, then one
+    rule-(d) rewrite there.  Every value
+    is a Laurent dict {exponent: coefficient} in ZZ[q, q^-1], and so is every
+    rule coefficient, derived once in that form.  The geometry sums, which
+    build their own labels, call it directly: it skips label validation and
+    returns the memo's dict itself, which no caller mutates (the ownership
+    rule of both engines' ``laurent_value``).  ``normalized_value`` and
+    ``reduce_normalized`` return a ``RatFunc``; the latter's trace pass
+    records each label's rewrite once, one unit step at a time, with no
+    arithmetic, and reads each step's value through ``laurent_value``.  The
+    leaves are constants ("parity-zero" and "support-zero" are 0, "base-n1"
+    is 1) and cost O(n) to recompute, so they are not memoized.  A rule
+    coefficient outside ZZ[q, q^-1] raises ``ArithmeticError`` when its rule
+    is derived.  Stored values are never mutated, so one engine may be shared
+    by threads.
 
-    The engine holds only that memo.  Rule (d) reads the process-wide rule of
-    xi's signature, (Laurent factor, tail) pairs, and puts xi's leading "*"
-    parts before each tail; its measure was checked when the rule was
-    derived.  ``laurent_value`` follows the unit steps P2.15 and P2.14 (one
-    child, factor 1, both taken from ``_unit_step``) in a loop, not by
-    recursion, and memoizes each node of the chain with the dict at the
-    chain's end.  It tests the zero leaves (``provable_zero``) once, after the
-    memo misses at the chain's start: P2.15 lowers both weights by n and
-    keeps xi_i <= lam_i, and P2.14 drops a trailing (0, 0), so no later node
-    of the chain is a zero leaf.  Along the chain it checks only the rank-1
-    leaf and the memo.  Nor does it check the measure on unit steps, which
+    The engine holds only that memo: the labels asked of it and their unit
+    closures, one shared dict for both, and no label in between.  The unit
+    closure takes P2.15 and P2.14 in one pass from the last part: it lowers
+    every part by xi_n (P2.15, xi_n times), drops a trailing (0, 0) (P2.14),
+    and repeats until rank 1 (value 1) or xi_n = 0 < lam_n.  The zero leaves
+    are tested once, before the closure: P2.15 lowers both weights by n and
+    keeps xi_i <= lam_i, and P2.14 drops a trailing (0, 0), so no label on
+    the way is a zero leaf.  Nor is the measure checked on unit steps, which
     lower it by construction: P2.15 lowers |lam| by n >= 1, and P2.14 meets
-    only lam_n = 0, so xi_n = 0 past the support test (``_unit_step`` raises
-    ``RuntimeError`` in O(1) otherwise).  The trace pass tests the leaves at
-    every node and measures every unit step in ``_expansion``.  Rule-(d)
-    rewrites nested past the recursion limit raise ``RecursionError``:
-    ``laurent_value`` takes a frame for each.
+    only lam_n = 0, so xi_n = 0 past the support test; where it is not,
+    P2.14 raises ``RuntimeError``, as ``_unit_step`` does.  Rule (d) at the
+    closed label reads the process-wide rule of xi's signature, (Laurent
+    factor, tail) pairs, and puts xi's leading "*" parts before each tail; its
+    measure was checked when the rule was derived.  Each child is looked up
+    in the memo, and only on a miss screened for the zero leaves and reduced;
+    its value times its factor is added into the label's one new dict by
+    ``lau_iadd_product``, with no product dict.  The trace pass tests the
+    leaves at every label and measures every unit step in ``_expansion``.
+    Rule-(d) rewrites nested past the recursion limit raise
+    ``RecursionError``: the evaluator takes a frame for each.
     """
 
     def __init__(self):
@@ -498,34 +513,59 @@ class ReductionEngine:
     def laurent_value(self, xi, lam):
         """The value alone as the memo's Laurent dict, which callers must never
         mutate; the labels are not validated (callers build them)."""
-        memo = self._memo
-        val = memo.get((xi, lam))
+        val = self._memo.get((xi, lam))
         if val is not None:
             return val
         if provable_zero(xi, lam) is not None:
             return _LAU_ZERO
-        # the unit steps keep the labels past the zero leaves, so along their
-        # chain only the rank-1 leaf and the memo can end it
-        chain = []
-        while len(xi) > 1:
-            step = self._unit_step(xi, lam)
-            if step is None:
-                sig = _signature(xi)
-                head = xi[:sig.count("*")]
-                terms = []      # a loop, not a comprehension: one frame per rule-(d) rewrite
-                for factor, tail in _derived_rhs(sig):
-                    terms.append((factor, self.laurent_value(head + tail, lam)))
-                val = memo[xi, lam] = lau_dot(terms)
+        return self._reduce(xi, lam)
+
+    def _reduce(self, xi, lam):
+        """The value of a label pair that missed the memo and passed the zero
+        screen: its unit closure, then one rule-(d) rewrite there, stored
+        under the pair and under the closed label."""
+        memo, key = self._memo, (xi, lam)
+        # the unit closure in one pass from the last part: s P2.15 steps lower
+        # every part by s, and P2.14 drops the parts past n
+        n, s = len(xi), 0
+        while n > 1:
+            x, l = xi[n - 1] - s, lam[n - 1] - s
+            if not l:
+                if x:
+                    node = tuple([v - s for v in xi[:n]]), tuple([v - s for v in lam[:n]])
+                    raise RuntimeError(f"non-decreasing step P2.14: {node} -> "
+                                       f"{(node[0][:-1], node[1][:-1])}")
+                n -= 1                      # P2.14
+            elif x:
+                # P2.15 x times; only a pair the screen let through has l < x,
+                # and P2.14 then raises at lam_n = 0
+                s += x if x <= l else l
+            else:
                 break
-            chain.append((xi, lam))
-            _, xi, lam = step
+        if n == 1:
+            if len(xi) > 1:
+                memo[key] = _LAU_ONE
+            return _LAU_ONE
+        if s or n < len(xi):
+            xi, lam = tuple([v - s for v in xi[:n]]), tuple([v - s for v in lam[:n]])
             val = memo.get((xi, lam))
             if val is not None:
-                break
-        else:
-            val = _LAU_ONE
-        for key in reversed(chain):
-            memo[key] = val     # shared along the chain: no stored dict is ever mutated
+                memo[key] = val
+                return val
+        # rule (d): each child from the memo, else screened and reduced, its
+        # product added in place; one frame per rewrite, by recursion
+        sig = _signature(xi)
+        head = xi[:sig.count("*")]
+        val = {}
+        for factor, tail in _derived_rhs(sig):
+            child = head + tail
+            sub = memo.get((child, lam))
+            if sub is None:
+                if provable_zero(child, lam) is not None:
+                    continue
+                sub = self._reduce(child, lam)
+            lau_iadd_product(val, factor, sub)
+        memo[xi, lam] = memo[key] = val     # shared: no stored dict is ever mutated
         return val
 
     def normalized_value(self, xi, lam):
@@ -535,7 +575,8 @@ class ReductionEngine:
     def reduce_normalized(self, xi, lam):
         """Evaluate A_xi(A_lam) by rewriting; returns (value, ReductionTrace).
         The trace pass ends a branch at a leaf, a label valued before the call
-        ("memo") or one already recorded; the values are read off the memo."""
+        ("memo") or one already recorded; each recorded step's value is read
+        through ``laurent_value``, which stores the step's label too."""
         xi, lam = check_pair(xi, lam)
         memo, expanded = self._memo, {}     # (xi, lam) -> its step
         trace = ReductionTrace(root=(xi, lam))
@@ -559,9 +600,8 @@ class ReductionEngine:
             elif leaf is not None:
                 # a leaf or a warm memo at the root: one terminal step with the value
                 trace.steps.append(TraceStep(leaf[1], cxi, clam, value=value))
-        self.laurent_value(xi, lam)
-        for key, step in expanded.items():
-            step.value = RatFunc.from_laurent(memo[key])
+        for key, step in expanded.items():     # the root first, which values the rest
+            step.value = RatFunc.from_laurent(self.laurent_value(*key))
         return trace.steps[0].value, trace      # the root's step comes first
 
 

@@ -374,6 +374,31 @@ def test_zero_screen_is_sound(monkeypatch):
         assert direct.alpha(xi, lam) == ZERO, (xi, lam)
 
 
+def test_no_sum_mutates_an_engines_values():
+    # the one ownership rule: no caller mutates a dict that either engine's
+    # laurent_value returns (the reducer's is its memo's own).  The sums run
+    # twice on one shared engine of each kind; every memo value the first
+    # round stored equals a fresh engine's, and keeps its object and value
+    # through the second round, which reads it back
+    import copy
+    calls = [(sankaran_intersection, b) for b in ((2, 0), (5, 3), (9, 4))]
+    calls += [(difference_identity_check, b) for b in ((5, 3), (9, 4))]
+    calls += [(conjecture_check, b) for b in ((4, 2, 1, 0), (6, 3, 1, 1), (8, 5, 2, 0))]
+    for kind, attr, value in (("reduce", "_memo", "laurent_value"),
+                              ("direct", "_alpha", "laurent_alpha")):
+        engine = make_engine(kind)
+        for fn, b in calls:
+            fn(b, engine=engine)
+        memo = getattr(engine, attr)
+        stored = {key: (val, copy.deepcopy(val)) for key, val in memo.items()}
+        assert len(stored) > 50, kind
+        for fn, b in reversed(calls):
+            fn(b, engine=engine)
+        for key, (val, before) in stored.items():
+            assert memo[key] is val and val == before, (kind, key)
+            assert val == getattr(make_engine(kind), value)(*key), (kind, key)
+
+
 def test_conjecture_at_a_large_first_part():
     # the twin chain takes the lead run in pairs and the vertex counts are
     # asked at the lowest first part of a's parity, so a = 100000 costs what

@@ -1,6 +1,7 @@
 """Exact q-arithmetic: operation examples and algebraic invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,10 @@ from hermdens.qalgebra import (
     evaluate_at,
     gauss_binomial,
     gauss_laurent,
+    lau_dot,
+    lau_iadd_product,
+    lau_iadd_scaled,
+    lau_mul,
     neg_q_power,
     poly_gcd,
 )
@@ -237,6 +242,66 @@ def test_from_laurent_ignores_zero_coefficients():
         f = RatFunc.from_laurent(d)
         assert (f == want, hash(f), f.to_json()) == (True, hash(want), want.to_json()), d
         assert RatFunc.from_laurent(d.items()) == want, d
+
+
+def _product_reference(a, b):
+    """a * b term by term, with the zero coefficients dropped at the end."""
+    out = Counter()
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] += c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _lau_dot_reference(pairs):
+    """``lau_dot`` as it was before the in-place kernel: each product built as
+    a dict of its own and then added, a unit factor's partner added as is."""
+    acc = {}
+    for a, b in pairs:
+        if a and b:
+            lau_iadd_scaled(acc, b if a == {0: 1} else lau_mul(a, b))
+    return acc
+
+
+def _random_laurent(rng):
+    d = {rng.randint(-6, 6): rng.choice((-2, -1, 1, 2, rng.randint(-9, 9)))
+         for _ in range(rng.randint(0, 5))}
+    return {e: c for e, c in d.items() if c}
+
+
+def test_lau_iadd_product_adds_the_product_in_place():
+    # acc += a * b in place, against the product built first and then added,
+    # on 200 seeded triples with empty operands, negative exponents and
+    # cancellation; the result keeps no zero coefficient and is acc itself
+    rng = random.Random(3939)
+    seen = Counter()
+    for i in range(200):
+        a, b, acc = _random_laurent(rng), _random_laurent(rng), _random_laurent(rng)
+        if i % 3 == 0:
+            # acc holds minus some terms of the product, which then cancel
+            for e, c in _product_reference(a, b).items():
+                if rng.random() < 0.7:
+                    acc[e] = -c
+        product = _product_reference(a, b)
+        want = lau_iadd_scaled(dict(acc), lau_mul(a, b))
+        assert want == lau_iadd_scaled(dict(acc), product), (acc, a, b)
+        seen["empty"] += not a or not b
+        seen["negative"] += any(e < 0 for e in (*a, *b))
+        seen["cancel"] += any(acc.get(e, 0) + c == 0 for e, c in product.items())
+        got = lau_iadd_product(acc, a, b)
+        assert got is acc and got == want and all(got.values()), (a, b)
+    assert min(seen["empty"], seen["negative"], seen["cancel"]) >= 20, seen
+
+
+def test_lau_dot_matches_the_product_dict_form():
+    # the one-kernel lau_dot against its former definition, unit factors and
+    # empty operands included
+    rng = random.Random(4040)
+    for _ in range(200):
+        pairs = [({0: 1} if rng.random() < 0.25 else _random_laurent(rng), _random_laurent(rng))
+                 for _ in range(rng.randint(0, 5))]
+        got = lau_dot(iter(pairs))
+        assert got == _lau_dot_reference(pairs) and all(got.values()), pairs
 
 
 def test_canonical_form():

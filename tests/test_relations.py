@@ -834,42 +834,50 @@ def test_long_rewrite_chain_fits_the_recursion_limit():
     assert val == ONE == trace.replay() and len(trace) == long + 1
 
 
-def test_unit_chain_memoizes_every_node():
-    # each P2.15/P2.14 node on a chain is memoized with the chain's own dict
+def test_unit_closure_shares_one_dict():
+    # the unit steps of a chain are taken in one pass: the asked label and
+    # its unit-closed label share one stored dict, and no node between them
+    # is stored
     eng = ReductionEngine()
     val = eng.laurent_value((4, 2, 2), (6, 4, 2))
-    # P2.15, P2.15, P2.14, then rule C2.17.3 at the chain's end
-    chain = [((4, 2, 2), (6, 4, 2)), ((3, 1, 1), (5, 3, 1)), ((2, 0, 0), (4, 2, 0)),
-             ((2, 0), (4, 2))]
-    assert val and all(eng._memo[key] is val for key in chain)
+    # P2.15 twice, then P2.14, to (2,0) against (4,2), where rule C2.17.3 applies
+    asked, closed = ((4, 2, 2), (6, 4, 2)), ((2, 0), (4, 2))
+    assert val and eng._memo[asked] is val and eng._memo[closed] is val
+    for node in (((3, 1, 1), (5, 3, 1)), ((2, 0, 0), (4, 2, 0))):
+        assert node not in eng._memo, node
     assert RatFunc.from_laurent(val) == HironakaEngine().normalized((4, 2, 2), (6, 4, 2))
 
 
 def _laurent_value_reference(eng, xi, lam):
     """``ReductionEngine.laurent_value`` node by node: the memo, then a leaf,
-    then one ``_expansion``, at every node of a unit-step chain.  The
-    reference for the evaluator, which tests the zero leaves once per chain
-    and takes the unit steps without ``_expansion``."""
-    memo, chain = eng._memo, []
-    while True:
-        val = memo.get((xi, lam))
-        if val is not None:
+    then one ``_expansion`` per unit step down to the unit-closed label,
+    where the memo is probed again and, on a miss, the rule-(d) children are
+    valued in turn and summed with ``lau_dot``.  The value is stored under
+    the asked label and the closed label, and under no node between them.
+    The reference for the evaluator, which takes the unit steps in one pass
+    without ``_expansion`` and adds each child's product in place."""
+    memo, key = eng._memo, (xi, lam)
+    val = memo.get(key)
+    if val is not None:
+        return val
+    leaf = eng._leaf(xi, lam)
+    if leaf is not None:
+        return leaf[0]
+    while len(xi) > 1:
+        rule_id, children = eng._expansion(xi, lam)
+        if rule_id not in ("P2.15", "P2.14"):
             break
-        leaf = eng._leaf(xi, lam)
-        if leaf is not None:
-            val = leaf[0]
-            break
-        children = eng._expansion(xi, lam)[1]
-        if len(children) == 1 and children[0][0] is _LAU_ONE:
-            # a P2.15 or P2.14 step: its value is its child's
-            chain.append((xi, lam))
-            _, xi, lam = children[0]
-            continue
-        val = memo[xi, lam] = lau_dot((factor, _laurent_value_reference(eng, cxi, clam))
-                                      for factor, cxi, clam in children)
-        break
-    for key in reversed(chain):
-        memo[key] = val
+        # a unit step: its value is its one child's, with factor 1
+        _, xi, lam = children[0]
+    else:
+        memo[key] = {0: 1}
+        return memo[key]
+    closed = (xi, lam)
+    val = memo.get(closed)
+    if val is None:
+        val = memo[closed] = lau_dot((factor, _laurent_value_reference(eng, cxi, clam))
+                                     for factor, cxi, clam in children)
+    memo[key] = val
     return val
 
 
@@ -896,7 +904,8 @@ def test_laurent_value_matches_reference_seeded():
 
 def test_unit_chain_tests_the_zero_leaves_once(monkeypatch):
     # A_(50,50)(A_(50,50)): 50 P2.15 steps and one P2.14 step to a rank-1
-    # leaf, and one zero-leaf test at the chain's start
+    # leaf, one zero-leaf test at the chain's start, and one memo entry, the
+    # asked label's
     import hermdens.relations as relations
     calls = []
 
@@ -909,7 +918,7 @@ def test_unit_chain_tests_the_zero_leaves_once(monkeypatch):
     eng = ReductionEngine()
     assert eng.laurent_value((50, 50), (50, 50)) == {0: 1}
     assert calls == [((50, 50), (50, 50))]
-    assert len(eng._memo) == 51
+    assert list(eng._memo) == [((50, 50), (50, 50))]
 
 
 def test_unit_step_refuses_a_support_zero_drop():
@@ -920,6 +929,52 @@ def test_unit_step_refuses_a_support_zero_drop():
     assert ReductionEngine._unit_step((1, 0), (2, 0)) == ("P2.14", (1,), (2,))
     assert ReductionEngine._unit_step((2, 1), (3, 1)) == ("P2.15", (1, 0), (2, 0))
     assert ReductionEngine._unit_step((2, 0), (3, 1)) is None
+
+
+def test_unit_closure_refuses_a_support_zero_drop(monkeypatch):
+    # past a bypassed zero screen, the closure meets P2.14 with xi_n != 0 at
+    # the node where a unit chain would, and raises the same error
+    import hermdens.relations as relations
+    monkeypatch.setattr(relations, "provable_zero", lambda xi, lam: None)
+    for (xi, lam), node in ((((1, 1), (2, 0)), ((1, 1), (2, 0))),
+                            (((3, 3), (5, 1)), ((2, 2), (4, 0))),
+                            (((4, 2, 2), (6, 4, 1)), ((3, 1, 1), (5, 3, 0)))):
+        drop = (node[0][:-1], node[1][:-1])
+        with pytest.raises(RuntimeError) as info:
+            ReductionEngine().laurent_value(xi, lam)
+        assert str(info.value) == f"non-decreasing step P2.14: {node} -> {drop}", (xi, lam)
+
+
+def test_the_reducer_builds_no_product_dict(monkeypatch):
+    # a cold engine values each label by in-place multiply-adds alone: with
+    # the rules derived, lau_mul and lau_dot are never called.  The labels
+    # are 200 seeded ones and every label conjecture_check((10,9,9,7)) asks
+    import hermdens.relations as relations
+    from hermdens.geometry import conjecture_check
+
+    class Recording(ReductionEngine):
+        def laurent_value(self, xi, lam):
+            labels.append((xi, lam))
+            return super().laurent_value(xi, lam)
+
+    labels = []
+    conjecture_check((10, 9, 9, 7), engine=Recording())
+    assert len(labels) > 300
+    rng = random.Random(4141)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        lam = tuple(sorted((rng.randint(0, 8) for _ in range(n)), reverse=True))
+        labels.append((tuple(sorted((rng.randint(0, l) for l in lam), reverse=True)), lam))
+    warm = ReductionEngine()        # derives the process-wide rules the labels reach
+    want = [warm.laurent_value(xi, lam) for xi, lam in labels]
+
+    def refuse(*args):
+        raise AssertionError("the reducer built a product dict")
+
+    monkeypatch.setattr(relations, "lau_mul", refuse)
+    monkeypatch.setattr(relations, "lau_dot", refuse)
+    cold = ReductionEngine()
+    assert [cold.laurent_value(xi, lam) for xi, lam in labels] == want
 
 
 def test_engine_holds_only_its_memo():
@@ -1062,36 +1117,37 @@ def test_reduce_normalized_function_wrapper():
 
 
 def _trace_reference(eng, xi, lam):
-    """``ReductionEngine.reduce_normalized`` as a recursive walk that sums each
-    step itself (``lau_dot``) and keeps its own set of expanded labels: the
-    reference for the trace, which reads its values off the memo.  A parent
-    step inlines a child's value under its leaf rule, or "memo" if it was
-    valued before the walk began; a child expanded in the walk has no note."""
-    trace, expanded = ReductionTrace(root=(xi, lam)), set()
+    """``ReductionEngine.reduce_normalized`` as a recursive walk that keeps
+    its own set of expanded labels, then reads each expanded step's value
+    through ``laurent_value``: the reference for the trace pass, which walks
+    with an explicit stack.  A parent step inlines a child's value under its
+    leaf rule, or "memo" if it was valued before the walk began; a child
+    expanded in the walk has no note."""
+    trace, expanded = ReductionTrace(root=(xi, lam)), {}     # (xi, lam) -> its step
 
     def record(xi, lam):
         leaf = eng._leaf(xi, lam)
         if leaf is not None:
             return leaf[1], leaf[0]
+        if (xi, lam) in expanded:
+            return None, None
         if (xi, lam) in eng._memo:
-            return (None if (xi, lam) in expanded else "memo"), eng._memo[xi, lam]
+            return "memo", eng._memo[xi, lam]
         rule_id, children = eng._expansion(xi, lam)
-        step, terms = TraceStep(rule_id, xi, lam), []
+        step = expanded[xi, lam] = TraceStep(rule_id, xi, lam)
         trace.steps.append(step)
-        expanded.add((xi, lam))
         for factor, cxi, clam in children:
             note, sub = record(cxi, clam)
-            terms.append((factor, sub))
             step.children.append(TraceChild(
                 RatFunc.from_laurent(factor), cxi, clam, note=note,
                 value=None if note is None else RatFunc.from_laurent(sub)))
-        val = eng._memo[xi, lam] = lau_dot(terms)
-        step.value = RatFunc.from_laurent(val)
-        return None, val
+        return None, None
 
     note, val = record(xi, lam)
     if note is not None:
         trace.steps.append(TraceStep(note, xi, lam, value=RatFunc.from_laurent(val)))
+    for key, step in expanded.items():
+        step.value = RatFunc.from_laurent(eng.laurent_value(*key))
     return trace.steps[0].value, trace
 
 
@@ -1115,17 +1171,19 @@ def test_trace_matches_reference_seeded():
         assert trace.to_json() == ref_trace.to_json(), (xi, lam)
         traced += 1
         memo_notes += sum(c.note == "memo" for s in trace.steps for c in s.children)
-    assert (traced, memo_notes) == (208, 74)
+    assert (traced, memo_notes) == (208, 72)
     assert eng._memo == ref._memo
 
 
 def test_trace_of_a_partly_warm_engine():
     # (3,2,2) against (8,3,2), valued first, is the root's second child: a
-    # "memo" leaf, below which the trace records nothing
+    # "memo" leaf, below which the trace records nothing.  Of its unit chain
+    # only the closed label (1,0) against (6,1) is stored, so the first
+    # child's branch takes two unit steps down to that "memo" leaf
     eng = ReductionEngine()
     eng.normalized_value((3, 2, 2), (8, 3, 2))
     val, trace = eng.reduce_normalized((3, 0, 0), (8, 3, 2))
-    assert trace.rule_ids() == ["C2.19.7", "P2.15", "C2.19.8"]
+    assert trace.rule_ids() == ["C2.19.7", "P2.15", "C2.19.8", "P2.15", "P2.14"]
     assert [c.note for c in trace.steps[0].children] == [None, "memo"]
     assert trace.replay() == val == Q ** 6 + Q ** 5 + Q ** 4
 
@@ -1151,5 +1209,5 @@ def test_warm_engine_traces_are_pinned():
         memo_roots += trace.rule_ids().count("memo")
         memo_notes += sum(c.note == "memo" for s in trace.steps for c in s.children)
     digest = hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest()
-    assert (len(blobs), sum(map(len, blobs)), memo_roots, memo_notes) == (140, 307, 11, 43)
-    assert digest == "5f19a6fdba1923707d7a32e9ee7153db26a7f02bccb7c93de10cb31a082d787f"
+    assert (len(blobs), sum(map(len, blobs)), memo_roots, memo_notes) == (140, 315, 10, 41)
+    assert digest == "ac741aec9123a393c5b29fde0d584c37853bb7fe63f631dd082e0d1f5d6bc711"
