@@ -537,8 +537,8 @@ class ReductionEngine:
                                        f"{(node[0][:-1], node[1][:-1])}")
                 n -= 1                      # P2.14
             elif x:
-                # P2.15 x times; only a pair the screen let through has l < x,
-                # and P2.14 then raises at lam_n = 0
+                # P2.15 x times; l < x only where the zero screen was
+                # bypassed, and P2.14 then raises at lam_n = 0
                 s += x if x <= l else l
             else:
                 break
